@@ -31,7 +31,6 @@ class RunConfig:
     max_len: int | None = None
     json_output: bool = False
     out: str | None = None
-    threads: int = 1
     seed: int | None = None
     segments: list[int] | None = None
     rep_path: str | None = None
@@ -77,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length bound for the path-semigroup check (default 2n+2)")
     p.add_argument("--rep", metavar="FILE", dest="rep_path",
                    help="verify this representation JSON instead of building one")
-    p.add_argument("--threads", type=_positive_int, default=1, metavar="K",
-                   help="worker threads for the verification")
 
     p = sub.add_parser("stabilize", help="affine stabilization coefficients and table")
     common(p)
@@ -99,7 +96,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
     cfg.max_len = getattr(ns, "max_len", None)
     cfg.json_output = ns.json
     cfg.out = ns.out
-    cfg.threads = getattr(ns, "threads", 1)
     cfg.seed = ns.seed
     cfg.rep_path = getattr(ns, "rep_path", None)
     cfg.labels = getattr(ns, "labels", "primes")
@@ -174,6 +170,8 @@ def cmd_construct(cfg: RunConfig) -> int:
 def _load_rep(path: str):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a representation file must hold a JSON object")
     kind = data.get("kind")
     if kind == "path":
         return SymbolicRep.from_json(data)
@@ -195,9 +193,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             raise QuiverError(
                 f"--truncate {cfg.N} does not match the representation (N={rep.N})"
             )
-        result = verify_truncated(rep, q, rep.N, threads=cfg.threads)
+        result = verify_truncated(rep, q, rep.N)
     else:
-        result = verify_path_rep(rep, q, cfg.max_len, threads=cfg.threads)
+        result = verify_path_rep(rep, q, cfg.max_len)
     if cfg.json_output:
         _emit(json.dumps(result.to_json(), indent=2), cfg)
     else:

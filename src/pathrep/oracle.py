@@ -11,7 +11,8 @@ deliberately tiny instances.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import operator
+import random
 from dataclasses import dataclass
 
 from .paths import Path, enumerate_paths, path_str
@@ -52,62 +53,54 @@ class VerifyReport:
         }
 
 
+# Fingerprints live modulo the Mersenne prime 2^61 - 1.
+_P = (1 << 61) - 1
+
+
 def _check_match(rep, q: Quiver):
     if tuple(rep.dims) != q.vertices or tuple(rep.matrices) != q.arrow_names():
         raise ValueError("representation does not match the quiver")
+    for a in q.arrows:
+        m = rep.matrices[a.name]
+        rows, cols = rep.dims[q.vertices[a.head]], rep.dims[q.vertices[a.tail]]
+        if isinstance(m, PolyMatrix):
+            fits = (m.rows, m.cols) == (rows, cols)
+        else:
+            fits = len(m) == rows and all(len(row) == cols for row in m)
+        if not fits:
+            raise ValueError(
+                f"arrow {a.name!r} needs a {rows}x{cols} matrix (head dim x tail dim)"
+            )
 
 
-def _matrix_key(m):
-    return m.key() if isinstance(m, PolyMatrix) else m
-
-
-def _image_is_zero(m) -> bool:
-    return m.is_zero if isinstance(m, PolyMatrix) else mat_is_zero(m)
-
-
-def _level_stream(rep, q: Quiver, max_len: int, threads: int = 1):
+def _level_stream(rep: GradedRep, q: Quiver, max_len: int):
     """Yield (length, [(path, matrix), ...]) for lengths 0..max_len.
 
     Each level reuses the previous level's images, so every path costs one
-    matrix product.  With threads > 1 the products of a level are computed
-    on a thread pool; ordering stays deterministic.
+    matrix product.
     """
     arrow_ids = tuple(rep.matrices)
-    if isinstance(rep, SymbolicRep):
-        def idmat(d):
-            return PolyMatrix.identity(d)
-
-        def mul(a, b):
-            return a @ b
-    else:
-        symbolic_labels = rep.label_kind == "symbolic"
-
-        def idmat(d):
-            return _identity(d, symbolic_labels)
-
-        mul = _mat_mul
+    symbolic_labels = rep.label_kind == "symbolic"
     level = [
-        (Path(v, v), idmat(rep.dims[q.vertices[v]])) for v in range(q.n)
+        (Path(v, v), _identity(rep.dims[q.vertices[v]], symbolic_labels))
+        for v in range(q.n)
     ]
     yield 0, level
     for length in range(1, max_len + 1):
-        tasks = []
-        for p, m in level:
-            for ai in q.out_arrows[p.head]:
-                nxt = Path(p.tail, q.arrows[ai].head, p.arrows + (ai,))
-                tasks.append((nxt, rep.matrices[arrow_ids[ai]], m))
-        if not tasks:
+        level = [
+            (
+                Path(p.tail, q.arrows[ai].head, p.arrows + (ai,)),
+                _mat_mul(rep.matrices[arrow_ids[ai]], m),
+            )
+            for p, m in level
+            for ai in q.out_arrows[p.head]
+        ]
+        if not level:
             return
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                mats = list(ex.map(lambda t: mul(t[1], t[2]), tasks))
-        else:
-            mats = [mul(am, m) for _, am, m in tasks]
-        level = [(t[0], mat) for t, mat in zip(tasks, mats)]
         yield length, level
 
 
-def verify_truncated(rep: GradedRep, q: Quiver, N: int, threads: int = 1) -> VerifyReport:
+def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     """Complete faithfulness check of a truncated representation.
 
     Enumerates every element (all nonzero paths of length < N, the trivial
@@ -123,32 +116,54 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int, threads: int = 1) -> Ver
     _check_match(rep, q)
     checked = 1  # the zero element
     seen: dict[tuple[int, int], dict] = {}
-    for length, level in _level_stream(rep, q, N, threads):
+    for length, level in _level_stream(rep, q, N):
         for p, m in level:
             if length == N:
-                if not _image_is_zero(m):
+                if not mat_is_zero(m):
                     return VerifyReport(RELATION_VIOLATION, checked, N - 1, (path_str(q, p),))
                 continue
             checked += 1
-            if _image_is_zero(m):
+            if mat_is_zero(m):
                 return VerifyReport(ZERO_ACTION, checked, N - 1, (path_str(q, p),))
             group = seen.setdefault((p.tail, p.head), {})
-            key = _matrix_key(m)
-            other = group.get(key)
+            other = group.get(m)
             if other is not None:
                 return VerifyReport(
                     COLLISION, checked, N - 1, (path_str(q, other), path_str(q, p))
                 )
-            group[key] = p
+            group[m] = p
     return VerifyReport(EFFECTIVE, checked, N - 1)
 
 
-def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None, threads: int = 1) -> VerifyReport:
+def _point(index: int) -> int:
+    """The value that variable ``index`` takes in a fingerprint: fixed and
+    pseudo-random, so that distinct polynomial images rarely agree there."""
+    return random.Random(index).randrange(1, _P)
+
+
+def _mul_mod(a_rows, b_cols):
+    """The columns of a @ b over the integers mod _P, from the rows of a and
+    the columns of b; a fingerprint is kept as its columns, so the walk's
+    products need no transposing."""
+    return tuple(
+        [tuple([sum(map(operator.mul, r, c)) % _P for r in a_rows]) for c in b_cols]
+    )
+
+
+def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> VerifyReport:
     """Bounded faithfulness check of a path-semigroup representation.
 
     All paths of length <= max_len (default 2n + 2, enough to exercise
     every first-return cycle and inter-component transition at this scale)
     must act nonzero and pairwise differently.
+
+    The levels are walked on fingerprints: every polynomial evaluated at
+    the fixed point ``_point`` modulo the prime ``_P``.  Evaluation is a
+    ring homomorphism, so equal images have equal fingerprints and a zero
+    image has a zero fingerprint.  A fingerprint new to its (source,
+    target) block therefore proves the image new, and a nonzero one proves
+    it nonzero.  Only a zero fingerprint or a clash computes exact images,
+    of the paths involved, and those decide the report.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -157,21 +172,56 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None, thr
         max_len = 2 * q.n + 2
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    arrow_mats = list(rep.matrices.values())
+    arrow_fps = [m.evaluate(_point, _P) for m in arrow_mats]
+    images: dict[Path, PolyMatrix] = {}  # exact images, computed only on demand
+
+    def exact(p: Path) -> PolyMatrix:
+        # one product per arrow beyond the longest prefix already computed
+        pending = []
+        while p not in images and not p.is_trivial:
+            pending.append(p)
+            p = Path(p.tail, q.arrows[p.arrows[-1]].tail, p.arrows[:-1])
+        m = images[p] if p in images else PolyMatrix.identity(rep.dims[q.vertices[p.tail]])
+        for r in reversed(pending):
+            m = images[r] = arrow_mats[r.arrows[-1]] @ m
+        return m
+
     checked = 1  # the zero element
-    seen: dict[tuple[int, int], dict] = {}
-    for _, level in _level_stream(rep, q, max_len, threads):
-        for p, m in level:
+    # (source, target, fingerprint) -> the first path with it, replaced on
+    # the first clash by a map from exact image key to path
+    buckets: dict[tuple, Path | dict] = {}
+    level = [
+        (Path(v, v), PolyMatrix.identity(rep.dims[x]).evaluate(_point, _P))
+        for v, x in enumerate(q.vertices)
+    ]
+    for length in range(max_len + 1):
+        if length:
+            level = [
+                (Path(p.tail, q.arrows[ai].head, p.arrows + (ai,)), _mul_mod(arrow_fps[ai], f))
+                for p, f in level
+                for ai in q.out_arrows[p.head]
+            ]
+            if not level:
+                break
+        for p, f in level:
             checked += 1
-            if _image_is_zero(m):
+            if not any(map(any, f)) and exact(p).is_zero:
                 return VerifyReport(ZERO_ACTION, checked, max_len, (path_str(q, p),))
-            group = seen.setdefault((p.tail, p.head), {})
-            key = _matrix_key(m)
-            other = group.get(key)
+            bucket_key = (p.tail, p.head, f)
+            bucket = buckets.get(bucket_key)
+            if bucket is None:
+                buckets[bucket_key] = p
+                continue
+            if isinstance(bucket, Path):
+                bucket = buckets[bucket_key] = {exact(bucket).key(): bucket}
+            key = exact(p).key()
+            other = bucket.get(key)
             if other is not None:
                 return VerifyReport(
                     COLLISION, checked, max_len, (path_str(q, other), path_str(q, p))
                 )
-            group[key] = p
+            bucket[key] = p
     return VerifyReport(EFFECTIVE, checked, max_len)
 
 

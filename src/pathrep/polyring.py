@@ -168,6 +168,17 @@ class MultiPoly:
         """Canonical hashable form; equal polynomials have equal keys."""
         return tuple((m, c) for m, c in self.sorted_terms())
 
+    def evaluate(self, point, modulus: int) -> int:
+        """The value modulo ``modulus`` with each variable ``v`` set to
+        ``point(v)``; a ring homomorphism, so equal polynomials get equal
+        values and products evaluate to products."""
+        total = 0
+        for mono, coeff in self.terms.items():
+            for v, e in mono:
+                coeff = coeff * pow(point(v), e, modulus) % modulus
+            total += coeff
+        return total % modulus
+
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed or zero."""
         degrees = {_mono_deg(m) for m in self.terms}
@@ -204,10 +215,20 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data) -> "MultiPoly":
+        """Inverse of ``to_json``; raises ValueError on a malformed term."""
         terms = {}
-        for term in data:
-            mono = tuple(sorted((int(v), int(e)) for v, e in term["exps"]))
-            terms[mono] = int(term["coeff"])
+        try:
+            for term in data:
+                mono = tuple(sorted((int(v), int(e)) for v, e in term["exps"]))
+                # _mono_mul would drop a repeated variable's other exponents
+                if len(dict(mono)) != len(mono) or any(v < 0 or e < 1 for v, e in mono):
+                    raise ValueError
+                terms[mono] = int(term["coeff"])
+        except (TypeError, KeyError, ValueError):
+            raise ValueError(
+                "a polynomial is a list of terms {\"coeff\": integer, "
+                "\"exps\": [[variable >= 0, exponent >= 1], ...]} with distinct variables"
+            ) from None
         return cls(terms)
 
 
@@ -269,6 +290,14 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 
+    def evaluate(self, point, modulus: int) -> tuple:
+        """Every entry evaluated (see ``MultiPoly.evaluate``), as a tuple of
+        rows of integers in ``range(modulus)``."""
+        return tuple(
+            tuple(self.entry(i, j).evaluate(point, modulus) for j in range(self.cols))
+            for i in range(self.rows)
+        )
+
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
@@ -294,5 +323,6 @@ class PolyMatrix:
 
     @classmethod
     def from_json(cls, data) -> "PolyMatrix":
-        rows = [[MultiPoly.from_json(e) for e in row] for row in data]
-        return cls.from_rows(rows)
+        if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
+            raise ValueError("a matrix is a nonempty list of rows")
+        return cls.from_rows([[MultiPoly.from_json(e) for e in row] for row in data])

@@ -57,6 +57,46 @@ def mat_is_zero(m) -> bool:
     return all(_entry_is_zero(e) for row in m for e in row)
 
 
+def _field(data, name: str, kind, where: str = "representation"):
+    """``data[name]`` from a representation file, checked for presence and
+    type, so that a malformed file fails with a message naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if name not in data:
+        raise ValueError(f"{where} is missing field {name!r}")
+    value = data[name]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{where} field {name!r} has the wrong type ({type(value).__name__})"
+        )
+    return value
+
+
+def _vertex_dims(data) -> dict[str, int]:
+    dims = {}
+    for x, d in _field(data, "vertex_dims", dict).items():
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(
+                f"representation field 'vertex_dims' needs a positive integer for {x!r}"
+            )
+        dims[str(x)] = d
+    return dims
+
+
+def _arrow_matrices(data, parse) -> dict:
+    """Arrow id -> ``parse(matrix)`` over the ``arrows`` records."""
+    matrices = {}
+    for i, a in enumerate(_field(data, "arrows", list)):
+        where = f"representation arrows[{i}]"
+        name = _field(a, "id", str, where)
+        rows = _field(a, "matrix", list, where)
+        try:
+            matrices[name] = parse(rows)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} field 'matrix' is malformed: {exc}") from None
+    return matrices
+
+
 @dataclass(frozen=True)
 class SymbolicRep:
     """Two-block symbolic representation of the full path semigroup.
@@ -97,16 +137,21 @@ class SymbolicRep:
 
     @classmethod
     def from_json(cls, data) -> "SymbolicRep":
-        if data.get("kind") != "path":
+        """Inverse of ``to_json``; raises ValueError naming a missing or
+        ill-typed field."""
+        if not isinstance(data, dict) or data.get("kind") != "path":
             raise ValueError("not a path-semigroup representation")
-        dims = {str(k): int(v) for k, v in data["vertex_dims"].items()}
-        variables = tuple(
-            Variable(v["arrow"], v["kind"], int(v["index"])) for v in data["variables"]
-        )
-        matrices = {
-            a["id"]: PolyMatrix.from_json(a["matrix"]) for a in data["arrows"]
-        }
-        return cls(dims, matrices, variables)
+        dims = _vertex_dims(data)
+        variables = []
+        for i, v in enumerate(_field(data, "variables", list)):
+            where = f"representation variables[{i}]"
+            variables.append(Variable(
+                _field(v, "arrow", str, where),
+                _field(v, "kind", str, where),
+                _field(v, "index", int, where),
+            ))
+        matrices = _arrow_matrices(data, PolyMatrix.from_json)
+        return cls(dims, matrices, tuple(variables))
 
 
 def build_path_rep(q: Quiver) -> SymbolicRep:
@@ -217,27 +262,44 @@ class GradedRep:
 
     @classmethod
     def from_json(cls, data) -> "GradedRep":
-        if data.get("kind") != "truncated":
+        """Inverse of ``to_json``; raises ValueError naming a missing or
+        ill-typed field."""
+        if not isinstance(data, dict) or data.get("kind") != "truncated":
             raise ValueError("not a truncated-semigroup representation")
-        kind = data["labels"]
+        kind = _field(data, "labels", str)
+        if kind not in ("primes", "symbolic"):
+            raise ValueError(
+                f"representation field 'labels' must be 'primes' or 'symbolic', not {kind!r}"
+            )
         symbolic = kind == "symbolic"
-
-        def entry(e):
-            return MultiPoly.from_json(e) if symbolic else int(e)
-
-        dims = {str(k): int(v) for k, v in data["vertex_dims"].items()}
-        grades = {
-            str(k): None if g is None else tuple(int(i) for i in g)
-            for k, g in data["basis_labels"].items()
-        }
-        matrices = {
-            a["id"]: tuple(tuple(entry(e) for e in row) for row in a["matrix"])
-            for a in data["arrows"]
-        }
-        table = data["label_table" if symbolic else "prime_table"]
-        labels = {(arrow, int(k)): entry(v) for arrow, k, v in table}
-        names = tuple(data.get("label_variables", ()))
-        return cls(int(data["truncation"]), dims, grades, matrices, labels, kind, names)
+        entry = MultiPoly.from_json if symbolic else int
+        N = _field(data, "truncation", int)
+        if N < 1:
+            raise ValueError("representation field 'truncation' must be >= 1")
+        dims = _vertex_dims(data)
+        grades = {}
+        for x, g in _field(data, "basis_labels", dict).items():
+            if g is not None and not (isinstance(g, list) and all(isinstance(k, int) for k in g)):
+                raise ValueError(
+                    f"representation field 'basis_labels' needs null or a list of integers "
+                    f"for {x!r}"
+                )
+            grades[str(x)] = None if g is None else tuple(g)
+        matrices = _arrow_matrices(
+            data, lambda rows: tuple(tuple(entry(e) for e in row) for row in rows)
+        )
+        table_key = "label_table" if symbolic else "prime_table"
+        table = _field(data, table_key, list)
+        try:
+            labels = {(arrow, int(k)): entry(v) for arrow, k, v in table}
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"representation field {table_key!r} needs [arrow, grade, label] rows"
+            ) from None
+        names = ()
+        if "label_variables" in data:
+            names = tuple(_field(data, "label_variables", list))
+        return cls(N, dims, grades, matrices, labels, kind, names)
 
 
 def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:

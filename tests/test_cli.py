@@ -136,9 +136,34 @@ def test_verify_rep_truncation_mismatch(qfile, tmp_path, capsys):
     assert main(["verify", quiver_path, "--rep", str(rep_path), "--truncate", "3"]) == 2
 
 
-def test_verify_threads_flag(qfile, capsys):
-    assert main(["verify", qfile(TWO_LOOPS), "--max-len", "4", "--threads", "2"]) == 0
-    assert "status: effective" in capsys.readouterr().out
+def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
+    quiver_path = qfile(LOOP)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    assert data["vertex_dims"] == {"x": 1}
+    data["arrows"][0]["matrix"] = [[[], []], [[], []]]
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert "arrow 'a' needs a 1x1 matrix" in capsys.readouterr().err
+
+
+def test_verify_rep_missing_field(qfile, tmp_path, capsys):
+    quiver_path = qfile(A2)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--truncate", "2", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    del data["basis_labels"]
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert "missing field 'basis_labels'" in capsys.readouterr().err
+
+
+def test_verify_rep_not_an_object(qfile, tmp_path, capsys):
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text("[1, 2]")
+    assert main(["verify", qfile(A2), "--rep", str(rep_path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_stabilize_a3(qfile, capsys):

@@ -1,8 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
 import helpers
+from pathrep import oracle
 from pathrep.dimension import effdim_path, effdim_truncated
 from pathrep.oracle import (
     exhaustive_lower_bound_f2,
@@ -10,6 +12,7 @@ from pathrep.oracle import (
     verify_path_rep,
     verify_truncated,
 )
+from pathrep.polyring import MultiPoly, PolyMatrix, Variable
 from pathrep.quiver import Quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -104,10 +107,61 @@ def test_verify_path_rep_detects_collision():
     assert result.witness == ("a", "b")
 
 
-def test_verify_path_rep_threads_agree():
+def _unfaithful_variants(rep, victim):
+    """One arrow zeroed, two arrows of one shape given the same matrix, and
+    every nonzero entry replaced by 1."""
+    mats = rep.matrices
+    m = mats[victim]
+    yield replace(rep, matrices={**mats, victim: PolyMatrix.zeros(m.rows, m.cols)})
+    for a, b in itertools.combinations(mats, 2):
+        if (mats[a].rows, mats[a].cols) == (mats[b].rows, mats[b].cols):
+            yield replace(rep, matrices={**mats, b: mats[a]})
+            break
+    yield replace(rep, matrices={
+        name: PolyMatrix(m.rows, m.cols, [int(not e.is_zero) for e in m.entries])
+        for name, m in mats.items()
+    })
+
+
+def test_verify_path_rep_exact_fallback(monkeypatch):
+    # With every variable at 0 each fingerprint is constant, so polynomial
+    # images all clash or vanish and the exact images decide every report.
+    # Walks of more than 500 elements would then cost seconds each.
+    cases = []
+    for i, q in enumerate(helpers.suite(200)):
+        rep = build_path_rep(q)
+        reps = [rep]
+        if q.arrows:
+            reps += _unfaithful_variants(rep, q.arrows[i % len(q.arrows)].name)
+        for r in reps:
+            report = verify_path_rep(r, q)
+            if report.checked <= 500:
+                cases.append((r, q, report))
+    assert {report.status for _, _, report in cases} == {"effective", "zero_action", "collision"}
+    monkeypatch.setattr(oracle, "_point", lambda index: 0)
+    for rep, q, expected in cases:
+        assert verify_path_rep(rep, q) == expected
+
+
+def test_verify_path_rep_huge_variable_indices():
     q = helpers.triangle_chord()
     rep = build_path_rep(q)
-    assert verify_path_rep(rep, q, 6) == verify_path_rep(rep, q, 6, threads=3)
+    shift = 10**9
+
+    def shifted(poly):
+        return MultiPoly({
+            tuple((v + shift, exp) for v, exp in mono): c for mono, c in poly.terms.items()
+        })
+
+    big = replace(
+        rep,
+        matrices={
+            name: PolyMatrix(m.rows, m.cols, [shifted(e) for e in m.entries])
+            for name, m in rep.matrices.items()
+        },
+        variables=tuple(Variable(v.arrow, v.kind, v.index + shift) for v in rep.variables),
+    )
+    assert verify_path_rep(big, q, 6) == verify_path_rep(rep, q, 6)
 
 
 def test_verify_filtration_built_reps_pass():

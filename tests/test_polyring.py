@@ -156,3 +156,52 @@ def test_homogeneity_multiplicative(p, q):
         return
     product = hp * hq
     assert product.homogeneous_degree() == hp.homogeneous_degree() + hq.homogeneous_degree()
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+@given(polys, polys, st.integers(0, 2**64))
+@settings(max_examples=60)
+def test_evaluate_is_a_ring_homomorphism(p, q, seed):
+    def point(v):
+        return (seed + 7919 * v) % MERSENNE_61
+
+    def value(f):
+        return f.evaluate(point, MERSENNE_61)
+
+    assert value(p + q) == (value(p) + value(q)) % MERSENNE_61
+    assert value(p * q) == value(p) * value(q) % MERSENNE_61
+    assert value(MultiPoly.zero()) == 0
+
+
+def test_matrix_evaluate_commutes_with_products():
+    a = PolyMatrix.from_rows([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
+    b = PolyMatrix.from_rows([[TAU_B], [ZETA_B]])
+
+    def point(v):
+        return 10**9 + v
+
+    def value(m):
+        return m.evaluate(point, MERSENNE_61)
+
+    product = [
+        [sum(x * y for x, y in zip(row, col)) % MERSENNE_61 for col in zip(*value(b))]
+        for row in value(a)
+    ]
+    assert [list(row) for row in value(a @ b)] == product
+    assert value(PolyMatrix.identity(2)) == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("data", [
+    [{"coeff": "1"}],
+    [{"coeff": "1", "exps": [[0, 1], [0, 2]]}],
+    [{"coeff": "1", "exps": [[0, 0]]}],
+    [{"coeff": "1", "exps": [[-1, 1]]}],
+    [{"coeff": "x", "exps": []}],
+    [7],
+    7,
+])
+def test_poly_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError, match="polynomial"):
+        MultiPoly.from_json(data)

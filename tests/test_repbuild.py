@@ -228,3 +228,38 @@ def test_graded_rep_json_roundtrip_symbolic_labels():
     data = rep.to_json()
     assert "label_table" in data and "label_variables" in data
     assert GradedRep.from_json(data) == rep
+
+
+def _without(data, field):
+    return {k: v for k, v in data.items() if k != field}
+
+
+@pytest.mark.parametrize("field", ["vertex_dims", "variables", "arrows"])
+def test_symbolic_rep_from_json_names_missing_field(field):
+    data = build_path_rep(helpers.kronecker()).to_json()
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        SymbolicRep.from_json(_without(data, field))
+
+
+@pytest.mark.parametrize(
+    "field", ["labels", "truncation", "vertex_dims", "basis_labels", "arrows", "prime_table"]
+)
+def test_graded_rep_from_json_names_missing_field(field):
+    data = build_truncated_rep(helpers.kronecker(), 2).to_json()
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        GradedRep.from_json(_without(data, field))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(truncation=0), "'truncation'"),
+    (lambda d: d.update(vertex_dims={"x": 0, "y": 1}), "'vertex_dims'"),
+    (lambda d: d.update(basis_labels={"x": "1", "y": None}), "'basis_labels'"),
+    (lambda d: d.update(prime_table=[[1]]), "'prime_table'"),
+    (lambda d: d["arrows"][0].update(matrix=[[None]]), r"arrows\[0\] field 'matrix'"),
+    (lambda d: d["arrows"][1].update(id=7), r"arrows\[1\] field 'id'"),
+])
+def test_graded_rep_from_json_names_ill_typed_field(mutate, message):
+    data = build_truncated_rep(helpers.kronecker(), 2).to_json()
+    mutate(data)
+    with pytest.raises(ValueError, match=message):
+        GradedRep.from_json(data)
