@@ -9,32 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .dimension import (
-    effdim_path,
-    effdim_truncated,
-    line_quiver_effdim,
-    report,
-    stabilization,
-)
+from .dimension import line_quiver_effdim, report, stabilization_table
 from .oracle import verify_path_rep, verify_truncated
 from .quiver import Quiver, QuiverError, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
-
-
-@dataclass
-class RunConfig:
-    command: str
-    quiver_path: str | None = None
-    N: int | None = None
-    max_len: int | None = None
-    json_output: bool = False
-    out: str | None = None
-    seed: int | None = None
-    segments: list[int] | None = None
-    rep_path: str | None = None
-    labels: str = "primes"
 
 
 def _positive_int(text: str) -> int:
@@ -56,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("quiver", help="quiver file (vertex/arrow lines)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        p.add_argument("--seed", type=int, metavar="S", help="seed for randomized suites")
 
     p = sub.add_parser("analyze", help="per-vertex table and dimension totals")
     common(p)
@@ -66,14 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--truncate", type=_positive_int, metavar="N",
                    help="build the truncated representation (default: path semigroup)")
-    p.add_argument("--labels", choices=("primes", "symbolic"), default="primes",
-                   help="label type for the truncated construction")
+    p.add_argument("--labels", choices=("primes", "symbolic"),
+                   help="label type for the truncated construction (default: primes)")
 
     p = sub.add_parser("verify", help="build (or load) a representation and verify it")
     common(p)
-    p.add_argument("--truncate", type=_positive_int, metavar="N", help="truncation level")
-    p.add_argument("--max-len", type=_positive_int, metavar="L", dest="max_len",
-                   help="length bound for the path-semigroup check (default 2n+2)")
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--truncate", type=_positive_int, metavar="N", help="truncation level")
+    bound.add_argument("--max-len", type=_positive_int, metavar="L", dest="max_len",
+                       help="length bound for the path-semigroup check (default 2n+2)")
     p.add_argument("--rep", metavar="FILE", dest="rep_path",
                    help="verify this representation JSON instead of building one")
 
@@ -89,34 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.quiver_path = getattr(ns, "quiver", None)
-    cfg.N = getattr(ns, "truncate", None)
-    cfg.max_len = getattr(ns, "max_len", None)
-    cfg.json_output = ns.json
-    cfg.out = ns.out
-    cfg.seed = ns.seed
-    cfg.rep_path = getattr(ns, "rep_path", None)
-    cfg.labels = getattr(ns, "labels", "primes")
-    if getattr(ns, "segments", None) is not None:
-        try:
-            cfg.segments = [int(s) for s in ns.segments.split(",")]
-        except ValueError:
-            raise QuiverError(f"cannot parse segment list {ns.segments!r}") from None
-    return cfg
-
-
-def _emit(text: str, cfg: RunConfig):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, ns: argparse.Namespace):
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _load_quiver(cfg: RunConfig) -> Quiver:
-    with open(cfg.quiver_path, encoding="utf-8") as fh:
+def _load_quiver(ns: argparse.Namespace) -> Quiver:
+    with open(ns.quiver, encoding="utf-8") as fh:
         return parse_quiver(fh.read())
 
 
@@ -125,22 +86,22 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    q = _load_quiver(cfg)
-    data = report(q, cfg.N)
-    if cfg.json_output:
-        _emit(json.dumps(data, indent=2), cfg)
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    q = _load_quiver(ns)
+    data = report(q, ns.truncate)
+    if ns.json:
+        _emit(json.dumps(data, indent=2), ns)
         return 0
     lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows", ""]
     header = ["vertex", "scc", "commutative", "l-", "l+"]
-    if cfg.N is not None:
+    if ns.truncate is not None:
         header += ["K", "d"]
     rows = [header]
     for x in q.vertices:
         v = data["vertices"][x]
         row = [x, str(v["scc"]), "yes" if v["commutative"] else "no",
                str(v["l_minus"]), str(v["l_plus"])]
-        if cfg.N is not None:
+        if ns.truncate is not None:
             w = v["K"]
             row += ["-" if w is None else f"[{w[0]},{w[1]}]", str(v["d"])]
         rows.append(row)
@@ -148,22 +109,24 @@ def cmd_analyze(cfg: RunConfig) -> int:
     lines.append("")
     totals = data["totals"]
     lines.append(f"eff.dim(P) = {totals['effdim_path']}")
-    if cfg.N is not None:
-        lines.append(f"eff.dim(P_{cfg.N}) = {totals['effdim_truncated']}")
+    if ns.truncate is not None:
+        lines.append(f"eff.dim(P_{ns.truncate}) = {totals['effdim_truncated']}")
     lines.append(
         f"stabilization: a={totals['a']} b={totals['b']} threshold={totals['threshold']}"
     )
-    _emit("\n".join(lines), cfg)
+    _emit("\n".join(lines), ns)
     return 0
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    q = _load_quiver(cfg)
-    if cfg.N is None:
+def cmd_construct(ns: argparse.Namespace) -> int:
+    q = _load_quiver(ns)
+    if ns.truncate is None:
+        if ns.labels is not None:
+            raise QuiverError("--labels applies only with --truncate")
         rep = build_path_rep(q)
     else:
-        rep = build_truncated_rep(q, cfg.N, labels=cfg.labels)
-    _emit(json.dumps(rep.to_json(), indent=2), cfg)
+        rep = build_truncated_rep(q, ns.truncate, labels=ns.labels or "primes")
+    _emit(json.dumps(rep.to_json(), indent=2), ns)
     return 0
 
 
@@ -180,24 +143,28 @@ def _load_rep(path: str):
     raise QuiverError(f"unrecognized representation kind {kind!r}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    q = _load_quiver(cfg)
-    if cfg.rep_path is not None:
-        rep = _load_rep(cfg.rep_path)
-    elif cfg.N is not None:
-        rep = build_truncated_rep(q, cfg.N)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    q = _load_quiver(ns)
+    if ns.rep_path is not None:
+        rep = _load_rep(ns.rep_path)
+    elif ns.truncate is not None:
+        rep = build_truncated_rep(q, ns.truncate)
     else:
         rep = build_path_rep(q)
     if isinstance(rep, GradedRep):
-        if cfg.N is not None and cfg.N != rep.N:
+        if ns.max_len is not None:
+            raise QuiverError("--max-len does not apply to a truncated representation")
+        if ns.truncate is not None and ns.truncate != rep.N:
             raise QuiverError(
-                f"--truncate {cfg.N} does not match the representation (N={rep.N})"
+                f"--truncate {ns.truncate} does not match the representation (N={rep.N})"
             )
         result = verify_truncated(rep, q, rep.N)
     else:
-        result = verify_path_rep(rep, q, cfg.max_len)
-    if cfg.json_output:
-        _emit(json.dumps(result.to_json(), indent=2), cfg)
+        if ns.truncate is not None:
+            raise QuiverError("--truncate does not apply to a path-semigroup representation")
+        result = verify_path_rep(rep, q, ns.max_len)
+    if ns.json:
+        _emit(json.dumps(result.to_json(), indent=2), ns)
     else:
         lines = [
             f"status: {result.status}",
@@ -206,32 +173,35 @@ def cmd_verify(cfg: RunConfig) -> int:
         ]
         if result.witness:
             lines.append("witness: " + ", ".join(result.witness))
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), ns)
     return 0 if result.ok else 1
 
 
-def cmd_stabilize(cfg: RunConfig) -> int:
-    q = _load_quiver(cfg)
-    st = stabilization(q)
-    table = [[N, effdim_truncated(q, N)] for N in range(1, q.n + 2)]
-    if cfg.json_output:
+def cmd_stabilize(ns: argparse.Namespace) -> int:
+    q = _load_quiver(ns)
+    st, table = stabilization_table(q)
+    if ns.json:
         data = {"a": st.a, "b": st.b, "threshold": st.threshold, "table": table}
-        _emit(json.dumps(data, indent=2), cfg)
+        _emit(json.dumps(data, indent=2), ns)
         return 0
     lines = [f"a = {st.a}", f"b = {st.b}", f"threshold = {st.threshold}", ""]
     rows = [["N", "eff.dim(P_N)"]] + [[str(N), str(v)] for N, v in table]
     lines.append(_table(rows))
-    _emit("\n".join(lines), cfg)
+    _emit("\n".join(lines), ns)
     return 0
 
 
-def cmd_formula(cfg: RunConfig) -> int:
-    value = line_quiver_effdim(cfg.segments, cfg.N)
-    if cfg.json_output:
-        data = {"segments": cfg.segments, "N": cfg.N, "effdim": value}
-        _emit(json.dumps(data, indent=2), cfg)
+def cmd_formula(ns: argparse.Namespace) -> int:
+    try:
+        segments = [int(s) for s in ns.segments.split(",")]
+    except ValueError:
+        raise QuiverError(f"cannot parse segment list {ns.segments!r}") from None
+    value = line_quiver_effdim(segments, ns.truncate)
+    if ns.json:
+        data = {"segments": segments, "N": ns.truncate, "effdim": value}
+        _emit(json.dumps(data, indent=2), ns)
     else:
-        _emit(f"eff.dim(P_{cfg.N}) = {value}", cfg)
+        _emit(f"eff.dim(P_{ns.truncate}) = {value}", ns)
     return 0
 
 
@@ -248,8 +218,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config(ns)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except (QuiverError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,7 +107,10 @@ def k_profile(q: Quiver, N: int) -> KProfile:
 
 def effdim_truncated(q: Quiver, N: int) -> int:
     """Minimal faithful matrix size for the level-N truncated path semigroup."""
-    prof = length_profile(q)
+    return _effdim_truncated(length_profile(q), N)
+
+
+def _effdim_truncated(prof, N: int) -> int:
     return sum(d_value(lm, lp, N) for lm, lp in prof.values())
 
 
@@ -128,7 +131,19 @@ def stabilization(q: Quiver) -> Stabilization:
     The threshold is the vertex count, past which every finite l- + l+ is
     too small to matter.
     """
+    return _stabilization(length_profile(q), q.n)
+
+
+def stabilization_table(q: Quiver) -> tuple[Stabilization, list[list[int]]]:
+    """``stabilization(q)`` and the table of ``[N, effdim_truncated(q, N)]``
+    for N = 1..n+1, which it determines, from one length profile; the table
+    costs O(n^2) ``d_value`` calls."""
     prof = length_profile(q)
+    table = [[N, _effdim_truncated(prof, N)] for N in range(1, q.n + 2)]
+    return _stabilization(prof, q.n), table
+
+
+def _stabilization(prof, n: int) -> Stabilization:
     a = 0
     b = 0
     for lm, lp in prof.values():
@@ -138,7 +153,7 @@ def stabilization(q: Quiver) -> Stabilization:
             b += 1
         else:
             b += int(min(lm, lp)) + 1
-    return Stabilization(a, b, q.n)
+    return Stabilization(a, b, n)
 
 
 def line_quiver_effdim(segments, N: int) -> int:

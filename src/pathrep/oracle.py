@@ -15,10 +15,10 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .paths import Path, enumerate_paths, path_str
-from .polyring import PolyMatrix
+from .paths import Path, path_str, walk
+from .polyring import PolyMatrix, identity, mat_mul
 from .quiver import Quiver, length_profile
-from .repbuild import GradedRep, SymbolicRep, _entry_is_zero, _identity, _mat_mul, mat_is_zero
+from .repbuild import GradedRep, SymbolicRep
 
 EFFECTIVE = "effective"
 COLLISION = "collision"
@@ -73,57 +73,44 @@ def _check_match(rep, q: Quiver):
             )
 
 
-def _level_stream(rep: GradedRep, q: Quiver, max_len: int):
-    """Yield (length, [(path, matrix), ...]) for lengths 0..max_len.
-
-    Each level reuses the previous level's images, so every path costs one
-    matrix product.
-    """
-    arrow_ids = tuple(rep.matrices)
-    symbolic_labels = rep.label_kind == "symbolic"
-    level = [
-        (Path(v, v), _identity(rep.dims[q.vertices[v]], symbolic_labels))
-        for v in range(q.n)
-    ]
-    yield 0, level
-    for length in range(1, max_len + 1):
-        level = [
-            (
-                Path(p.tail, q.arrows[ai].head, p.arrows + (ai,)),
-                _mat_mul(rep.matrices[arrow_ids[ai]], m),
-            )
-            for p, m in level
-            for ai in q.out_arrows[p.head]
-        ]
-        if not level:
-            return
-        yield length, level
-
-
 def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     """Complete faithfulness check of a truncated representation.
 
     Enumerates every element (all nonzero paths of length < N, the trivial
-    paths, and the zero element) and checks that short paths act nonzero,
-    that all images are pairwise distinct, and that every length-N
-    composite acts as zero.  Images with different endpoints act on
-    different blocks, so comparisons group by (source, target).
+    paths, and the zero element); see ``_check_truncated``.
     """
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_truncated needs a truncated representation")
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
+    arrow_mats = list(rep.matrices.values())
+    return _check_truncated(
+        q,
+        N,
+        lambda v: rep.identity(q.vertices[v]),
+        lambda ai, m: mat_mul(arrow_mats[ai], m),
+    )
+
+
+def _check_truncated(q: Quiver, N: int, start, step) -> VerifyReport:
+    """Check the images that ``paths.walk(q, N, start, step)`` gives: short
+    paths act nonzero and pairwise differently, and every length-N
+    composite acts as zero.  Images with different endpoints act on
+    different blocks, so comparisons group by (source, target); an image
+    must be hashable, and is zero when no entry of it is truthy.
+    """
     checked = 1  # the zero element
     seen: dict[tuple[int, int], dict] = {}
-    for length, level in _level_stream(rep, q, N):
+    for length, level in walk(q, N, start, step):
         for p, m in level:
+            zero = not any(map(any, m))
             if length == N:
-                if not mat_is_zero(m):
+                if not zero:
                     return VerifyReport(RELATION_VIOLATION, checked, N - 1, (path_str(q, p),))
                 continue
             checked += 1
-            if mat_is_zero(m):
+            if zero:
                 return VerifyReport(ZERO_ACTION, checked, N - 1, (path_str(q, p),))
             group = seen.setdefault((p.tail, p.head), {})
             other = group.get(m)
@@ -141,12 +128,12 @@ def _point(index: int) -> int:
     return random.Random(index).randrange(1, _P)
 
 
-def _mul_mod(a_rows, b_cols):
-    """The columns of a @ b over the integers mod _P, from the rows of a and
-    the columns of b; a fingerprint is kept as its columns, so the walk's
-    products need no transposing."""
+def _mul_mod(a_rows, b_cols, modulus: int):
+    """The columns of a @ b over the integers mod ``modulus``, from the rows
+    of a and the columns of b; a walk's images are kept as their columns,
+    so its products need no transposing."""
     return tuple(
-        [tuple([sum(map(operator.mul, r, c)) % _P for r in a_rows]) for c in b_cols]
+        [tuple([sum(map(operator.mul, r, c)) % modulus for r in a_rows]) for c in b_cols]
     )
 
 
@@ -191,19 +178,13 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     # (source, target, fingerprint) -> the first path with it, replaced on
     # the first clash by a map from exact image key to path
     buckets: dict[tuple, Path | dict] = {}
-    level = [
-        (Path(v, v), PolyMatrix.identity(rep.dims[x]).evaluate(_point, _P))
-        for v, x in enumerate(q.vertices)
-    ]
-    for length in range(max_len + 1):
-        if length:
-            level = [
-                (Path(p.tail, q.arrows[ai].head, p.arrows + (ai,)), _mul_mod(arrow_fps[ai], f))
-                for p, f in level
-                for ai in q.out_arrows[p.head]
-            ]
-            if not level:
-                break
+    levels = walk(
+        q,
+        max_len,
+        lambda v: identity(rep.dims[q.vertices[v]], 1, 0),
+        lambda ai, f: _mul_mod(arrow_fps[ai], f, _P),
+    )
+    for _, level in levels:
         for p, f in level:
             checked += 1
             if not any(map(any, f)) and exact(p).is_zero:
@@ -248,9 +229,7 @@ def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
         m = rep.matrices[a.name]
         for col in range(len(src)):
             checked += 1
-            nonzero_rows = [
-                row for row in range(len(tgt)) if not _entry_is_zero(m[row][col])
-            ]
+            nonzero_rows = [row for row in range(len(tgt)) if m[row][col]]
             if len(nonzero_rows) > 1:
                 return VerifyReport(RELATION_VIOLATION, checked, 0, (a.name,))
             if nonzero_rows:
@@ -277,11 +256,10 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
             "exhaustive search bounds exceeded: "
             "need total_dim <= 4 and |arrows| * total_dim^2 <= 20"
         )
-    paths = enumerate_paths(q, N)
     for dims in _compositions(total_dim, q.n):
         if 0 in dims:
             continue  # a trivial path would act as zero, clashing with the zero element
-        if _f2_assignment_exists(q, N, dims, paths):
+        if _f2_assignment_exists(q, N, dims):
             return True
     return False
 
@@ -295,14 +273,18 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _f2_assignment_exists(q: Quiver, N: int, dims, paths) -> bool:
+def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
     shapes = [(dims[a.head], dims[a.tail]) for a in q.arrows]
     choices = [range(2 ** (r * c)) for r, c in shapes]
+
+    def start(v):
+        return identity(dims[v], 1, 0)
+
     for assignment in itertools.product(*choices):
         mats = [
             _bits_to_matrix(bits, r, c) for bits, (r, c) in zip(assignment, shapes)
         ]
-        if _f2_effective(q, N, dims, mats, paths):
+        if _check_truncated(q, N, start, lambda ai, m: _mul_mod(mats[ai], m, 2)).ok:
             return True
     return False
 
@@ -311,37 +293,3 @@ def _bits_to_matrix(bits: int, rows: int, cols: int):
     return tuple(
         tuple((bits >> (i * cols + j)) & 1 for j in range(cols)) for i in range(rows)
     )
-
-
-def _f2_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) % 2 for j in range(cols))
-        for i in range(rows)
-    )
-
-
-def _f2_effective(q: Quiver, N: int, dims, mats, paths) -> bool:
-    images: dict[Path, tuple] = {}
-    seen: set = set()
-    for p in paths:
-        if p.is_trivial:
-            d = dims[p.tail]
-            m = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-        else:
-            last = p.arrows[-1]
-            prefix = Path(p.tail, q.arrows[last].tail, p.arrows[:-1])
-            m = _f2_mul(mats[last], images[prefix])
-        images[p] = m
-        zero = all(e == 0 for row in m for e in row)
-        if p.length >= N:
-            if not zero:
-                return False  # the truncation relation fails
-            continue
-        if zero:
-            return False  # collides with the zero element
-        key = (p.tail, p.head, m)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True

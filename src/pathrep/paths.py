@@ -1,5 +1,6 @@
 """Paths of a quiver as semigroup elements: composition with a zero,
-bounded enumeration, first-return cycles, and free factorization."""
+the level-by-level walk, bounded enumeration, first-return cycles, and free
+factorization."""
 
 from __future__ import annotations
 
@@ -84,6 +85,29 @@ def compose(p: Path, q: Path) -> Path:
     return Path(q.tail, p.head, q.arrows + p.arrows)
 
 
+def walk(q: Quiver, max_len: int, start, step):
+    """Yield ``(length, [(path, value), ...])`` for lengths 0..max_len.
+
+    Level 0 holds the trivial paths in vertex declaration order, valued
+    ``start(vertex_index)``.  Each later level extends every path of the one
+    before, in its order, by each arrow out of its head, in ``out_arrows``
+    order, and values the extension ``step(arrow_index, prefix_value)``; so
+    every path costs one step.  The walk stops at the first empty level.
+    """
+    moves = [[(ai, q.arrows[ai].head) for ai in q.out_arrows[v]] for v in range(q.n)]
+    level = [(Path(v, v), start(v)) for v in range(q.n)]
+    yield 0, level
+    for length in range(1, max_len + 1):
+        level = [
+            (Path(p.tail, head, p.arrows + (ai,)), step(ai, value))
+            for p, value in level
+            for ai, head in moves[p.head]
+        ]
+        if not level:
+            return
+        yield length, level
+
+
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All nonzero paths of length at most ``max_len``, each exactly once.
 
@@ -92,20 +116,11 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    level = [Path(v, v) for v in range(q.n)]
-    out = list(level)
-    for _ in range(max_len):
-        nxt = []
-        for p in level:
-            for ai in q.out_arrows[p.head]:
-                nxt.append(Path(p.tail, q.arrows[ai].head, p.arrows + (ai,)))
-        if not nxt:
-            break
+    out = []
+    for _, level in walk(q, max_len, lambda v: None, lambda ai, value: None):
         # extensions come out grouped by source vertex, which is not lex
         # order at length one; a sort of the nearly-sorted level is cheap
-        nxt.sort(key=lambda p: p.arrows)
-        out.extend(nxt)
-        level = nxt
+        out.extend(sorted((p for p, _ in level), key=lambda p: p.arrows))
     return out
 
 

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials over Python's exact integers, plus small
-rectangular matrices over that ring.
+rectangular matrices: ``PolyMatrix`` over that ring, and tuples of rows over
+any ring (``identity``, ``mat_mul``).
 
 Monomials are stored in a canonical sorted form, so polynomial equality is
 structural and exact; this is what makes symbolic representation images
@@ -81,6 +82,9 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @staticmethod
     def _coerce(value):
@@ -219,17 +223,42 @@ class MultiPoly:
         terms = {}
         try:
             for term in data:
-                mono = tuple(sorted((int(v), int(e)) for v, e in term["exps"]))
+                mono = tuple(sorted((v, e) for v, e in term["exps"]))
                 # _mono_mul would drop a repeated variable's other exponents
-                if len(dict(mono)) != len(mono) or any(v < 0 or e < 1 for v, e in mono):
+                if len(dict(mono)) != len(mono) or not all(
+                    type(v) is int and type(e) is int and v >= 0 and e >= 1
+                    for v, e in mono
+                ):
                     raise ValueError
-                terms[mono] = int(term["coeff"])
+                coeff = term["coeff"]
+                if type(coeff) is not int and not isinstance(coeff, str):
+                    raise ValueError
+                terms[mono] = int(coeff)
         except (TypeError, KeyError, ValueError):
             raise ValueError(
-                "a polynomial is a list of terms {\"coeff\": integer, "
-                "\"exps\": [[variable >= 0, exponent >= 1], ...]} with distinct variables"
+                "a polynomial is a list of terms {\"coeff\": integer or decimal string, "
+                "\"exps\": [[variable >= 0, exponent >= 1], ...]} with distinct integer "
+                "variables and exponents"
             ) from None
         return cls(terms)
+
+
+def identity(size: int, one, zero) -> tuple:
+    """The size x size identity matrix, as a tuple of rows, over the ring
+    whose unit and zero are ``one`` and ``zero``."""
+    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+
+
+def mat_mul(a, b) -> tuple:
+    """The exact product a @ b of matrices given as sequences of rows, over
+    any ring (integers, ``MultiPoly``), as a tuple of rows."""
+    rows, mid, cols = len(a), len(b), len(b[0])
+    if len(a[0]) != mid:
+        raise ValueError(f"shape mismatch: {rows}x{len(a[0])} @ {mid}x{cols}")
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols))
+        for i in range(rows)
+    )
 
 
 class PolyMatrix:
@@ -261,11 +290,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "PolyMatrix":
-        return cls(
-            size,
-            size,
-            [MultiPoly.const(1) if i == j else MultiPoly.zero() for i in range(size) for j in range(size)],
-        )
+        return cls.from_rows(identity(size, MultiPoly.const(1), MultiPoly.zero()))
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .dimension import classify_path, k_profile
 from .paths import Path
-from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, variable_table
+from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul, variable_table
 from .quiver import Quiver
 
 
@@ -31,32 +31,6 @@ def _primes():
         c += 1
 
 
-def _entry_is_zero(e) -> bool:
-    return e.is_zero if isinstance(e, MultiPoly) else e == 0
-
-
-def _identity(size: int, symbolic: bool):
-    one = MultiPoly.const(1) if symbolic else 1
-    zero = MultiPoly.zero() if symbolic else 0
-    return tuple(
-        tuple(one if i == j else zero for j in range(size)) for i in range(size)
-    )
-
-
-def _mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != mid:
-        raise ValueError(f"shape mismatch: {rows}x{len(a[0])} @ {mid}x{cols}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols))
-        for i in range(rows)
-    )
-
-
-def mat_is_zero(m) -> bool:
-    return all(_entry_is_zero(e) for row in m for e in row)
-
-
 def _field(data, name: str, kind, where: str = "representation"):
     """``data[name]`` from a representation file, checked for presence and
     type, so that a malformed file fails with a message naming the field."""
@@ -65,7 +39,7 @@ def _field(data, name: str, kind, where: str = "representation"):
     if name not in data:
         raise ValueError(f"{where} is missing field {name!r}")
     value = data[name]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(
             f"{where} field {name!r} has the wrong type ({type(value).__name__})"
         )
@@ -75,12 +49,27 @@ def _field(data, name: str, kind, where: str = "representation"):
 def _vertex_dims(data) -> dict[str, int]:
     dims = {}
     for x, d in _field(data, "vertex_dims", dict).items():
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise ValueError(
                 f"representation field 'vertex_dims' needs a positive integer for {x!r}"
             )
         dims[str(x)] = d
     return dims
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a float or a bool is rejected, not
+    truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _int_row(row) -> tuple:
+    """A matrix row of JSON integers, as a tuple; one type pass per row."""
+    if not isinstance(row, list) or not {int}.issuperset(map(type, row)):
+        raise ValueError("a row is a list of integers")
+    return tuple(row)
 
 
 def _arrow_matrices(data, parse) -> dict:
@@ -230,6 +219,12 @@ class GradedRep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
+    def identity(self, vertex: str) -> tuple:
+        """The identity block at ``vertex``, over the ring of the labels."""
+        if self.label_kind == "symbolic":
+            return identity(self.dims[vertex], MultiPoly.const(1), MultiPoly.zero())
+        return identity(self.dims[vertex], 1, 0)
+
     def _entry_json(self, e):
         return e.to_json() if isinstance(e, MultiPoly) else int(e)
 
@@ -272,26 +267,29 @@ class GradedRep:
                 f"representation field 'labels' must be 'primes' or 'symbolic', not {kind!r}"
             )
         symbolic = kind == "symbolic"
-        entry = MultiPoly.from_json if symbolic else int
+        entry = MultiPoly.from_json if symbolic else _json_int
         N = _field(data, "truncation", int)
         if N < 1:
             raise ValueError("representation field 'truncation' must be >= 1")
         dims = _vertex_dims(data)
         grades = {}
         for x, g in _field(data, "basis_labels", dict).items():
-            if g is not None and not (isinstance(g, list) and all(isinstance(k, int) for k in g)):
+            if g is not None and not (isinstance(g, list) and {int}.issuperset(map(type, g))):
                 raise ValueError(
                     f"representation field 'basis_labels' needs null or a list of integers "
                     f"for {x!r}"
                 )
             grades[str(x)] = None if g is None else tuple(g)
-        matrices = _arrow_matrices(
-            data, lambda rows: tuple(tuple(entry(e) for e in row) for row in rows)
-        )
+        if symbolic:
+            matrices = _arrow_matrices(
+                data, lambda rows: tuple(tuple(map(MultiPoly.from_json, row)) for row in rows)
+            )
+        else:
+            matrices = _arrow_matrices(data, lambda rows: tuple(map(_int_row, rows)))
         table_key = "label_table" if symbolic else "prime_table"
         table = _field(data, table_key, list)
         try:
-            labels = {(arrow, int(k)): entry(v) for arrow, k, v in table}
+            labels = {(arrow, _json_int(k)): entry(v) for arrow, k, v in table}
         except (TypeError, ValueError):
             raise ValueError(
                 f"representation field {table_key!r} needs [arrow, grade, label] rows"
@@ -385,7 +383,7 @@ class RepImage:
             return True
         if isinstance(self.matrix, PolyMatrix):
             return self.matrix.is_zero
-        return mat_is_zero(self.matrix)
+        return not any(map(any, self.matrix))
 
 
 def rep_of_path(rep, p: Path) -> RepImage:
@@ -407,9 +405,9 @@ def rep_of_path(rep, p: Path) -> RepImage:
         for ai in p.arrows:
             m = rep.matrices[arrow_ids[ai]] @ m
     else:
-        m = _identity(rep.dims[src], rep.label_kind == "symbolic")
+        m = rep.identity(src)
         for ai in p.arrows:
-            m = _mat_mul(rep.matrices[arrow_ids[ai]], m)
+            m = mat_mul(rep.matrices[arrow_ids[ai]], m)
     return RepImage(src, tgt, m)
 
 

@@ -1,10 +1,15 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathrep.cli import main
+from pathrep.quiver import parse_quiver
+from pathrep.repbuild import build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
 TWO_LOOPS = "vertex x\narrow a: x -> x\narrow b: x -> x\n"
@@ -166,6 +171,78 @@ def test_verify_rep_not_an_object(qfile, tmp_path, capsys):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+def test_verify_truncate_and_max_len_exclusive(qfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", qfile(A2), "--truncate", "2", "--max-len", "7"])
+    assert exc.value.code == 2
+    assert "--max-len: not allowed with argument --truncate" in capsys.readouterr().err
+
+
+def test_verify_path_rep_file_rejects_truncate(qfile, tmp_path, capsys):
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
+    assert main(["verify", quiver_path, "--rep", str(rep_path), "--truncate", "3"]) == 2
+    assert "--truncate does not apply" in capsys.readouterr().err
+
+
+def test_verify_truncated_rep_file_rejects_max_len(qfile, tmp_path, capsys):
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--truncate", "2", "--out", str(rep_path)]) == 0
+    assert main(["verify", quiver_path, "--rep", str(rep_path), "--max-len", "9"]) == 2
+    assert "--max-len does not apply" in capsys.readouterr().err
+
+
+def test_construct_labels_need_truncate(qfile, capsys):
+    assert main(["construct", qfile(A2), "--labels", "symbolic"]) == 2
+    assert "--labels applies only with --truncate" in capsys.readouterr().err
+
+
+def test_seed_flag_is_gone(qfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", qfile(A2), "--seed", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, path, value", [
+    (["--truncate", "2"], ("arrows", 0, "matrix"), [[2.9]]),
+    (["--truncate", "2"], ("arrows", 0, "matrix"), [[True]]),
+    (["--truncate", "2"], ("prime_table", 0, 2), 2.0),
+    (["--truncate", "2"], ("vertex_dims", "x"), True),
+    ([], ("arrows", 0, "matrix", 0, 0, 0, "coeff"), 1.5),
+    ([], ("arrows", 0, "matrix", 0, 0, 0, "exps", 0, 1), 1.0),
+])
+def test_verify_rep_rejects_non_integer_numbers(qfile, tmp_path, capsys, args, path, value):
+    quiver_path = qfile(A2)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, *args, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    *outer, last = path
+    node = data
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_stabilize_computes_the_length_profile_once(qfile, monkeypatch, capsys):
+    import pathrep.dimension
+
+    calls = []
+    original = pathrep.dimension.length_profile
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(pathrep.dimension, "length_profile", counted)
+    assert main(["stabilize", qfile(A3)]) == 0
+    assert len(calls) == 1
+
+
 def test_stabilize_a3(qfile, capsys):
     assert main(["stabilize", qfile(A3)]) == 0
     out = capsys.readouterr().out
@@ -234,3 +311,52 @@ def test_module_invocation(qfile):
     )
     assert proc.returncode == 0
     assert "eff.dim(P_2) = 2" in proc.stdout
+
+
+FUZZ_REPS = [
+    (KRONECKER, build_truncated_rep(parse_quiver(KRONECKER), 2).to_json()),
+    (LOOP, build_truncated_rep(parse_quiver(LOOP), 3, labels="symbolic").to_json()),
+    (TWO_LOOPS, build_path_rep(parse_quiver(TWO_LOOPS)).to_json()),
+    (A3, build_path_rep(parse_quiver(A3)).to_json()),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _locations(node, where=()):
+    """Every place in a JSON value, as a key path; () is the whole value."""
+    yield where
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _locations(child, where + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_rep_survives_mutated_files(tmp_path, capsys, data):
+    """One field or entry of a built rep file replaced by an arbitrary JSON
+    value: ``verify --rep`` gives a report or an input error, and never
+    raises.  One replacement at a time keeps each walk as short as the
+    built file's, since a faithful non-nilpotent rep of two loops at a huge
+    truncation level would make any verifier walk exponentially many paths."""
+    quiver_text, rep = data.draw(st.sampled_from(FUZZ_REPS))
+    where = data.draw(st.sampled_from(list(_locations(rep))))
+    value = data.draw(JSON_VALUES)
+    if where:
+        rep = copy.deepcopy(rep)
+        node = rep
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        rep = value
+    quiver_path = tmp_path / "q.quiver"
+    quiver_path.write_text(quiver_text)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep))
+    assert main(["verify", str(quiver_path), "--rep", str(rep_path)]) in (0, 1, 2)
+    capsys.readouterr()

@@ -13,8 +13,11 @@ from pathrep.paths import (
     make_path,
     path_str,
     trivial,
+    walk,
 )
+from pathrep.polyring import mat_mul
 from pathrep.quiver import Quiver, sccs
+from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 
 def test_compose_identity_law():
@@ -78,6 +81,55 @@ def test_enumerate_no_duplicates_and_ordered():
         assert len(set(paths)) == len(paths)
         keys = [(p.length, p.arrows) for p in paths]
         assert keys == sorted(keys)
+
+
+def test_walk_levels_match_enumeration_and_stop_when_empty():
+    for q in helpers.suite(30):
+        levels = list(walk(q, 4, lambda v: None, lambda ai, value: None))
+        assert [length for length, _ in levels] == list(range(len(levels)))
+        walked = [p for _, level in levels for p, _ in level]
+        assert sorted(walked, key=lambda p: (p.length, p.arrows)) == enumerate_paths(q, 4)
+        assert len(levels) == 5 or not any(
+            q.out_arrows[p.head] for p, _ in levels[-1][1]
+        )
+
+
+def _walked_images(q, max_len, start, step):
+    return [(p, m) for _, level in walk(q, max_len, start, step) for p, m in level]
+
+
+def test_walk_with_products_gives_rep_of_path_images():
+    modulus = (1 << 61) - 1
+
+    def point(v):
+        return 1000 + 17 * v
+
+    def evaluated(p):
+        return rep_of_path(symbolic, p).matrix.evaluate(point, modulus)
+
+    for q in helpers.suite(30):
+        for labels in ("primes", "symbolic"):
+            graded = build_truncated_rep(q, 3, labels=labels)
+            mats = list(graded.matrices.values())
+            for p, m in _walked_images(
+                q,
+                4,
+                lambda v: graded.identity(q.vertices[v]),
+                lambda ai, m: mat_mul(mats[ai], m),
+            ):
+                assert m == rep_of_path(graded, p).matrix
+
+        symbolic = build_path_rep(q)
+        values = [m.evaluate(point, modulus) for m in symbolic.matrices.values()]
+        for p, m in _walked_images(
+            q,
+            4,
+            lambda v: evaluated(Path(v, v)),
+            lambda ai, m: tuple(
+                tuple(e % modulus for e in row) for row in mat_mul(values[ai], m)
+            ),
+        ):
+            assert m == evaluated(p)
 
 
 def test_first_return_two_loops():

@@ -205,3 +205,15 @@ def test_matrix_evaluate_commutes_with_products():
 def test_poly_from_json_rejects_malformed(data):
     with pytest.raises(ValueError, match="polynomial"):
         MultiPoly.from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    [{"coeff": 1.5, "exps": []}],
+    [{"coeff": True, "exps": []}],
+    [{"coeff": "1", "exps": [[0, 1.0]]}],
+    [{"coeff": "1", "exps": [[0.0, 1]]}],
+    [{"coeff": "1", "exps": [[0, True]]}],
+])
+def test_poly_from_json_rejects_non_integer_numbers(data):
+    with pytest.raises(ValueError, match="polynomial"):
+        MultiPoly.from_json(data)

@@ -263,3 +263,19 @@ def test_graded_rep_from_json_names_ill_typed_field(mutate, message):
     mutate(data)
     with pytest.raises(ValueError, match=message):
         GradedRep.from_json(data)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(truncation=True), "'truncation'"),
+    (lambda d: d.update(vertex_dims={"x": True, "y": 1}), "'vertex_dims'"),
+    (lambda d: d.update(basis_labels={"x": [0.0], "y": None}), "'basis_labels'"),
+    (lambda d: d["prime_table"][0].__setitem__(2, 2.0), "'prime_table'"),
+    (lambda d: d["prime_table"][0].__setitem__(1, False), "'prime_table'"),
+    (lambda d: d["arrows"][0].update(matrix=[[2.9]]), r"arrows\[0\] field 'matrix'"),
+    (lambda d: d["arrows"][0].update(matrix=[[True]]), r"arrows\[0\] field 'matrix'"),
+])
+def test_graded_rep_from_json_rejects_non_integer_numbers(mutate, message):
+    data = build_truncated_rep(helpers.kronecker(), 2).to_json()
+    mutate(data)
+    with pytest.raises(ValueError, match=message):
+        GradedRep.from_json(data)
