@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .dimension import line_quiver_effdim, report, stabilization_table
+from .dimension import effdim_truncated, line_quiver_effdim, report, stabilization
 from .oracle import verify_path_rep, verify_truncated
 from .quiver import Quiver, QuiverError, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
@@ -30,10 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quiver=True):
+    def common(p, quiver=True, json_output=True):
         if quiver:
             p.add_argument("quiver", help="quiver file (vertex/arrow lines)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
     p = sub.add_parser("analyze", help="per-vertex table and dimension totals")
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", type=_positive_int, metavar="N", help="truncation level")
 
     p = sub.add_parser("construct", help="emit a representation as JSON")
-    common(p)
+    common(p, json_output=False)
     p.add_argument("--truncate", type=_positive_int, metavar="N",
                    help="build the truncated representation (default: path semigroup)")
     p.add_argument("--labels", choices=("primes", "symbolic"),
@@ -179,7 +180,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_stabilize(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
-    st, table = stabilization_table(q)
+    st = stabilization(q)
+    table = [[N, effdim_truncated(q, N)] for N in range(1, q.n + 2)]
     if ns.json:
         data = {"a": st.a, "b": st.b, "threshold": st.threshold, "table": table}
         _emit(json.dumps(data, indent=2), ns)

@@ -107,11 +107,7 @@ def k_profile(q: Quiver, N: int) -> KProfile:
 
 def effdim_truncated(q: Quiver, N: int) -> int:
     """Minimal faithful matrix size for the level-N truncated path semigroup."""
-    return _effdim_truncated(length_profile(q), N)
-
-
-def _effdim_truncated(prof, N: int) -> int:
-    return sum(d_value(lm, lp, N) for lm, lp in prof.values())
+    return sum(d_value(lm, lp, N) for lm, lp in length_profile(q).values())
 
 
 @dataclass(frozen=True)
@@ -131,29 +127,16 @@ def stabilization(q: Quiver) -> Stabilization:
     The threshold is the vertex count, past which every finite l- + l+ is
     too small to matter.
     """
-    return _stabilization(length_profile(q), q.n)
-
-
-def stabilization_table(q: Quiver) -> tuple[Stabilization, list[list[int]]]:
-    """``stabilization(q)`` and the table of ``[N, effdim_truncated(q, N)]``
-    for N = 1..n+1, which it determines, from one length profile; the table
-    costs O(n^2) ``d_value`` calls."""
-    prof = length_profile(q)
-    table = [[N, _effdim_truncated(prof, N)] for N in range(1, q.n + 2)]
-    return _stabilization(prof, q.n), table
-
-
-def _stabilization(prof, n: int) -> Stabilization:
     a = 0
     b = 0
-    for lm, lp in prof.values():
+    for lm, lp in length_profile(q).values():
         if lm == INF and lp == INF:
             a += 1
         elif lm < INF and lp < INF:
             b += 1
         else:
             b += int(min(lm, lp)) + 1
-    return Stabilization(a, b, n)
+    return Stabilization(a, b, q.n)
 
 
 def line_quiver_effdim(segments, N: int) -> int:
@@ -207,10 +190,8 @@ def report(q: Quiver, N: int | None = None) -> dict:
             entry["K"] = None if w is None else [w[0], w[1]]
             entry["d"] = kp.d[x]
         vertices[x] = entry
-    totals = {"effdim_path": len(cls.noncommutative) + q.n}
+    totals = {"effdim_path": effdim_path(q)}
     if N is not None:
         totals["effdim_truncated"] = effdim_truncated(q, N)
-    totals["a"] = st.a
-    totals["b"] = st.b
-    totals["threshold"] = st.threshold
+    totals.update(a=st.a, b=st.b, threshold=st.threshold)
     return {"vertices": vertices, "totals": totals}

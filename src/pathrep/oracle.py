@@ -181,7 +181,7 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     levels = walk(
         q,
         max_len,
-        lambda v: identity(rep.dims[q.vertices[v]], 1, 0),
+        lambda v: identity(rep.dims[q.vertices[v]]),
         lambda ai, f: _mul_mod(arrow_fps[ai], f, _P),
     )
     for _, level in levels:
@@ -276,10 +276,7 @@ def _compositions(total: int, parts: int):
 def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
     shapes = [(dims[a.head], dims[a.tail]) for a in q.arrows]
     choices = [range(2 ** (r * c)) for r, c in shapes]
-
-    def start(v):
-        return identity(dims[v], 1, 0)
-
+    start = [identity(d) for d in dims].__getitem__
     for assignment in itertools.product(*choices):
         mats = [
             _bits_to_matrix(bits, r, c) for bits, (r, c) in zip(assignment, shapes)

@@ -128,8 +128,8 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
 class CycleBasis:
     """First-return cycles at a vertex, possibly truncated at a length bound.
 
-    ``complete`` is True only when graph analysis proves the listed cycles
-    are all the irreducible generators of the cycle monoid at the vertex.
+    ``complete`` is True exactly when the listed cycles are all the
+    irreducible generators of the cycle monoid at the vertex.
     """
 
     vertex: str
@@ -141,11 +141,17 @@ def first_return_cycles(q: Quiver, vertex: str, max_len: int) -> CycleBasis:
     """Cycles at ``vertex`` of length <= max_len with no intermediate visit.
 
     These are exactly the irreducible generators of the cycle monoid at the
-    vertex, where every cycle factors uniquely.
+    vertex, where every cycle factors uniquely.  The walk keeps to the
+    vertex's strongly connected component, which no such cycle leaves.
+    Every vertex there leads back without an intermediate visit, so the
+    list is complete exactly when the walk dies out within max_len steps:
+    a walk still open then extends to a longer first-return cycle.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     x = q.vertex_of(vertex)
+    part = sccs(q)
+    inside = {q.vertex_index[v] for v in part.components[part.component_of[vertex]].vertices}
     found: list[Path] = []
     frontier: list[tuple[int, tuple[int, ...]]] = [(x, ())]
     for _ in range(max_len):
@@ -155,77 +161,12 @@ def first_return_cycles(q: Quiver, vertex: str, max_len: int) -> CycleBasis:
                 h2 = q.arrows[ai].head
                 if h2 == x:
                     found.append(Path(x, x, seq + (ai,)))
-                else:
+                elif h2 in inside:
                     nxt.append((h2, seq + (ai,)))
-        if not nxt:
-            break
         frontier = nxt
-    return CycleBasis(vertex, tuple(found), _first_return_complete(q, x, max_len))
-
-
-def _first_return_complete(q: Quiver, x: int, max_len: int) -> bool:
-    """Decide whether length <= max_len provably exhausts the first-return cycles.
-
-    Every first-return cycle stays inside the strongly connected component
-    of x and visits the other component vertices via internal arrows only.
-    If that punctured subgraph has a cycle, the generator set is infinite;
-    otherwise the longest first-return length is 2 plus the longest path in
-    the punctured DAG (or 1 when the component is a single vertex).
-    """
-    part = sccs(q)
-    comp = part.components[part.component_of[q.vertices[x]]]
-    if not comp.has_cycle:
-        return True
-    members = {q.vertex_of(v) for v in comp.vertices}
-    if len(members) == 1:
-        return True  # only self-loops, all of length 1 <= max_len
-    punctured = members - {x}
-    inner = [
-        a
-        for a in q.arrows
-        if a.tail in punctured and a.head in punctured
-    ]
-    order = _topo_order(punctured, inner)
-    if order is None:
-        return False  # a cycle avoiding x: unboundedly long first returns
-    dist = {v: -1 for v in punctured}
-    for ai in q.out_arrows[x]:
-        w = q.arrows[ai].head
-        if w in punctured:
-            dist[w] = 0
-    for v in order:
-        if dist[v] < 0:
-            continue
-        for a in inner:
-            if a.tail == v:
-                dist[a.head] = max(dist[a.head], dist[v] + 1)
-    longest = -1
-    for ai in q.in_arrows[x]:
-        w = q.arrows[ai].tail
-        if w in punctured and dist[w] >= 0:
-            longest = max(longest, dist[w])
-    if longest < 0:
-        # No route back that avoids x entirely; only self-loops at x remain.
-        return True
-    return max_len >= longest + 2
-
-
-def _topo_order(nodes: set[int], arcs) -> list[int] | None:
-    """Kahn topological order of the induced subgraph, or None on a cycle."""
-    indeg = {v: 0 for v in nodes}
-    for a in arcs:
-        indeg[a.head] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for a in arcs:
-            if a.tail == v:
-                indeg[a.head] -= 1
-                if indeg[a.head] == 0:
-                    ready.append(a.head)
-    return order if len(order) == len(nodes) else None
+        if not frontier:
+            break
+    return CycleBasis(vertex, tuple(found), not frontier)
 
 
 def factorize_cycle(q: Quiver, p: Path) -> list[Path]:

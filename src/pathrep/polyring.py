@@ -162,6 +162,8 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:  # a constant equals, so hashes as, its integer
+            return hash(self.terms.get((), 0))
         return hash(self.key())
 
     def sorted_terms(self) -> list[tuple[Mono, int]]:
@@ -243,10 +245,11 @@ class MultiPoly:
         return cls(terms)
 
 
-def identity(size: int, one, zero) -> tuple:
-    """The size x size identity matrix, as a tuple of rows, over the ring
-    whose unit and zero are ``one`` and ``zero``."""
-    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+def identity(size: int) -> tuple:
+    """The size x size integer identity matrix, as a tuple of rows; its
+    entries equal, and hash as, the constant polynomials 1 and 0, so it
+    serves every ring here."""
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
 def mat_mul(a, b) -> tuple:
@@ -290,7 +293,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "PolyMatrix":
-        return cls.from_rows(identity(size, MultiPoly.const(1), MultiPoly.zero()))
+        return cls.from_rows(identity(size))
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]

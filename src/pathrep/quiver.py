@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 # Extended length value: a non-negative int, or INF.  math.inf already
 # saturates under addition/subtraction of finite values and compares
@@ -38,7 +39,8 @@ class Quiver:
     index order used by enumeration, variable and prime allocation, and
     every JSON output.  Parallel arrows and self-loops are permitted, the
     vertex set must be nonempty.  Instances are immutable after
-    construction.
+    construction, so ``sccs`` and ``length_profile`` compute once per
+    instance and keep their read-only results on it.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -75,6 +77,8 @@ class Quiver:
             in_[a.head].append(i)
         self.out_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_))
         self.in_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_))
+        self._sccs: SccPartition | None = None
+        self._profile: MappingProxyType | None = None
 
     @property
     def n(self) -> int:
@@ -104,6 +108,9 @@ class Quiver:
 
     def __hash__(self):
         return hash((self.vertices, self.arrows))
+
+    def __getstate__(self):  # copies and pickles recompute the analysis
+        return {**self.__dict__, "_sccs": None, "_profile": None}
 
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
@@ -175,7 +182,7 @@ class SccPartition:
     edges are deduplicated pairs of component indices in arrow order.
     """
 
-    component_of: dict[str, int]
+    component_of: MappingProxyType  # vertex id -> component index
     components: tuple[SccComponent, ...]
     condensation: tuple[tuple[int, int], ...]
 
@@ -201,6 +208,12 @@ def sccs(q: Quiver) -> SccPartition:
     contains a self-loop, and it is a simple cycle exactly when its internal
     arrow count equals its vertex count.
     """
+    if q._sccs is None:
+        q._sccs = _compute_sccs(q)
+    return q._sccs
+
+
+def _compute_sccs(q: Quiver) -> SccPartition:
     n = q.n
     index = [-1] * n
     low = [0] * n
@@ -274,17 +287,24 @@ def sccs(q: Quiver) -> SccPartition:
             SccComponent(tuple(q.vertices[v] for v in members), has_cycle, simple)
         )
     component_of = {q.vertices[v]: comp_of[v] for v in range(n)}
-    return SccPartition(component_of, tuple(components), tuple(cond))
+    return SccPartition(MappingProxyType(component_of), tuple(components), tuple(cond))
 
 
-def length_profile(q: Quiver) -> dict[str, tuple[ExtLen, ExtLen]]:
+def length_profile(q: Quiver) -> MappingProxyType:
     """Per vertex, the supremum of lengths of paths ending / starting there.
 
     The supremum is INF exactly when some cyclic component can feed into
     (resp. be reached from) the vertex; otherwise it is a longest-path value
     over the condensation, which is finite and at most n - 1 because any
-    longer path would contain a subcycle.
+    longer path would contain a subcycle.  The result is a read-only map
+    from vertex id to (l-, l+).
     """
+    if q._profile is None:
+        q._profile = _compute_length_profile(q)
+    return q._profile
+
+
+def _compute_length_profile(q: Quiver) -> MappingProxyType:
     part = sccs(q)
     comp_of = [part.component_of[v] for v in q.vertices]
     k = len(part.components)
@@ -325,7 +345,7 @@ def length_profile(q: Quiver) -> dict[str, tuple[ExtLen, ExtLen]]:
         for ai in q.in_arrows[v]:
             best = max(best, 1 + l_minus[q.arrows[ai].tail])
         l_minus[v] = best
-    return {q.vertices[v]: (l_minus[v], l_plus[v]) for v in range(n)}
+    return MappingProxyType({q.vertices[v]: (l_minus[v], l_plus[v]) for v in range(n)})
 
 
 def ext_to_json(value: ExtLen):

@@ -14,6 +14,7 @@ by default, or a fresh formal variable).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .dimension import classify_path, k_profile
 from .paths import Path
@@ -25,7 +26,7 @@ def _primes():
     known: list[int] = []
     c = 2
     while True:
-        if all(c % p for p in known):
+        if all(c % p for p in takewhile(lambda p: p * p <= c, known)):
             known.append(c)
             yield c
         c += 1
@@ -220,10 +221,8 @@ class GradedRep:
         return sum(self.dims.values())
 
     def identity(self, vertex: str) -> tuple:
-        """The identity block at ``vertex``, over the ring of the labels."""
-        if self.label_kind == "symbolic":
-            return identity(self.dims[vertex], MultiPoly.const(1), MultiPoly.zero())
-        return identity(self.dims[vertex], 1, 0)
+        """The identity block at ``vertex``."""
+        return identity(self.dims[vertex])
 
     def _entry_json(self, e):
         return e.to_json() if isinstance(e, MultiPoly) else int(e)

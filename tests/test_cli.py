@@ -228,19 +228,43 @@ def test_verify_rep_rejects_non_integer_numbers(qfile, tmp_path, capsys, args, p
     assert "error:" in capsys.readouterr().err
 
 
+def _count_analyses(monkeypatch):
+    """Count the SCC and length-profile computations, as opposed to the
+    calls of ``sccs`` and ``length_profile``, which return the stored result
+    after the first."""
+    import pathrep.quiver
+
+    calls = {"sccs": 0, "length_profile": 0}
+    for name in calls:
+        original = getattr(pathrep.quiver, "_compute_" + name)
+
+        def counted(q, name=name, original=original):
+            calls[name] += 1
+            return original(q)
+
+        monkeypatch.setattr(pathrep.quiver, "_compute_" + name, counted)
+    return calls
+
+
 def test_stabilize_computes_the_length_profile_once(qfile, monkeypatch, capsys):
-    import pathrep.dimension
-
-    calls = []
-    original = pathrep.dimension.length_profile
-
-    def counted(q):
-        calls.append(q)
-        return original(q)
-
-    monkeypatch.setattr(pathrep.dimension, "length_profile", counted)
+    calls = _count_analyses(monkeypatch)
     assert main(["stabilize", qfile(A3)]) == 0
-    assert len(calls) == 1
+    assert calls == {"sccs": 1, "length_profile": 1}
+
+
+def test_analyze_computes_the_analysis_once(qfile, monkeypatch, capsys):
+    calls = _count_analyses(monkeypatch)
+    text = TWO_LOOPS + "vertex y\nvertex z\narrow c: x -> y\narrow d: y -> z\n"
+    assert main(["analyze", qfile(text), "--truncate", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["totals"]["effdim_truncated"] == 6
+    assert calls == {"sccs": 1, "length_profile": 1}
+
+
+def test_construct_has_no_json_flag(qfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", qfile(A2), "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_stabilize_a3(qfile, capsys):

@@ -164,6 +164,38 @@ def test_first_return_incomplete_when_subcycle_avoids_base():
     assert len(basis.cycles) == 9  # a, then l^k (k <= 8), then b
 
 
+def _first_return_lengths(q, x, bound):
+    """The lengths <= bound of the first-return cycles at vertex index x,
+    from the sets of vertices that walks from x reach without revisiting it."""
+    lengths = set()
+    level = {x}
+    for k in range(1, bound + 1):
+        heads = {a.head for a in q.arrows if a.tail in level}
+        if x in heads:
+            lengths.add(k)
+        level = heads - {x}
+    return lengths
+
+
+def test_first_return_complete_matches_definition():
+    # complete at L exactly when no first-return cycle has length in
+    # (L, L + 2n], a window that holds one if any cycle is longer than L
+    subcycle = Quiver(["x", "y"], [("a", "x", "y"), ("l", "y", "y"), ("b", "y", "x")])
+    quivers = helpers.suite() + [
+        helpers.loop(), helpers.two_loops(), helpers.kronecker(), helpers.a2(),
+        helpers.a_line(4), helpers.three_cycle(), helpers.triangle_chord(),
+        helpers.isolated(), helpers.loop_with_tail(), subcycle,
+    ]
+    for q in quivers:
+        for v in q.vertices:
+            x = q.vertex_index[v]
+            for L in range(1, q.n + 3):
+                lengths = _first_return_lengths(q, x, L + 2 * q.n)
+                basis = first_return_cycles(q, v, L)
+                assert basis.complete == all(k <= L for k in lengths)
+                assert {c.length for c in basis.cycles} == {k for k in lengths if k <= L}
+
+
 def test_factorize_loop_power():
     q = helpers.loop()
     p = make_path(q, ["a", "a", "a"])

@@ -7,6 +7,8 @@ from pathrep.polyring import (
     MultiPoly,
     PolyMatrix,
     Variable,
+    identity,
+    mat_mul,
     variable_names,
     variable_table,
 )
@@ -52,6 +54,30 @@ def test_mul_difference_of_squares():
 def test_mul_by_zero():
     p = 3 * TAU_A + ETA_A
     assert (p * MultiPoly.zero()).is_zero
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, 2**70])
+def test_constant_hashes_as_its_integer(c):
+    assert MultiPoly.const(c) == c
+    assert hash(MultiPoly.const(c)) == hash(c)
+
+
+def test_int_and_constant_keys_are_interchangeable():
+    table = {(1, 0): "int", (MultiPoly.const(7), MultiPoly.zero()): "poly"}
+    assert table.get((MultiPoly.const(1), MultiPoly.zero())) == "int"
+    assert table.get((7, 0)) == "poly"
+    assert {MultiPoly.const(1), 1, MultiPoly.zero(), 0} == {0, 1}
+    # non-constant polynomials keep their structural hash
+    assert hash(TAU_A + 1) == hash(1 + TAU_A) != hash(1)
+
+
+def test_identity_serves_both_rings():
+    one, zero = MultiPoly.const(1), MultiPoly.zero()
+    assert identity(2) == ((1, 0), (0, 1)) == ((one, zero), (zero, one))
+    assert hash(identity(2)) == hash(((one, zero), (zero, one)))
+    assert PolyMatrix.from_rows(identity(2)) == PolyMatrix.identity(2)
+    rows = ((TAU_A, ETA_A), (zero, ZETA_A))
+    assert mat_mul(identity(2), rows) == rows == mat_mul(rows, identity(2))
 
 
 def test_matmul_identity():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import helpers
@@ -95,6 +98,29 @@ def test_length_profile_loop():
 
 def test_length_profile_isolated():
     assert length_profile(helpers.isolated()) == {"x": (0, 0)}
+
+
+def test_analysis_is_computed_once_and_read_only():
+    q = helpers.loop_with_tail()
+    prof, part = length_profile(q), sccs(q)
+    assert length_profile(q) is prof and sccs(q) is part
+    expected = dict(prof)
+    with pytest.raises(TypeError):
+        prof["x"] = (0, 0)
+    with pytest.raises(TypeError):
+        part.component_of["x"] = 7
+    assert length_profile(q) == expected
+    assert sccs(q).component_of == sccs(helpers.loop_with_tail()).component_of
+
+
+def test_analysis_cache_is_not_part_of_the_quiver():
+    analysed, fresh = helpers.loop_with_tail(), helpers.loop_with_tail()
+    length_profile(analysed)
+    assert analysed == fresh and hash(analysed) == hash(fresh)
+    assert repr(analysed) == repr(fresh) and analysed.to_json() == fresh.to_json()
+    for twin in (copy.deepcopy(analysed), pickle.loads(pickle.dumps(analysed))):
+        assert twin == analysed
+        assert length_profile(twin) == length_profile(analysed)
 
 
 def test_quiver_json():

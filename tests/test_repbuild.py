@@ -11,6 +11,7 @@ from pathrep.quiver import Quiver
 from pathrep.repbuild import (
     GradedRep,
     SymbolicRep,
+    _primes,
     allocate_primes,
     build_path_rep,
     build_truncated_rep,
@@ -75,6 +76,30 @@ def test_allocate_primes():
     assert allocate_primes(helpers.loop(), 2) == {("a", 0): 2, ("a", 1): 3}
     assert allocate_primes(helpers.two_loops(), 1) == {("a", 0): 2, ("b", 0): 3}
     assert list(allocate_primes(helpers.loop(), 4).values()) == [2, 3, 5, 7]
+
+
+def test_primes_match_a_sieve():
+    limit = 230_000  # past the 20,000th prime, 224,737
+    composite = bytearray(limit)
+    sieve = []
+    for c in range(2, limit):
+        if not composite[c]:
+            sieve.append(c)
+            composite[c * c :: c] = b"\x01" * len(range(c * c, limit, c))
+    assert list(itertools.islice(_primes(), 20_000)) == sieve[:20_000]
+
+
+def test_symbolic_truncated_identities_equal_polynomial_identities():
+    for q in helpers.suite(20):
+        rep = build_truncated_rep(q, 3, labels="symbolic")
+        for v in q.vertices:
+            image = rep_of_path(rep, trivial(q, v)).matrix
+            size = rep.dims[v]
+            old = tuple(
+                tuple(MultiPoly.const(1) if i == j else MultiPoly.zero() for j in range(size))
+                for i in range(size)
+            )
+            assert image == old and hash(image) == hash(old)
 
 
 def test_build_truncated_a2():
