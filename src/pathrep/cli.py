@@ -7,6 +7,7 @@ Exit codes: 0 on success (and on a verification that reports effective),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    building it costs more than parsing a command line with it."""
     parser = argparse.ArgumentParser(
         prog="pathrep",
         description="Minimal faithful matrix representations of path semigroups of finite quivers.",

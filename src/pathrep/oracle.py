@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .paths import Path, path_str, walk
-from .polyring import PolyMatrix, identity, mat_mul
+from .polyring import PolyMatrix, identity
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
 
@@ -78,19 +78,45 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
 
     Enumerates every element (all nonzero paths of length < N, the trivial
     paths, and the zero element); see ``_check_truncated``.
+
+    Each image is carried as its columns, and a column as the sorted tuple
+    of the ``(row, value)`` pairs of its nonzero entries.  A graded arrow
+    has at most one nonzero per column, so a step costs about one product
+    per column instead of a dense matrix product.  The step sums exactly
+    and drops zero sums, whatever the number of nonzeros per column, so
+    the form is canonical: two images are equal, or zero, exactly when
+    their dense matrices are, and the reports are those of the dense
+    comparison.
     """
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_truncated needs a truncated representation")
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
-    arrow_mats = list(rep.matrices.values())
+    arrow_cols = [
+        tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
+        for m in rep.matrices.values()
+    ]
     return _check_truncated(
         q,
         N,
-        lambda v: rep.identity(q.vertices[v]),
-        lambda ai, m: mat_mul(arrow_mats[ai], m),
+        lambda v: tuple(((j, 1),) for j in range(rep.dims[q.vertices[v]])),
+        lambda ai, m: _map_columns(arrow_cols[ai], m),
     )
+
+
+def _map_columns(a_cols, m_cols) -> tuple:
+    """The columns of a @ m, from the sparse columns of both: column j of
+    the product sums ``a * v`` into row i for every nonzero ``v`` at row k
+    of m's column j and every nonzero ``a`` at row i of a's column k."""
+    out = []
+    for col in m_cols:
+        sums: dict = {}
+        for k, v in col:
+            for i, a in a_cols[k]:
+                sums[i] = sums.get(i, 0) + a * v
+        out.append(tuple(sorted([(i, s) for i, s in sums.items() if s])))
+    return tuple(out)
 
 
 def _check_truncated(q: Quiver, N: int, start, step) -> VerifyReport:
@@ -98,7 +124,8 @@ def _check_truncated(q: Quiver, N: int, start, step) -> VerifyReport:
     paths act nonzero and pairwise differently, and every length-N
     composite acts as zero.  Images with different endpoints act on
     different blocks, so comparisons group by (source, target); an image
-    must be hashable, and is zero when no entry of it is truthy.
+    is a hashable tuple of rows or columns, and is zero when none of them
+    holds a truthy item.
     """
     checked = 1  # the zero element
     seen: dict[tuple[int, int], dict] = {}

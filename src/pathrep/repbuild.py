@@ -14,7 +14,8 @@ by default, or a fresh formal variable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import compress
+from math import isqrt, log
 
 from .dimension import classify_path, k_profile
 from .paths import Path
@@ -22,14 +23,28 @@ from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul,
 from .quiver import Quiver
 
 
+def _prime_limit(n: int) -> int:
+    """A number above the n-th prime: Rosser's bound p_n < n(ln n + ln ln n)
+    for n >= 6, with room for rounding, and 12 (p_5 = 11) below that."""
+    if n < 6:
+        return 12
+    return int(n * (log(n) + log(log(n)))) + 2
+
+
 def _primes():
-    known: list[int] = []
-    c = 2
+    """2, 3, 5, 7, ... in order.  Each round sieves below the limit for
+    twice as many primes as are known and yields the new ones."""
+    known = start = 0
     while True:
-        if all(c % p for p in takewhile(lambda p: p * p <= c, known)):
-            known.append(c)
-            yield c
-        c += 1
+        limit = _prime_limit(2 * known or 1)
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        new = list(compress(range(start, limit), sieve[start:]))
+        yield from new
+        known, start = known + len(new), limit
 
 
 def _field(data, name: str, kind, where: str = "representation"):

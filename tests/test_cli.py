@@ -88,6 +88,21 @@ def test_construct_deterministic(qfile, capsys):
     assert first == capsys.readouterr().out
 
 
+def test_consecutive_commands_share_no_state(qfile, capsys):
+    # one parser serves every call of main; no flag may outlive its command
+    path = qfile(A2)
+    assert main(["verify", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "effective"
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out.startswith("status: effective\n")
+    assert main(["construct", path, "--truncate", "2", "--labels", "symbolic"]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"] == "symbolic"
+    assert main(["construct", path, "--truncate", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["labels"] == "primes"
+    assert data["arrows"][0]["matrix"] == [[2]]
+
+
 def test_verify_truncated_ok(qfile, capsys):
     assert main(["verify", qfile(LOOP), "--truncate", "3"]) == 0
     assert "status: effective" in capsys.readouterr().out

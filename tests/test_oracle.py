@@ -2,6 +2,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from pathrep import oracle
@@ -12,7 +14,7 @@ from pathrep.oracle import (
     verify_path_rep,
     verify_truncated,
 )
-from pathrep.polyring import MultiPoly, PolyMatrix, Variable
+from pathrep.polyring import MultiPoly, PolyMatrix, Variable, mat_mul
 from pathrep.quiver import Quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -70,6 +72,77 @@ def test_verify_truncated_rejects_mismatch():
         verify_truncated(rep, helpers.loop(), 2)
     with pytest.raises(ValueError):
         verify_truncated(rep, helpers.a2(), 3)
+
+
+def _dense_verify_truncated(rep, q, N):
+    """The dense reference for ``verify_truncated``: the same walk and
+    checks, but every image a whole matrix and every step one exact
+    ``mat_mul`` over tuples of rows."""
+    mats = list(rep.matrices.values())
+    return oracle._check_truncated(
+        q, N, lambda v: rep.identity(q.vertices[v]), lambda ai, m: mat_mul(mats[ai], m)
+    )
+
+
+def test_verify_truncated_matches_dense_on_all_ones_matrices():
+    statuses = set()
+    for q in helpers.suite(40):
+        for N in (1, 2, 3):
+            for labels in ("primes", "symbolic"):
+                rep = build_truncated_rep(q, N, labels=labels)
+                ones = replace(rep, matrices={
+                    name: tuple(tuple(1 for _ in row) for row in m)
+                    for name, m in rep.matrices.items()
+                })
+                expected = _dense_verify_truncated(ones, q, N)
+                assert verify_truncated(ones, q, N) == expected
+                statuses.add(expected.status)
+    assert {"effective", "collision", "relation_violation"} <= statuses
+
+
+@pytest.mark.parametrize("one", [1, MultiPoly.variable(0)], ids=["int", "poly"])
+def test_verify_truncated_drops_cancelling_sums(one):
+    # b = [1, -1] acting on the column a = [1, 1]: every product is nonzero,
+    # but their sum, the image of b*a, is zero
+    q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")])
+    rep = replace(
+        build_truncated_rep(q, 3),
+        dims={"x": 1, "y": 2, "z": 1},
+        matrices={"a": ((one,), (one,)), "b": ((one, -one),)},
+    )
+    expected = oracle.VerifyReport("zero_action", 7, 2, ("b*a",))
+    assert _dense_verify_truncated(rep, q, 3) == expected
+    assert verify_truncated(rep, q, 3) == expected
+
+
+def test_verify_truncated_images_do_not_depend_on_summing_order():
+    # b swaps the two rows of the column a = [1, 1], c keeps them, so b*a
+    # and c*a are equal although their sums visit the rows in opposite order
+    q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z"), ("c", "y", "z")])
+    rep = replace(
+        build_truncated_rep(q, 3),
+        dims={"x": 1, "y": 2, "z": 2},
+        matrices={"a": ((1,), (1,)), "b": ((0, 1), (1, 0)), "c": ((1, 0), (0, 1))},
+    )
+    expected = oracle.VerifyReport("collision", 9, 2, ("b*a", "c*a"))
+    assert _dense_verify_truncated(rep, q, 3) == expected
+    assert verify_truncated(rep, q, 3) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_truncated_matches_dense_on_small_entries(data):
+    q = data.draw(st.sampled_from(helpers.suite(60)))
+    N = data.draw(st.integers(1, 3))
+    rep = build_truncated_rep(q, N)
+    mats = {}
+    for name, m in rep.matrices.items():
+        rows, cols = len(m), len(m[0])
+        flat = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=rows * cols,
+                                  max_size=rows * cols))
+        mats[name] = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+    rep = replace(rep, matrices=mats)
+    assert verify_truncated(rep, q, N) == _dense_verify_truncated(rep, q, N)
 
 
 def test_verify_path_rep_two_loops():
