@@ -137,7 +137,10 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 
 def _load_rep(path: str):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a representation file must hold a JSON object")
     kind = data.get("kind")
@@ -159,11 +162,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if isinstance(rep, GradedRep):
         if ns.max_len is not None:
             raise QuiverError("--max-len does not apply to a truncated representation")
-        if ns.truncate is not None and ns.truncate != rep.N:
-            raise QuiverError(
-                f"--truncate {ns.truncate} does not match the representation (N={rep.N})"
-            )
-        result = verify_truncated(rep, q, rep.N)
+        result = verify_truncated(rep, q, ns.truncate or rep.N)
     else:
         if ns.truncate is not None:
             raise QuiverError("--truncate does not apply to a path-semigroup representation")
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
-    except (QuiverError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,18 +301,13 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = MultiPoly.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                entries.append(acc)
-        return PolyMatrix(self.rows, other.cols, entries)
+        product = mat_mul(self.row_tuples(), other.row_tuples())
+        return PolyMatrix(self.rows, other.cols, [e for row in product for e in row])
+
+    def row_tuples(self) -> tuple:
+        """The entries as a tuple of rows, the form ``mat_mul`` takes."""
+        c = self.cols
+        return tuple(self.entries[i * c:(i + 1) * c] for i in range(self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -321,10 +316,7 @@ class PolyMatrix:
     def evaluate(self, point, modulus: int) -> tuple:
         """Every entry evaluated (see ``MultiPoly.evaluate``), as a tuple of
         rows of integers in ``range(modulus)``."""
-        return tuple(
-            tuple(self.entry(i, j).evaluate(point, modulus) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(tuple(e.evaluate(point, modulus) for e in row) for row in self.row_tuples())
 
     def __eq__(self, other):
         return (
@@ -344,10 +336,7 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
     def to_json(self) -> list:
-        return [
-            [self.entry(i, j).to_json() for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        return [[e.to_json() for e in row] for row in self.row_tuples()]
 
     @classmethod
     def from_json(cls, data) -> "PolyMatrix":

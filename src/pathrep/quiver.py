@@ -20,7 +20,15 @@ _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class QuiverError(ValueError):
-    """Malformed quiver text or structurally invalid quiver data."""
+    """Malformed quiver text or structurally invalid quiver data.
+
+    ``decl`` is the rejected declaration as ``("vertex" | "arrow",
+    position)``, or None when no single declaration is at fault.
+    """
+
+    def __init__(self, message: str, decl: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.decl = decl
 
 
 @dataclass(frozen=True)
@@ -44,28 +52,29 @@ class Quiver:
     """
 
     def __init__(self, vertices, arrows=()):
-        vertices = list(vertices)
-        if not vertices:
-            raise QuiverError("quiver needs at least one vertex")
         vindex: dict[str, int] = {}
         for v in vertices:
+            decl = ("vertex", len(vindex))
             if not isinstance(v, str) or not _ID_RE.match(v):
-                raise QuiverError(f"bad vertex id {v!r}")
+                raise QuiverError(f"bad vertex id {v!r}", decl)
             if v in vindex:
-                raise QuiverError(f"duplicate vertex id {v!r}")
+                raise QuiverError(f"duplicate vertex id {v!r}", decl)
             vindex[v] = len(vindex)
         built: list[Arrow] = []
         aindex: dict[str, int] = {}
         for name, tail, head in arrows:
+            decl = ("arrow", len(built))
             if not isinstance(name, str) or not _ID_RE.match(name):
-                raise QuiverError(f"bad arrow id {name!r}")
+                raise QuiverError(f"bad arrow id {name!r}", decl)
             if name in aindex:
-                raise QuiverError(f"duplicate arrow id {name!r}")
+                raise QuiverError(f"duplicate arrow id {name!r}", decl)
             for v in (tail, head):
                 if v not in vindex:
-                    raise QuiverError(f"arrow {name!r} uses undeclared vertex {v!r}")
+                    raise QuiverError(f"arrow {name!r} uses undeclared vertex {v!r}", decl)
             aindex[name] = len(built)
             built.append(Arrow(name, vindex[tail], vindex[head]))
+        if not vindex:  # after the arrows, so a stray arrow names its line
+            raise QuiverError("no vertices declared")
         self.vertices: tuple[str, ...] = tuple(vindex)
         self.vertex_index: dict[str, int] = vindex
         self.arrows: tuple[Arrow, ...] = tuple(built)
@@ -130,40 +139,35 @@ def parse_quiver(text: str) -> Quiver:
 
     Lines are ``vertex <id>`` or ``arrow <id>: <tail> -> <head>``; ``#``
     starts a comment, blank lines are ignored, ids match ``[A-Za-z0-9_]+``.
-    Arrows may reference vertices declared later in the file.  Errors name
-    the offending line.
+    Arrows may reference vertices declared later in the file.  The
+    structural checks are ``Quiver``'s; every error names the offending
+    line, except an empty vertex set.
     """
-    vlines: list[tuple[int, str]] = []
-    alines: list[tuple[int, str, str, str]] = []
+    vertices: list[str] = []
+    arrows: list[tuple[str, str, str]] = []
+    linenos: dict[str, list[int]] = {"vertex": [], "arrow": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _VERTEX_RE.match(line)
         if m:
-            vlines.append((lineno, m.group(1)))
+            vertices.append(m.group(1))
+            linenos["vertex"].append(lineno)
             continue
         m = _ARROW_RE.match(line)
         if m:
-            alines.append((lineno, m.group(1), m.group(2), m.group(3)))
+            arrows.append(m.groups())
+            linenos["arrow"].append(lineno)
             continue
         raise QuiverError(f"line {lineno}: cannot parse {line!r}")
-    declared: dict[str, int] = {}
-    for lineno, v in vlines:
-        if v in declared:
-            raise QuiverError(f"line {lineno}: duplicate vertex id {v!r}")
-        declared[v] = lineno
-    seen_arrows: dict[str, int] = {}
-    for lineno, name, tail, head in alines:
-        if name in seen_arrows:
-            raise QuiverError(f"line {lineno}: duplicate arrow id {name!r}")
-        seen_arrows[name] = lineno
-        for v in (tail, head):
-            if v not in declared:
-                raise QuiverError(f"line {lineno}: arrow {name!r} uses undeclared vertex {v!r}")
-    if not declared:
-        raise QuiverError("no vertices declared")
-    return Quiver([v for _, v in vlines], [(n, t, h) for _, n, t, h in alines])
+    try:
+        return Quiver(vertices, arrows)
+    except QuiverError as exc:
+        if exc.decl is None:
+            raise
+        kind, pos = exc.decl
+        raise QuiverError(f"line {linenos[kind][pos]}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ independent brute-force oracles the implementation is checked against."""
 
 import random
 
+from hypothesis import strategies as st
+
 from pathrep.dimension import classify_path, k_profile
 from pathrep.oracle import verify_filtration
 from pathrep.paths import Path, enumerate_paths, factorize_cycle
@@ -10,6 +12,21 @@ from pathrep.quiver import Quiver, length_profile
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 SUITE_SEED = 20260810
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+# Arbitrary JSON values, and objects that look like a representation file
+# (a known kind, known field names) with arbitrary field values.
+REP_FIELDS = ("vertex_dims", "variables", "arrows", "labels", "truncation", "basis_labels",
+              "label_table", "prime_table", "label_variables")
+REP_JSON = JSON_VALUES | st.builds(
+    lambda kind, fields: {"kind": kind, **fields},
+    st.sampled_from(["path", "truncated"]),
+    st.dictionaries(st.sampled_from(REP_FIELDS), JSON_VALUES, max_size=len(REP_FIELDS)),
+)
 
 
 # ---------------------------------------------------------------- quivers

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from pathrep.cli import main
 from pathrep.quiver import parse_quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
@@ -153,7 +154,23 @@ def test_verify_rep_truncation_mismatch(qfile, tmp_path, capsys):
     quiver_path = qfile(LOOP)
     rep_path = tmp_path / "rep.json"
     assert main(["construct", quiver_path, "--truncate", "2", "--out", str(rep_path)]) == 0
-    assert main(["verify", quiver_path, "--rep", str(rep_path), "--truncate", "3"]) == 2
+    for level in ("3", "1"):
+        assert main(["verify", quiver_path, "--rep", str(rep_path), "--truncate", level]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N=2" in err and f"N={level}" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"kind": "path", "vertex_dims": {"x": 1}, "variables": [], '
+    '"arrows": [{"id": "a", "shape": [1, 1], "matrix": ' + "[" * 5000 + "]" * 5000 + "}]}",
+], ids=["brackets", "matrix"])
+def test_verify_rep_nested_too_deeply(qfile, tmp_path, capsys, text):
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(text)
+    assert main(["verify", qfile(LOOP), "--rep", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(rep_path) in err
 
 
 def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
@@ -359,13 +376,6 @@ FUZZ_REPS = [
     (A3, build_path_rep(parse_quiver(A3)).to_json()),
 ]
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=5,
-)
-
-
 def _locations(node, where=()):
     """Every place in a JSON value, as a key path; () is the whole value."""
     yield where
@@ -384,7 +394,7 @@ def test_verify_rep_survives_mutated_files(tmp_path, capsys, data):
     truncation level would make any verifier walk exponentially many paths."""
     quiver_text, rep = data.draw(st.sampled_from(FUZZ_REPS))
     where = data.draw(st.sampled_from(list(_locations(rep))))
-    value = data.draw(JSON_VALUES)
+    value = data.draw(helpers.JSON_VALUES)
     if where:
         rep = copy.deepcopy(rep)
         node = rep
@@ -397,5 +407,18 @@ def test_verify_rep_survives_mutated_files(tmp_path, capsys, data):
     quiver_path.write_text(quiver_text)
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep))
+    assert main(["verify", str(quiver_path), "--rep", str(rep_path)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+@given(helpers.REP_JSON, st.sampled_from([LOOP, A2]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_rep_survives_arbitrary_json(tmp_path, capsys, value, quiver_text):
+    """``verify --rep`` on any JSON value reports or exits with an input
+    error; it never raises."""
+    quiver_path = tmp_path / "q.quiver"
+    quiver_path.write_text(quiver_text)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(value))
     assert main(["verify", str(quiver_path), "--rep", str(rep_path)]) in (0, 1, 2)
     capsys.readouterr()

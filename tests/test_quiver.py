@@ -2,6 +2,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from pathrep.quiver import INF, Quiver, QuiverError, length_profile, parse_quiver, sccs
@@ -50,6 +52,83 @@ def test_parse_comments_blanks_and_forward_refs():
     q = parse_quiver(text)
     assert q.vertices == ("x", "y")
     assert len(q.arrows) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex x\nvertex y\nvertex x\n", "line 3: duplicate vertex id 'x'"),
+    ("vertex x\narrow a: x -> x\narrow a: x -> x\n", "line 3: duplicate arrow id 'a'"),
+    ("vertex x\narrow a: y -> x\n", "line 2: arrow 'a' uses undeclared vertex 'y'"),
+    ("vertex x\narrow a: x -> y\n", "line 2: arrow 'a' uses undeclared vertex 'y'"),
+    # a forward reference is fine; vertex errors come before arrow errors
+    ("arrow a: x -> z\nvertex x\nvertex x\n", "line 3: duplicate vertex id 'x'"),
+    ("arrow a: x -> z\nvertex x\n", "line 1: arrow 'a' uses undeclared vertex 'z'"),
+    # an unparsable line comes before every structural error
+    ("vertex x\nvertex x\narrow b x -> x\n", "line 3: cannot parse 'arrow b x -> x'"),
+    ("arrow a: x -> x\n", "line 1: arrow 'a' uses undeclared vertex 'x'"),
+    ("", "no vertices declared"),
+    ("# only a comment\n\n", "no vertices declared"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(QuiverError) as exc:
+        parse_quiver(text)
+    assert str(exc.value) == message
+
+
+_IDS = st.sampled_from("xyz")
+_DECLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("vertex"), _IDS),
+        st.tuples(st.just("arrow"), st.sampled_from("ab"), _IDS, _IDS),
+        st.sampled_from([("blank",), ("comment",), ("junk",)]),
+    ),
+    max_size=8,
+)
+
+
+@given(_DECLS)
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_constructor_or_names_first_bad_line(decls):
+    """``parse_quiver`` gives ``Quiver(declared vertices, declared arrows)``
+    or an error naming the first bad line: an unparsable line, else a
+    repeated vertex, else an arrow with a repeated name or an undeclared
+    end, else no vertex at all."""
+    render = {
+        "vertex": lambda v: f"vertex {v}",
+        "arrow": lambda a, t, h: f"arrow {a}: {t} -> {h}  # note",
+        "blank": lambda: "",
+        "comment": lambda: "# vertex w",
+        "junk": lambda: "vertex x y",
+    }
+    text = "\n".join(render[d[0]](*d[1:]) for d in decls)
+    lines = list(enumerate(decls, 1))
+    vertices = [d[1] for _, d in lines if d[0] == "vertex"]
+    arrows = [d[1:] for _, d in lines if d[0] == "arrow"]
+
+    def seen(n, kind):  # ids declared as ``kind`` before line n
+        return [d[1] for _, d in lines[:n - 1] if d[0] == kind]
+
+    bad = [n for n, d in lines if d[0] == "junk"]
+    bad += [n for n, d in lines if d[0] == "vertex" and d[1] in seen(n, "vertex")]
+    bad += [n for n, d in lines if d[0] == "arrow"
+            and (d[1] in seen(n, "arrow") or not {d[2], d[3]} <= set(vertices))]
+    if bad:
+        with pytest.raises(QuiverError, match=f"line {bad[0]}: "):
+            parse_quiver(text)
+    elif not vertices:
+        with pytest.raises(QuiverError, match="no vertices declared"):
+            parse_quiver(text)
+    else:
+        assert parse_quiver(text) == Quiver(vertices, arrows)
+
+
+def test_constructor_errors_name_the_declaration_not_a_line():
+    with pytest.raises(QuiverError) as exc:
+        Quiver(["x", "y"], [("a", "x", "y"), ("b", "y", "z")])
+    assert str(exc.value) == "arrow 'b' uses undeclared vertex 'z'"
+    assert exc.value.decl == ("arrow", 1)
+    with pytest.raises(QuiverError) as exc:
+        Quiver([])
+    assert str(exc.value) == "no vertices declared" and exc.value.decl is None
 
 
 def test_constructor_rejects_bad_ids():

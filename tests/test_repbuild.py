@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from pathrep.dimension import effdim_path, effdim_truncated
@@ -318,3 +319,14 @@ def test_graded_rep_from_json_rejects_non_integer_numbers(mutate, message):
     mutate(data)
     with pytest.raises(ValueError, match=message):
         GradedRep.from_json(data)
+
+
+@pytest.mark.parametrize("cls", [SymbolicRep, GradedRep])
+@given(value=helpers.REP_JSON)
+@settings(max_examples=60, deadline=None)
+def test_from_json_gives_a_rep_or_a_value_error(cls, value):
+    try:
+        rep = cls.from_json(value)
+    except ValueError:
+        return
+    assert isinstance(rep, cls)
