@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .dimension import effdim_truncated, line_quiver_effdim, report, stabilization
 from .oracle import verify_path_rep, verify_truncated
@@ -81,6 +82,29 @@ def _emit(text: str, ns: argparse.Namespace):
         print(text)
 
 
+# Every leaf type the CLI writes, with its C encoding.
+_LEAVES = {str: _quote, int: int.__repr__, bool: {False: "false", True: "true"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.  With an indent the
+    stdlib encodes every item in Python; here Python only walks the
+    containers, and each leaf is encoded in C."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets, items = "{}", [
+            (_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
+            + (_LEAVES[type(v)](v) if type(v) in _LEAVES else _dumps(v, inner))
+            for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_LEAVES[type(v)](v) if type(v) in _LEAVES else _dumps(v, inner) for v in obj]
+    else:  # any other leaf, floats and subclasses too, as the stdlib writes it
+        return json.dumps(obj)
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
+
+
 def _load_quiver(ns: argparse.Namespace) -> Quiver:
     with open(ns.quiver, encoding="utf-8") as fh:
         return parse_quiver(fh.read())
@@ -95,7 +119,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
     data = report(q, ns.truncate)
     if ns.json:
-        _emit(json.dumps(data, indent=2), ns)
+        _emit(_dumps(data), ns)
         return 0
     lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows", ""]
     header = ["vertex", "scc", "commutative", "l-", "l+"]
@@ -131,7 +155,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         rep = build_path_rep(q)
     else:
         rep = build_truncated_rep(q, ns.truncate, labels=ns.labels or "primes")
-    _emit(json.dumps(rep.to_json(), indent=2), ns)
+    _emit(_dumps(rep.to_json()), ns)
     return 0
 
 
@@ -168,7 +192,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             raise QuiverError("--truncate does not apply to a path-semigroup representation")
         result = verify_path_rep(rep, q, ns.max_len)
     if ns.json:
-        _emit(json.dumps(result.to_json(), indent=2), ns)
+        _emit(_dumps(result.to_json()), ns)
     else:
         lines = [
             f"status: {result.status}",
@@ -187,7 +211,7 @@ def cmd_stabilize(ns: argparse.Namespace) -> int:
     table = [[N, effdim_truncated(q, N)] for N in range(1, q.n + 2)]
     if ns.json:
         data = {"a": st.a, "b": st.b, "threshold": st.threshold, "table": table}
-        _emit(json.dumps(data, indent=2), ns)
+        _emit(_dumps(data), ns)
         return 0
     lines = [f"a = {st.a}", f"b = {st.b}", f"threshold = {st.threshold}", ""]
     rows = [["N", "eff.dim(P_N)"]] + [[str(N), str(v)] for N, v in table]
@@ -204,7 +228,7 @@ def cmd_formula(ns: argparse.Namespace) -> int:
     value = line_quiver_effdim(segments, ns.truncate)
     if ns.json:
         data = {"segments": segments, "N": ns.truncate, "effdim": value}
-        _emit(json.dumps(data, indent=2), ns)
+        _emit(_dumps(data), ns)
     else:
         _emit(f"eff.dim(P_{ns.truncate}) = {value}", ns)
     return 0

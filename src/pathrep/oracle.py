@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .paths import Path, path_str, walk
+from .paths import Path, path_counts, path_str, walk
 from .polyring import PolyMatrix, identity
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
@@ -56,6 +56,27 @@ class VerifyReport:
 # Fingerprints live modulo the Mersenne prime 2^61 - 1.
 _P = (1 << 61) - 1
 
+# The most elements one verification may check (see the README's scale limits).
+VERIFY_BUDGET = 2_000_000
+
+
+def _check_budget(q: Quiver, max_len: int, flag: str | None = None):
+    """Refuse, before walking, a check of more than ``VERIFY_BUDGET``
+    elements: the zero element and every path of length at most max_len.
+    The paths are counted, not built, and the count stops at the level
+    that passes the budget; ``flag`` names the length bound a caller can
+    lower."""
+    total = 1  # the zero element
+    for length, count in enumerate(path_counts(q, max_len)):
+        total += count
+        if total > VERIFY_BUDGET:
+            alone = f" by length {length} alone" if length < max_len else ""
+            message = (f"verifying paths up to length {max_len} checks {total:,} elements"
+                       f"{alone}, above the budget of {VERIFY_BUDGET:,}")
+            if flag and length > 1:
+                message += f"; the largest {flag} that fits is {length - 1}"
+            raise ValueError(message)
+
 
 def _check_match(rep, q: Quiver):
     if tuple(rep.dims) != q.vertices or tuple(rep.matrices) != q.arrow_names():
@@ -93,6 +114,7 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
+    _check_budget(q, N - 1)
     arrow_cols = [
         tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
         for m in rep.matrices.values()
@@ -186,6 +208,7 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
         max_len = 2 * q.n + 2
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    _check_budget(q, max_len, "--max-len")
     arrow_mats = list(rep.matrices.values())
     arrow_fps = [m.evaluate(_point, _P) for m in arrow_mats]
     images: dict[Path, PolyMatrix] = {}  # exact images, computed only on demand

@@ -108,6 +108,22 @@ def walk(q: Quiver, max_len: int, start, step):
         yield length, level
 
 
+def path_counts(q: Quiver, max_len: int):
+    """Yield the number of paths of each length 0..max_len, and stop where
+    ``walk`` stops, at the first length with none.  A path of length k + 1
+    ending at a vertex is a path of length k ending at the tail of an
+    arrow into it, so each length costs O(E) integer sums and no path is
+    built."""
+    ending = [1] * q.n  # paths of the current length, by head vertex
+    for _ in range(max_len + 1):
+        if not any(ending):
+            return
+        yield sum(ending)
+        previous, ending = ending, [0] * q.n
+        for a in q.arrows:
+            ending[a.head] += previous[a.tail]
+
+
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All nonzero paths of length at most ``max_len``, each exactly once.
 

@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 # Extended length value: a non-negative int, or INF.  math.inf already
 # saturates under addition/subtraction of finite values and compares
@@ -14,8 +15,9 @@ from types import MappingProxyType
 INF = math.inf
 ExtLen = int | float
 
-_VERTEX_RE = re.compile(r"vertex\s+([A-Za-z0-9_]+)\Z")
-_ARROW_RE = re.compile(r"arrow\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)\Z")
+_LINE_RE = re.compile(
+    r"vertex\s+([A-Za-z0-9_]+)|arrow\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)"
+)
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -31,8 +33,7 @@ class QuiverError(ValueError):
         self.decl = decl
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """An arrow; tail and head are vertex indices into the owning quiver."""
 
     name: str
@@ -52,38 +53,42 @@ class Quiver:
     """
 
     def __init__(self, vertices, arrows=()):
+        is_id = _ID_RE.match
         vindex: dict[str, int] = {}
         for v in vertices:
-            decl = ("vertex", len(vindex))
-            if not isinstance(v, str) or not _ID_RE.match(v):
-                raise QuiverError(f"bad vertex id {v!r}", decl)
+            if not isinstance(v, str) or not is_id(v):
+                raise QuiverError(f"bad vertex id {v!r}", ("vertex", len(vindex)))
             if v in vindex:
-                raise QuiverError(f"duplicate vertex id {v!r}", decl)
+                raise QuiverError(f"duplicate vertex id {v!r}", ("vertex", len(vindex)))
             vindex[v] = len(vindex)
         built: list[Arrow] = []
         aindex: dict[str, int] = {}
-        for name, tail, head in arrows:
-            decl = ("arrow", len(built))
-            if not isinstance(name, str) or not _ID_RE.match(name):
-                raise QuiverError(f"bad arrow id {name!r}", decl)
+        out_: list[list[int]] = [[] for _ in vindex]
+        in_: list[list[int]] = [[] for _ in vindex]
+        for i, entry in enumerate(arrows):
+            try:
+                name, tail, head = entry
+            except (TypeError, ValueError):
+                raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
+            if not isinstance(name, str) or not is_id(name):
+                raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
             if name in aindex:
-                raise QuiverError(f"duplicate arrow id {name!r}", decl)
-            for v in (tail, head):
-                if v not in vindex:
-                    raise QuiverError(f"arrow {name!r} uses undeclared vertex {v!r}", decl)
-            aindex[name] = len(built)
-            built.append(Arrow(name, vindex[tail], vindex[head]))
+                raise QuiverError(f"duplicate arrow id {name!r}", ("arrow", i))
+            t = vindex.get(tail) if isinstance(tail, str) else None
+            h = vindex.get(head) if isinstance(head, str) else None
+            if t is None or h is None:
+                bad = tail if t is None else head
+                raise QuiverError(f"arrow {name!r} uses undeclared vertex {bad!r}", ("arrow", i))
+            aindex[name] = i
+            built.append(Arrow(name, t, h))
+            out_[t].append(i)
+            in_[h].append(i)
         if not vindex:  # after the arrows, so a stray arrow names its line
             raise QuiverError("no vertices declared")
         self.vertices: tuple[str, ...] = tuple(vindex)
         self.vertex_index: dict[str, int] = vindex
         self.arrows: tuple[Arrow, ...] = tuple(built)
         self.arrow_index: dict[str, int] = aindex
-        out_: list[list[int]] = [[] for _ in self.vertices]
-        in_: list[list[int]] = [[] for _ in self.vertices]
-        for i, a in enumerate(self.arrows):
-            out_[a.tail].append(i)
-            in_[a.head].append(i)
         self.out_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_))
         self.in_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_))
         self._sccs: SccPartition | None = None
@@ -146,21 +151,21 @@ def parse_quiver(text: str) -> Quiver:
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     linenos: dict[str, list[int]] = {"vertex": [], "arrow": []}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    match = _LINE_RE.fullmatch
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = (line[: line.index("#")] if "#" in line else line).strip()
         if not line:
             continue
-        m = _VERTEX_RE.match(line)
-        if m:
-            vertices.append(m.group(1))
+        m = match(line)
+        if m is None:
+            raise QuiverError(f"line {lineno}: cannot parse {line!r}")
+        vertex, name, tail, head = m.groups()
+        if vertex:
+            vertices.append(vertex)
             linenos["vertex"].append(lineno)
-            continue
-        m = _ARROW_RE.match(line)
-        if m:
-            arrows.append(m.groups())
+        else:
+            arrows.append((name, tail, head))
             linenos["arrow"].append(lineno)
-            continue
-        raise QuiverError(f"line {lineno}: cannot parse {line!r}")
     try:
         return Quiver(vertices, arrows)
     except QuiverError as exc:

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import subprocess
 import sys
 
@@ -8,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from pathrep.cli import main
-from pathrep.quiver import parse_quiver
+from pathrep.cli import _dumps, main
+from pathrep.dimension import report
+from pathrep.quiver import Quiver, parse_quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
@@ -422,3 +424,57 @@ def test_verify_rep_survives_arbitrary_json(tmp_path, capsys, value, quiver_text
     rep_path.write_text(json.dumps(value))
     assert main(["verify", str(quiver_path), "--rep", str(rep_path)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+# JSON_VALUES widened: non-ASCII and lone-surrogate text, infinities and NaN,
+# big negative integers, tuples, non-string keys and nested empty containers.
+WIDE_JSON = st.recursive(
+    helpers.JSON_VALUES
+    | st.text(st.characters(min_codepoint=0x80, exclude_categories=()), max_size=4)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 1e300, [], {}, (),
+                       [[]], [{}], {"": {}}, {"a": []}])
+    | st.integers(max_value=-(2**64)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats(), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(WIDE_JSON)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_the_stdlib(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def _large_quiver(n=2000, seed=5):
+    """A quiver of the benchmark's large-analysis size: a strongly connected
+    core feeding and fed by long acyclic parts, ids declared shuffled."""
+    rng = random.Random(seed)
+    ids = [f"x{i}" for i in range(n)]
+    core, rest = ids[: n // 4], ids[n // 4 :]
+    pairs = list(zip(core, core[1:] + core[:1]))
+    pairs += [(rng.choice(core), rng.choice(core)) for _ in core]
+    pairs += [(rest[i], rest[min(len(rest) - 1, i + rng.randint(1, 8))])
+              for i in range(len(rest) - 1) for _ in range(2)]
+    pairs += [(rng.choice(core), rng.choice(rest)) for _ in range(20)]
+    pairs += [(rng.choice(rest), rng.choice(core)) for _ in range(20)]
+    rng.shuffle(ids)
+    return Quiver(ids, [(f"e{j}", t, h) for j, (t, h) in enumerate(pairs)])
+
+
+def test_json_writer_matches_the_stdlib_on_command_outputs(qfile, capsys):
+    q = _large_quiver()
+    data = report(q, 3)
+    assert len(data["vertices"]) == 2000
+    assert _dumps(data) == json.dumps(data, indent=2)
+    text = "".join(f"vertex {v}\n" for v in q.vertices) + "".join(
+        f"arrow {a.name}: {q.vertices[a.tail]} -> {q.vertices[a.head]}\n" for a in q.arrows)
+    assert main(["analyze", qfile(text), "--truncate", "3", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+    small = helpers.loop_with_tail()
+    for rep in (build_truncated_rep(small, 3), build_truncated_rep(small, 3, labels="symbolic"),
+                build_path_rep(helpers.triangle_chord()), build_path_rep(small)):
+        data = rep.to_json()
+        assert _dumps(data) == json.dumps(data, indent=2)

@@ -14,6 +14,8 @@ from pathrep.oracle import (
     verify_path_rep,
     verify_truncated,
 )
+from pathrep.paths import path_counts
+from pathrep.cli import main
 from pathrep.polyring import MultiPoly, PolyMatrix, Variable, mat_mul
 from pathrep.quiver import Quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
@@ -289,3 +291,45 @@ def test_desk_scale_agreement_sample():
             grep = build_truncated_rep(q, N)
             assert grep.total_dim == effdim_truncated(q, N)
             assert verify_truncated(grep, q, N).ok
+
+
+def _k4():
+    vs = ["a", "b", "c", "d"]
+    return Quiver(vs, [(t + h, t, h) for t in vs for h in vs])
+
+
+def test_verify_budget_counts_what_the_walk_checks():
+    """Counted before walking, the elements are exactly the ``checked`` of an
+    effective report, for both kinds."""
+    for q in helpers.suite():
+        counted = 1 + sum(path_counts(q, 2 * q.n + 2))
+        assert verify_path_rep(build_path_rep(q), q).checked == counted
+        for N in (1, 2, 3):
+            counted = 1 + sum(path_counts(q, N - 1))
+            assert verify_truncated(build_truncated_rep(q, N), q, N).checked == counted
+
+
+def test_verify_budget_refuses_k4_without_walking(tmp_path, monkeypatch, capsys):
+    """K4 with all 16 arrows has 5,592,404 paths up to length 2n+2 = 10; with
+    the zero element that is above the budget, so ``verify`` exits 2 before
+    any path is built.  Up to length 9 it has 1,398,101 elements, which fit."""
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(oracle, "walk", no_walk)
+    q = _k4()
+    path = tmp_path / "k4.quiver"
+    path.write_text("".join(f"vertex {v}\n" for v in q.vertices) + "".join(
+        f"arrow {a.name}: {q.vertices[a.tail]} -> {q.vertices[a.head]}\n" for a in q.arrows))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "5,592,405 elements" in err and "budget of 2,000,000" in err
+    assert "the largest --max-len that fits is 9" in err
+    assert main(["verify", str(path), "--truncate", "11"]) == 2
+    err = capsys.readouterr().err
+    assert "5,592,405 elements" in err and "--max-len" not in err
+    with pytest.raises(AssertionError, match="walked"):  # length 9 passes the budget
+        verify_path_rep(build_path_rep(q), q, max_len=9)
+    with pytest.raises(ValueError, match="5,592,405 elements by length 10 alone"):
+        verify_path_rep(build_path_rep(q), q, max_len=10**9)
+    assert oracle.VERIFY_BUDGET == 2_000_000

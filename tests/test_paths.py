@@ -11,6 +11,7 @@ from pathrep.paths import (
     first_return_cycles,
     is_commutative_at,
     make_path,
+    path_counts,
     path_str,
     trivial,
     walk,
@@ -265,3 +266,12 @@ def test_compose_associative_and_absorbing():
                 p12 = compose(p1, p2)
                 for p3 in paths:
                     assert compose(p12, p3) == compose(p1, compose(p2, p3))
+
+
+def test_path_counts_match_the_walk():
+    """Per length, the count is the size of the walk's level, and both stop
+    at the first empty level."""
+    for q in helpers.suite()[:60] + [helpers.a_line(4), helpers.two_loops(), helpers.isolated()]:
+        for max_len in range(0, 7):
+            sizes = [len(level) for _, level in walk(q, max_len, lambda v: None, lambda ai, v: None)]
+            assert list(path_counts(q, max_len)) == sizes

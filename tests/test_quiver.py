@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from pathrep.quiver import INF, Quiver, QuiverError, length_profile, parse_quiver, sccs
+from pathrep.quiver import INF, Arrow, Quiver, QuiverError, length_profile, parse_quiver, sccs
 
 
 def test_parse_loop():
@@ -129,6 +129,61 @@ def test_constructor_errors_name_the_declaration_not_a_line():
     with pytest.raises(QuiverError) as exc:
         Quiver([])
     assert str(exc.value) == "no vertices declared" and exc.value.decl is None
+
+
+@pytest.mark.parametrize("vertices, arrows, message, decl", [
+    (["x", "y z", "x"], [], "bad vertex id 'y z'", ("vertex", 1)),
+    (["x", 7, "x"], [], "bad vertex id 7", ("vertex", 1)),
+    (["x", "y", "x", "z z"], [], "duplicate vertex id 'x'", ("vertex", 2)),
+    (["x y"], [("a b", "q", "r")], "bad vertex id 'x y'", ("vertex", 0)),
+    (["x"], [("a", "x", "x"), ("b-c", "x", "x"), ("a", "x", "x")], "bad arrow id 'b-c'", ("arrow", 1)),
+    (["x"], [("a", "x", "x"), ("a", "q", "r")], "duplicate arrow id 'a'", ("arrow", 1)),
+    (["x"], [("a", "x", "x"), ("b", "q", "r")], "arrow 'b' uses undeclared vertex 'q'", ("arrow", 1)),
+    (["x"], [("a", "x", "r"), ("b", "q", "x")], "arrow 'a' uses undeclared vertex 'r'", ("arrow", 0)),
+    ([], [("a", "x", "y")], "arrow 'a' uses undeclared vertex 'x'", ("arrow", 0)),
+])
+def test_constructor_reports_the_first_bad_declaration(vertices, arrows, message, decl):
+    """Vertices are checked before arrows, each list in order, and within an
+    arrow its id before its tail before its head; an empty vertex set is
+    reported only when every arrow passed."""
+    with pytest.raises(QuiverError) as exc:
+        Quiver(vertices, arrows)
+    assert str(exc.value) == message
+    assert exc.value.decl == decl
+
+
+@pytest.mark.parametrize("arrows, message, decl", [
+    ([("a", ["x"], "x")], "arrow 'a' uses undeclared vertex ['x']", ("arrow", 0)),
+    ([("a", "x", {"x": 1})], "arrow 'a' uses undeclared vertex {'x': 1}", ("arrow", 0)),
+    ([("a", "x", "x"), ("b", "x")], "bad arrow declaration ('b', 'x')", ("arrow", 1)),
+    ([("a", "x", "x", "x")], "bad arrow declaration ('a', 'x', 'x', 'x')", ("arrow", 0)),
+    ([5], "bad arrow declaration 5", ("arrow", 0)),
+    ([None], "bad arrow declaration None", ("arrow", 0)),
+    ([("a", 3, "x")], "arrow 'a' uses undeclared vertex 3", ("arrow", 0)),
+    ([(["a"], "x", "x")], "bad arrow id ['a']", ("arrow", 0)),
+])
+def test_constructor_rejects_malformed_arrow_entries(arrows, message, decl):
+    """A malformed arrow entry raises ``QuiverError`` naming the entry or its
+    endpoint, never a bare ``TypeError`` or ``ValueError``."""
+    with pytest.raises(QuiverError) as exc:
+        Quiver(["x"], arrows)
+    assert type(exc.value) is QuiverError
+    assert str(exc.value) == message
+    assert exc.value.decl == decl
+
+
+def test_arrow_is_an_immutable_record():
+    a = Arrow("a", 0, 1)
+    assert (a.name, a.tail, a.head) == ("a", 0, 1)
+    assert Arrow._fields == ("name", "tail", "head")
+    assert repr(a) == "Arrow(name='a', tail=0, head=1)"
+    assert a == Arrow("a", 0, 1) and hash(a) == hash(Arrow("a", 0, 1))
+    assert a != Arrow("a", 1, 0) and a != Arrow("b", 0, 1)
+    assert hash(a) == hash(("a", 0, 1))  # as the frozen dataclass hashed
+    with pytest.raises(AttributeError):
+        a.tail = 2
+    q = Quiver(["x", "y"], [("a", "x", "y")])
+    assert q.arrows == (a,) and hash(q) == hash(Quiver(["x", "y"], [("a", "x", "y")]))
 
 
 def test_constructor_rejects_bad_ids():
