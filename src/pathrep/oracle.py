@@ -15,8 +15,8 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .paths import Path, path_counts, path_str, walk
-from .polyring import PolyMatrix, identity
+from .paths import head_counts, path_str, walk
+from .polyring import PolyMatrix, identity, mat_mul
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
 
@@ -63,12 +63,26 @@ VERIFY_BUDGET = 2_000_000
 def _check_budget(q: Quiver, max_len: int, flag: str | None = None):
     """Refuse, before walking, a check of more than ``VERIFY_BUDGET``
     elements: the zero element and every path of length at most max_len.
-    The paths are counted, not built, and the count stops at the level
-    that passes the budget; ``flag`` names the length bound a caller can
-    lower."""
-    total = 1  # the zero element
-    for length, count in enumerate(path_counts(q, max_len)):
-        total += count
+    The paths are counted by head vertex (``paths.head_counts``), not
+    built, up to the level that passes the budget.  When the counts equal
+    those saved at an earlier level, every later level repeats them with
+    that period, so whole periods are added at once and a huge bound costs
+    no more levels than the counts take to repeat.  Saving the counts at
+    power-of-two levels (Brent's cycle detection) finds a repeat soon after
+    it starts, and keeps one level.  ``flag`` names the length bound a
+    caller can lower."""
+    total, length = 1, 0  # the zero element counts too
+    saved = (None, 0, 0)  # counts at the last power-of-two level, that level, the total before it
+    for ending in head_counts(q):
+        if length > max_len:
+            return
+        if ending == saved[0]:
+            period, gain = length - saved[1], total - saved[2]
+            skip = min((VERIFY_BUDGET - total) // gain, (max_len - length) // period)
+            length, total = length + skip * period, total + skip * gain
+        elif not length & (length - 1):
+            saved = (ending, length, total)
+        total += sum(ending)
         if total > VERIFY_BUDGET:
             alone = f" by length {length} alone" if length < max_len else ""
             message = (f"verifying paths up to length {max_len} checks {total:,} elements"
@@ -76,6 +90,7 @@ def _check_budget(q: Quiver, max_len: int, flag: str | None = None):
             if flag and length > 1:
                 message += f"; the largest {flag} that fits is {length - 1}"
             raise ValueError(message)
+        length += 1
 
 
 def _check_match(rep, q: Quiver):
@@ -141,17 +156,18 @@ def _map_columns(a_cols, m_cols) -> tuple:
     return tuple(out)
 
 
-def _check_truncated(q: Quiver, N: int, start, step) -> VerifyReport:
-    """Check the images that ``paths.walk(q, N, start, step)`` gives: short
-    paths act nonzero and pairwise differently, and every length-N
-    composite acts as zero.  Images with different endpoints act on
-    different blocks, so comparisons group by (source, target); an image
-    is a hashable tuple of rows or columns, and is zero when none of them
-    holds a truthy item.
+def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True) -> VerifyReport:
+    """Check the images that ``paths.walk(q, N, start, step)`` gives: paths
+    shorter than N act nonzero and pairwise differently and, with
+    ``relation``, every length-N composite acts as zero.  The path kind has
+    no relation level, so its walk stops at length N - 1.  Images with
+    different endpoints act on different blocks, so comparisons key on
+    (source, target, image); an image is a hashable tuple of rows or
+    columns, and is zero when none of them holds a truthy item.
     """
     checked = 1  # the zero element
-    seen: dict[tuple[int, int], dict] = {}
-    for length, level in walk(q, N, start, step):
+    seen: dict = {}  # (source, target, image) -> the first path with it
+    for length, level in walk(q, N if relation else N - 1, start, step):
         for p, m in level:
             zero = not any(map(any, m))
             if length == N:
@@ -161,13 +177,11 @@ def _check_truncated(q: Quiver, N: int, start, step) -> VerifyReport:
             checked += 1
             if zero:
                 return VerifyReport(ZERO_ACTION, checked, N - 1, (path_str(q, p),))
-            group = seen.setdefault((p.tail, p.head), {})
-            other = group.get(m)
-            if other is not None:
+            other = seen.setdefault((p.tail, p.head, m), p)
+            if other is not p:
                 return VerifyReport(
                     COLLISION, checked, N - 1, (path_str(q, other), path_str(q, p))
                 )
-            group[m] = p
     return VerifyReport(EFFECTIVE, checked, N - 1)
 
 
@@ -193,13 +207,15 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     every first-return cycle and inter-component transition at this scale)
     must act nonzero and pairwise differently.
 
-    The levels are walked on fingerprints: every polynomial evaluated at
-    the fixed point ``_point`` modulo the prime ``_P``.  Evaluation is a
-    ring homomorphism, so equal images have equal fingerprints and a zero
-    image has a zero fingerprint.  A fingerprint new to its (source,
-    target) block therefore proves the image new, and a nonzero one proves
-    it nonzero.  Only a zero fingerprint or a clash computes exact images,
-    of the paths involved, and those decide the report.
+    One check, ``_check_truncated`` without a relation level, runs in at
+    most two passes.  The first walks fingerprints: every polynomial
+    evaluated at the fixed point ``_point`` modulo the prime ``_P``.
+    Evaluation is a ring homomorphism, so equal images have equal
+    fingerprints and a zero image has a zero fingerprint.  Fingerprints
+    that are all nonzero and pairwise different in their blocks therefore
+    prove the images so too, and that pass's ``effective`` is exact.  Any
+    other outcome reruns the check on the exact images, and their report
+    is returned: a fault costs an exact walk to the end of its level.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -209,51 +225,17 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     _check_budget(q, max_len, "--max-len")
-    arrow_mats = list(rep.matrices.values())
-    arrow_fps = [m.evaluate(_point, _P) for m in arrow_mats]
-    images: dict[Path, PolyMatrix] = {}  # exact images, computed only on demand
-
-    def exact(p: Path) -> PolyMatrix:
-        # one product per arrow beyond the longest prefix already computed
-        pending = []
-        while p not in images and not p.is_trivial:
-            pending.append(p)
-            p = Path(p.tail, q.arrows[p.arrows[-1]].tail, p.arrows[:-1])
-        m = images[p] if p in images else PolyMatrix.identity(rep.dims[q.vertices[p.tail]])
-        for r in reversed(pending):
-            m = images[r] = arrow_mats[r.arrows[-1]] @ m
-        return m
-
-    checked = 1  # the zero element
-    # (source, target, fingerprint) -> the first path with it, replaced on
-    # the first clash by a map from exact image key to path
-    buckets: dict[tuple, Path | dict] = {}
-    levels = walk(
-        q,
-        max_len,
-        lambda v: identity(rep.dims[q.vertices[v]]),
-        lambda ai, f: _mul_mod(arrow_fps[ai], f, _P),
+    start = [identity(rep.dims[x]) for x in q.vertices].__getitem__
+    arrow_fps = [m.evaluate(_point, _P) for m in rep.matrices.values()]
+    report = _check_truncated(
+        q, max_len + 1, start, lambda ai, f: _mul_mod(arrow_fps[ai], f, _P), relation=False
     )
-    for _, level in levels:
-        for p, f in level:
-            checked += 1
-            if not any(map(any, f)) and exact(p).is_zero:
-                return VerifyReport(ZERO_ACTION, checked, max_len, (path_str(q, p),))
-            bucket_key = (p.tail, p.head, f)
-            bucket = buckets.get(bucket_key)
-            if bucket is None:
-                buckets[bucket_key] = p
-                continue
-            if isinstance(bucket, Path):
-                bucket = buckets[bucket_key] = {exact(bucket).key(): bucket}
-            key = exact(p).key()
-            other = bucket.get(key)
-            if other is not None:
-                return VerifyReport(
-                    COLLISION, checked, max_len, (path_str(q, other), path_str(q, p))
-                )
-            bucket[key] = p
-    return VerifyReport(EFFECTIVE, checked, max_len)
+    if report.ok:
+        return report
+    arrow_rows = [m.row_tuples() for m in rep.matrices.values()]
+    return _check_truncated(
+        q, max_len + 1, start, lambda ai, m: mat_mul(arrow_rows[ai], m), relation=False
+    )
 
 
 def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:

@@ -108,20 +108,25 @@ def walk(q: Quiver, max_len: int, start, step):
         yield length, level
 
 
+def head_counts(q: Quiver):
+    """Yield, for lengths 0, 1, 2, ..., the number of paths of that length
+    ending at each vertex, as a tuple, and stop at the first length with
+    none.  A path of length k + 1 ending at a vertex is a path of length k
+    ending at the tail of an arrow into it, so each length costs O(E)
+    integer sums and no path is built."""
+    ending = (1,) * q.n
+    while any(ending):
+        yield ending
+        counts = [0] * q.n
+        for a in q.arrows:
+            counts[a.head] += ending[a.tail]
+        ending = tuple(counts)
+
+
 def path_counts(q: Quiver, max_len: int):
     """Yield the number of paths of each length 0..max_len, and stop where
-    ``walk`` stops, at the first length with none.  A path of length k + 1
-    ending at a vertex is a path of length k ending at the tail of an
-    arrow into it, so each length costs O(E) integer sums and no path is
-    built."""
-    ending = [1] * q.n  # paths of the current length, by head vertex
-    for _ in range(max_len + 1):
-        if not any(ending):
-            return
-        yield sum(ending)
-        previous, ending = ending, [0] * q.n
-        for a in q.arrows:
-            ending[a.head] += previous[a.tail]
+    ``walk`` stops, at the first length with none."""
+    return (sum(ending) for _, ending in zip(range(max_len + 1), head_counts(q)))
 
 
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:

@@ -22,6 +22,10 @@ from .paths import Path
 from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul, variable_table
 from .quiver import Quiver
 
+# The most (arrow, grade) labels one truncated construction may allocate,
+# the verify budget's figure (see the README's scale limits).
+LABEL_LIMIT = 2_000_000
+
 
 def _prime_limit(n: int) -> int:
     """A number above the n-th prime: Rosser's bound p_n < n(ln n + ln ln n)
@@ -330,6 +334,9 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
     """
     if labels not in ("primes", "symbolic"):
         raise ValueError("labels must be 'primes' or 'symbolic'")
+    if len(q.arrows) * N > LABEL_LIMIT:
+        raise ValueError(f"the truncation at N={N} needs a label table of {len(q.arrows) * N:,} "
+                         f"(arrow, grade) labels, above the limit of {LABEL_LIMIT:,}")
     kp = k_profile(q, N)
     symbolic = labels == "symbolic"
     if symbolic:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import pathrep
 from pathrep.cli import _dumps, main
 from pathrep.dimension import report
 from pathrep.quiver import Quiver, parse_quiver
@@ -362,10 +364,14 @@ def test_shipped_sample_quivers(capsys):
 
 
 def test_module_invocation(qfile):
+    # the child imports the package that this run imported, wherever it is
+    src = os.path.dirname(os.path.dirname(pathrep.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pathrep.cli", "analyze", qfile(LOOP), "--truncate", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "eff.dim(P_2) = 2" in proc.stdout
@@ -478,3 +484,16 @@ def test_json_writer_matches_the_stdlib_on_command_outputs(qfile, capsys):
                 build_path_rep(helpers.triangle_chord()), build_path_rep(small)):
         data = rep.to_json()
         assert _dumps(data) == json.dumps(data, indent=2)
+
+
+def test_truncated_label_table_above_the_limit_exits_2(qfile, capsys):
+    """A2 at N = 2,000,001 needs one label more than the limit; both commands
+    refuse before allocating any."""
+    path = qfile(A2)
+    for command in ("construct", "verify"):
+        assert main([command, path, "--truncate", "2000001"]) == 2
+        err = capsys.readouterr().err
+        assert "label table of 2,000,001 (arrow, grade) labels" in err
+        assert "limit of 2,000,000" in err
+    with pytest.raises(ValueError, match="label table of 2,000,004"):
+        build_truncated_rep(helpers.kronecker(), 1_000_002, labels="symbolic")

@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -333,3 +334,71 @@ def test_verify_budget_refuses_k4_without_walking(tmp_path, monkeypatch, capsys)
     with pytest.raises(ValueError, match="5,592,405 elements by length 10 alone"):
         verify_path_rep(build_path_rep(q), q, max_len=10**9)
     assert oracle.VERIFY_BUDGET == 2_000_000
+
+
+def test_verify_budget_skips_repeating_counts():
+    """Per-vertex counts that repeat an earlier level's repeat from there on,
+    so a huge bound over a quiver with one cycle is refused, or passed,
+    without counting level by level."""
+    loop, cycle = helpers.loop(), helpers.three_cycle()
+    with pytest.raises(ValueError) as refused:
+        oracle._check_budget(loop, 10**18, "--max-len")
+    assert str(refused.value) == (
+        "verifying paths up to length 1000000000000000000 checks 2,000,001 elements by "
+        "length 1999999 alone, above the budget of 2,000,000; the largest --max-len that "
+        "fits is 1999998")
+    oracle._check_budget(loop, 1_999_998, "--max-len")
+    with pytest.raises(ValueError) as refused:
+        oracle._check_budget(cycle, 10**7, "--max-len")
+    assert str(refused.value) == (
+        "verifying paths up to length 10000000 checks 2,000,002 elements by length 666666 "
+        "alone, above the budget of 2,000,000; the largest --max-len that fits is 666665")
+
+
+def test_verify_budget_skipping_matches_a_level_by_level_count(monkeypatch):
+    """Under a budget of 500, bounded counts pass the budget within a few
+    hundred levels, so counting every level is a cheap reference for the
+    periods that ``_check_budget`` skips; the cycle with a tail has
+    per-vertex counts of period 2."""
+    monkeypatch.setattr(oracle, "VERIFY_BUDGET", 500)
+    tail_cycle = Quiver(["x", "y", "z"], [("t", "x", "y"), ("b", "y", "z"), ("c", "z", "y")])
+    quivers = helpers.suite() + [helpers.loop(), helpers.three_cycle(), tail_cycle]
+    for q in quivers:
+        for max_len in (0, 1, 2, 7, 100, 165, 498, 499, 500, 10**9):
+            total, passed = 1, None
+            for length, count in enumerate(path_counts(q, max_len)):
+                total += count
+                if total > 500:
+                    passed = length
+                    break
+            if passed is None:
+                oracle._check_budget(q, max_len, "--max-len")
+                continue
+            with pytest.raises(ValueError) as refused:
+                oracle._check_budget(q, max_len, "--max-len")
+            message = str(refused.value)
+            assert f"checks {total:,} elements" in message
+            assert (f"by length {passed} alone" in message) == (passed < max_len)
+            assert (f"fits is {passed - 1}" in message) == (passed > 1)
+
+
+def test_verify_budget_refuses_a_huge_truncation_in_a_rep_file(tmp_path, capsys):
+    q = helpers.loop()
+    data = build_truncated_rep(q, 3).to_json()
+    data["truncation"] = 10**18
+    (tmp_path / "loop.quiver").write_text("vertex x\narrow a: x -> x\n")
+    (tmp_path / "loop.json").write_text(json.dumps(data))
+    argv = ["verify", str(tmp_path / "loop.quiver"), "--rep", str(tmp_path / "loop.json")]
+    assert main(argv) == 2
+    assert "2,000,001 elements by length 1999999 alone" in capsys.readouterr().err
+
+
+def test_verify_path_rep_fingerprint_pass_decides_effective_reps(monkeypatch):
+    """A clean fingerprint pass is exact, so an effective rep never needs the
+    exact pass, whose product is made to fail here."""
+    def no_exact_product(*args):
+        raise AssertionError("exact pass ran")
+
+    monkeypatch.setattr(oracle, "mat_mul", no_exact_product)
+    for q in helpers.suite(200):
+        assert verify_path_rep(build_path_rep(q), q).status == "effective"
