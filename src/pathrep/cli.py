@@ -12,7 +12,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .dimension import effdim_truncated, line_quiver_effdim, report, stabilization
+from .dimension import effdim_table, line_quiver_effdim, report, stabilization
 from .oracle import verify_path_rep, verify_truncated
 from .quiver import Quiver, QuiverError, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
@@ -208,7 +208,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_stabilize(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
     st = stabilization(q)
-    table = [[N, effdim_truncated(q, N)] for N in range(1, q.n + 2)]
+    table = [[N, d] for N, d in enumerate(effdim_table(q, q.n + 1), 1)]
     if ns.json:
         data = {"a": st.a, "b": st.b, "threshold": st.threshold, "table": table}
         _emit(_dumps(data), ns)

@@ -110,6 +110,27 @@ def effdim_truncated(q: Quiver, N: int) -> int:
     return sum(d_value(lm, lp, N) for lm, lp in length_profile(q).values())
 
 
+def effdim_table(q: Quiver, last: int) -> list[int]:
+    """``effdim_truncated(q, N)`` for N = 1..last, in O(n + last) steps.
+
+    At a vertex with a = min(l-, l+) and b = max(l-, l+), ``d_value`` is 1
+    at N = 1, rises by 1 per step up to N = a + 1, stays flat up to b + 1,
+    falls by 1 per step to 1 at N = l- + l+ + 1, and stays 1; one array
+    sums the slope changes of every vertex.
+    """
+    change = [0] * (last + 1)
+    for lm, lp in length_profile(q).values():
+        for at, by in ((1, 1), (min(lm, lp) + 1, -1), (max(lm, lp) + 1, -1), (lm + lp + 1, 1)):
+            if at < last:
+                change[int(at)] += by
+    table, total, slope = [], q.n, 0
+    for N in range(1, last + 1):
+        table.append(total)
+        slope += change[N]
+        total += slope
+    return table
+
+
 @dataclass(frozen=True)
 class Stabilization:
     """Coefficients with effdim_truncated(q, N) == a*N + b for all N >= threshold."""

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .paths import head_counts, path_str, walk
-from .polyring import PolyMatrix, identity, mat_mul
+from .polyring import identity, mat_mul
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
 
@@ -99,11 +99,7 @@ def _check_match(rep, q: Quiver):
     for a in q.arrows:
         m = rep.matrices[a.name]
         rows, cols = rep.dims[q.vertices[a.head]], rep.dims[q.vertices[a.tail]]
-        if isinstance(m, PolyMatrix):
-            fits = (m.rows, m.cols) == (rows, cols)
-        else:
-            fits = len(m) == rows and all(len(row) == cols for row in m)
-        if not fits:
+        if len(m) != rows or any(len(row) != cols for row in m):
             raise ValueError(
                 f"arrow {a.name!r} needs a {rows}x{cols} matrix (head dim x tail dim)"
             )
@@ -232,9 +228,9 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     )
     if report.ok:
         return report
-    arrow_rows = [m.row_tuples() for m in rep.matrices.values()]
+    arrows = list(rep.matrices.values())
     return _check_truncated(
-        q, max_len + 1, start, lambda ai, m: mat_mul(arrow_rows[ai], m), relation=False
+        q, max_len + 1, start, lambda ai, m: mat_mul(arrows[ai], m), relation=False
     )
 
 

@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over Python's exact integers, plus small
-rectangular matrices: ``PolyMatrix`` over that ring, and tuples of rows over
-any ring (``identity``, ``mat_mul``).
+rectangular matrices.  Every matrix is a tuple of rows, over any ring
+(``identity``, ``mat_mul``); ``PolyMatrix`` is that tuple over ``MultiPoly``.
 
 Monomials are stored in a canonical sorted form, so polynomial equality is
 structural and exact; this is what makes symbolic representation images
@@ -264,82 +264,62 @@ def mat_mul(a, b) -> tuple:
     )
 
 
-class PolyMatrix:
-    """A rectangular matrix over MultiPoly, stored densely row-major."""
+class PolyMatrix(tuple):
+    """A rectangular matrix over MultiPoly: the tuple of its rows, each a
+    tuple of entries, in the form ``mat_mul`` takes.  It equals and hashes
+    as its rows, and ``+`` and ``*`` join and repeat rows, as for tuples."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(
-            e if isinstance(e, MultiPoly) else MultiPoly.const(e) for e in entries
+    def __new__(cls, rows):
+        """The matrix with these rows, ``int`` entries made constants."""
+        rows = tuple(
+            tuple(e if isinstance(e, MultiPoly) else MultiPoly.const(e) for e in row)
+            for row in rows
         )
-        if rows < 1 or cols < 1 or len(entries) != rows * cols:
-            raise ValueError(f"need {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [e for r in rows for e in r])
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("a matrix needs one or more rows of one nonzero length")
+        return super().__new__(cls, rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, [MultiPoly.zero()] * (rows * cols))
+        return cls([[0] * cols] * rows)
 
     @classmethod
     def identity(cls, size: int) -> "PolyMatrix":
-        return cls.from_rows(identity(size))
+        return cls(identity(size))
+
+    rows = property(len)
+    cols = property(lambda self: len(self[0]))
 
     def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i * self.cols + j]
+        return self[i][j]
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        product = mat_mul(self.row_tuples(), other.row_tuples())
-        return PolyMatrix(self.rows, other.cols, [e for row in product for e in row])
-
-    def row_tuples(self) -> tuple:
-        """The entries as a tuple of rows, the form ``mat_mul`` takes."""
-        c = self.cols
-        return tuple(self.entries[i * c:(i + 1) * c] for i in range(self.rows))
+        return PolyMatrix(mat_mul(self, other))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not any(map(any, self))
 
     def evaluate(self, point, modulus: int) -> tuple:
         """Every entry evaluated (see ``MultiPoly.evaluate``), as a tuple of
         rows of integers in ``range(modulus)``."""
-        return tuple(tuple(e.evaluate(point, modulus) for e in row) for row in self.row_tuples())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return tuple(tuple(e.evaluate(point, modulus) for e in row) for row in self)
 
     def key(self) -> tuple:
-        return (self.rows, self.cols, tuple(e.key() for e in self.entries))
-
-    def __hash__(self):
-        return hash(self.key())
+        return tuple(tuple(e.key() for e in row) for row in self)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
     def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.row_tuples()]
+        return [[e.to_json() for e in row] for row in self]
 
     @classmethod
     def from_json(cls, data) -> "PolyMatrix":
-        if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
-            raise ValueError("a matrix is a nonempty list of rows")
-        return cls.from_rows([[MultiPoly.from_json(e) for e in row] for row in data])
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ValueError("a matrix is a list of rows")
+        return cls([[MultiPoly.from_json(e) for e in row] for row in data])

@@ -316,30 +316,16 @@ def length_profile(q: Quiver) -> MappingProxyType:
 def _compute_length_profile(q: Quiver) -> MappingProxyType:
     part = sccs(q)
     comp_of = [part.component_of[v] for v in q.vertices]
-    k = len(part.components)
-    cyclic = [c.has_cycle for c in part.components]
-    out_comp: list[list[int]] = [[] for _ in range(k)]
-    in_comp: list[list[int]] = [[] for _ in range(k)]
-    for a, b in part.condensation:
-        out_comp[a].append(b)
-        in_comp[b].append(a)
-    # Component order: successors carry smaller indices, so one ascending
-    # and one descending sweep settle both reachability closures.
-    reaches_cycle = list(cyclic)
-    for c in range(k):
-        if not reaches_cycle[c]:
-            reaches_cycle[c] = any(reaches_cycle[b] for b in out_comp[c])
-    from_cycle = list(cyclic)
-    for c in range(k - 1, -1, -1):
-        if not from_cycle[c]:
-            from_cycle[c] = any(from_cycle[a] for a in in_comp[c])
-
+    cyclic = [part.components[c].has_cycle for c in comp_of]
+    # Component order: an arrow out of an acyclic vertex leads to a smaller
+    # index, so one sweep each way settles both sides, and 1 + INF carries
+    # INF from every cyclic vertex along the arrows.
     n = q.n
     l_plus: list[ExtLen] = [0] * n
     l_minus: list[ExtLen] = [0] * n
     order = sorted(range(n), key=lambda v: comp_of[v])
     for v in order:  # successors first
-        if reaches_cycle[comp_of[v]]:
+        if cyclic[v]:
             l_plus[v] = INF
             continue
         best = 0
@@ -347,7 +333,7 @@ def _compute_length_profile(q: Quiver) -> MappingProxyType:
             best = max(best, 1 + l_plus[q.arrows[ai].head])
         l_plus[v] = best
     for v in reversed(order):  # predecessors first
-        if from_cycle[comp_of[v]]:
+        if cyclic[v]:
             l_minus[v] = INF
             continue
         best = 0

@@ -190,7 +190,7 @@ def build_path_rep(q: Quiver) -> SymbolicRep:
             rows = [[tau], [zeta]]
         else:
             rows = [[tau]]
-        matrices[a.name] = PolyMatrix.from_rows(rows)
+        matrices[a.name] = PolyMatrix(rows)
     variables = tuple(sorted(table.values(), key=lambda v: v.index))
     return SymbolicRep(dims, matrices, variables)
 
@@ -238,10 +238,6 @@ class GradedRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def identity(self, vertex: str) -> tuple:
-        """The identity block at ``vertex``."""
-        return identity(self.dims[vertex])
 
     def _entry_json(self, e):
         return e.to_json() if isinstance(e, MultiPoly) else int(e)
@@ -298,12 +294,9 @@ class GradedRep:
                     f"for {x!r}"
                 )
             grades[str(x)] = None if g is None else tuple(g)
-        if symbolic:
-            matrices = _arrow_matrices(
-                data, lambda rows: tuple(tuple(map(MultiPoly.from_json, row)) for row in rows)
-            )
-        else:
-            matrices = _arrow_matrices(data, lambda rows: tuple(map(_int_row, rows)))
+        matrices = _arrow_matrices(
+            data, PolyMatrix.from_json if symbolic else lambda rows: tuple(map(_int_row, rows))
+        )
         table_key = "label_table" if symbolic else "prime_table"
         table = _field(data, table_key, list)
         try:
@@ -400,11 +393,7 @@ class RepImage:
 
     @property
     def is_zero(self) -> bool:
-        if self.matrix is None:
-            return True
-        if isinstance(self.matrix, PolyMatrix):
-            return self.matrix.is_zero
-        return not any(map(any, self.matrix))
+        return self.matrix is None or not any(map(any, self.matrix))
 
 
 def rep_of_path(rep, p: Path) -> RepImage:
@@ -421,15 +410,10 @@ def rep_of_path(rep, p: Path) -> RepImage:
     arrow_ids = tuple(rep.matrices)
     src = vertex_ids[p.tail]
     tgt = vertex_ids[p.head]
-    if isinstance(rep, SymbolicRep):
-        m = PolyMatrix.identity(rep.dims[src])
-        for ai in p.arrows:
-            m = rep.matrices[arrow_ids[ai]] @ m
-    else:
-        m = rep.identity(src)
-        for ai in p.arrows:
-            m = mat_mul(rep.matrices[arrow_ids[ai]], m)
-    return RepImage(src, tgt, m)
+    m = identity(rep.dims[src])
+    for ai in p.arrows:
+        m = mat_mul(rep.matrices[arrow_ids[ai]], m)
+    return RepImage(src, tgt, PolyMatrix(m) if isinstance(rep, SymbolicRep) else m)
 
 
 def loop_matrices(letters) -> dict[str, PolyMatrix]:
@@ -441,7 +425,7 @@ def loop_matrices(letters) -> dict[str, PolyMatrix]:
         tau, eta, zeta = (
             MultiPoly.variable(table[(letter, kind)].index) for kind in KINDS
         )
-        out[letter] = PolyMatrix.from_rows([[tau, eta], [MultiPoly.zero(), zeta]])
+        out[letter] = PolyMatrix([[tau, eta], [MultiPoly.zero(), zeta]])
     return out
 
 

@@ -189,6 +189,19 @@ def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
     assert "arrow 'a' needs a 1x1 matrix" in capsys.readouterr().err
 
 
+def test_verify_rep_ragged_symbolic_truncated_matrix(qfile, tmp_path, capsys):
+    quiver_path = qfile(A2)
+    rep_path = tmp_path / "rep.json"
+    args = ["construct", quiver_path, "--truncate", "2", "--labels", "symbolic",
+            "--out", str(rep_path)]
+    assert main(args) == 0
+    data = json.loads(rep_path.read_text())
+    data["arrows"][0]["matrix"] = [[[]], [[], []]]
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert "arrows[0] field 'matrix' is malformed" in capsys.readouterr().err
+
+
 def test_verify_rep_missing_field(qfile, tmp_path, capsys):
     quiver_path = qfile(A2)
     rep_path = tmp_path / "rep.json"

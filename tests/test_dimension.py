@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from pathrep.dimension import (
     classify_path,
     d_value,
     effdim_path,
+    effdim_table,
     effdim_truncated,
     k_profile,
     line_quiver_effdim,
@@ -156,6 +158,19 @@ def test_stabilization_exact_from_threshold():
     a3 = helpers.a_line(3)
     st = stabilization(a3)
     assert effdim_truncated(a3, 2) == 4 != st.a * 2 + st.b
+
+
+def test_effdim_table_matches_direct_sums():
+    rng = random.Random(11)
+    dags = []
+    for n in (1, 2, 5, 30, 120, 300):
+        vs = [f"v{i}" for i in range(n)]
+        pairs = [sorted(rng.sample(range(n), 2)) for _ in range(2 * n)] if n > 1 else []
+        dags.append(Quiver(vs, [(f"a{i}", vs[t], vs[h]) for i, (t, h) in enumerate(pairs)]))
+    for q in [*helpers.suite(200), *dags]:
+        direct = [effdim_truncated(q, N) for N in range(1, q.n + 4)]
+        for last in (1, 2, q.n, q.n + 1, q.n + 3):
+            assert effdim_table(q, last) == direct[:last]
 
 
 def test_line_orientations_match_closed_form():

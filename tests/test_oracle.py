@@ -17,7 +17,7 @@ from pathrep.oracle import (
 )
 from pathrep.paths import path_counts
 from pathrep.cli import main
-from pathrep.polyring import MultiPoly, PolyMatrix, Variable, mat_mul
+from pathrep.polyring import MultiPoly, PolyMatrix, Variable, identity, mat_mul
 from pathrep.quiver import Quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -83,7 +83,7 @@ def _dense_verify_truncated(rep, q, N):
     ``mat_mul`` over tuples of rows."""
     mats = list(rep.matrices.values())
     return oracle._check_truncated(
-        q, N, lambda v: rep.identity(q.vertices[v]), lambda ai, m: mat_mul(mats[ai], m)
+        q, N, lambda v: identity(rep.dims[q.vertices[v]]), lambda ai, m: mat_mul(mats[ai], m)
     )
 
 
@@ -194,7 +194,7 @@ def _unfaithful_variants(rep, victim):
             yield replace(rep, matrices={**mats, b: mats[a]})
             break
     yield replace(rep, matrices={
-        name: PolyMatrix(m.rows, m.cols, [int(not e.is_zero) for e in m.entries])
+        name: PolyMatrix([[int(not e.is_zero) for e in row] for row in m])
         for name, m in mats.items()
     })
 
@@ -232,7 +232,7 @@ def test_verify_path_rep_huge_variable_indices():
     big = replace(
         rep,
         matrices={
-            name: PolyMatrix(m.rows, m.cols, [shifted(e) for e in m.entries])
+            name: PolyMatrix([[shifted(e) for e in row] for row in m])
             for name, m in rep.matrices.items()
         },
         variables=tuple(Variable(v.arrow, v.kind, v.index + shift) for v in rep.variables),

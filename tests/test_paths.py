@@ -16,7 +16,7 @@ from pathrep.paths import (
     trivial,
     walk,
 )
-from pathrep.polyring import mat_mul
+from pathrep.polyring import identity, mat_mul
 from pathrep.quiver import Quiver, sccs
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
@@ -115,7 +115,7 @@ def test_walk_with_products_gives_rep_of_path_images():
             for p, m in _walked_images(
                 q,
                 4,
-                lambda v: graded.identity(q.vertices[v]),
+                lambda v: identity(graded.dims[q.vertices[v]]),
                 lambda ai, m: mat_mul(mats[ai], m),
             ):
                 assert m == rep_of_path(graded, p).matrix

@@ -75,19 +75,37 @@ def test_identity_serves_both_rings():
     one, zero = MultiPoly.const(1), MultiPoly.zero()
     assert identity(2) == ((1, 0), (0, 1)) == ((one, zero), (zero, one))
     assert hash(identity(2)) == hash(((one, zero), (zero, one)))
-    assert PolyMatrix.from_rows(identity(2)) == PolyMatrix.identity(2)
+    assert PolyMatrix(identity(2)) == PolyMatrix.identity(2)
     rows = ((TAU_A, ETA_A), (zero, ZETA_A))
     assert mat_mul(identity(2), rows) == rows == mat_mul(rows, identity(2))
 
 
+def test_poly_matrix_is_its_rows():
+    m = PolyMatrix([[TAU_A, 0], [1, ZETA_A]])
+    assert m == ((TAU_A, MultiPoly.zero()), (MultiPoly.const(1), ZETA_A))
+    assert all(isinstance(e, MultiPoly) for row in m for e in row)
+    assert PolyMatrix.identity(2) == identity(2)
+    assert hash(PolyMatrix.identity(2)) == hash(identity(2))
+    assert mat_mul(m, PolyMatrix.identity(2)) == m == mat_mul(identity(2), m)
+    assert mat_mul(m, m) == m @ m
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[TAU_A], []], [[TAU_A, ETA_A], [ZETA_A]]])
+def test_poly_matrix_rejects_empty_and_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        PolyMatrix(rows)
+    with pytest.raises(ValueError):
+        PolyMatrix.from_json([[e.to_json() for e in row] for row in rows])
+
+
 def test_matmul_identity():
-    m = PolyMatrix.from_rows([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
+    m = PolyMatrix([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
     assert PolyMatrix.identity(2) @ m == m
     assert m @ PolyMatrix.identity(2) == m
 
 
 def test_matmul_square_of_triangular():
-    m = PolyMatrix.from_rows([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
+    m = PolyMatrix([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
     sq = m @ m
     assert sq.entry(0, 0) == TAU_A * TAU_A
     assert sq.entry(0, 1) == TAU_A * ETA_A + ETA_A * ZETA_A
@@ -96,15 +114,15 @@ def test_matmul_square_of_triangular():
 
 
 def test_matmul_shape_law():
-    row = PolyMatrix.from_rows([[TAU_A, ZETA_A]])
-    col = PolyMatrix.from_rows([[TAU_B], [ZETA_B]])
+    row = PolyMatrix([[TAU_A, ZETA_A]])
+    col = PolyMatrix([[TAU_B], [ZETA_B]])
     prod = row @ col
     assert (prod.rows, prod.cols) == (1, 1)
     assert prod.entry(0, 0) == TAU_A * TAU_B + ZETA_A * ZETA_B
 
 
 def test_matmul_dimension_mismatch():
-    row = PolyMatrix.from_rows([[TAU_A, ZETA_A]])
+    row = PolyMatrix([[TAU_A, ZETA_A]])
     with pytest.raises(ValueError):
         row @ row
 
@@ -133,7 +151,7 @@ def test_poly_json_roundtrip():
 
 
 def test_matrix_json_roundtrip():
-    m = PolyMatrix.from_rows([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
+    m = PolyMatrix([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
     assert PolyMatrix.from_json(m.to_json()) == m
 
 
@@ -202,8 +220,8 @@ def test_evaluate_is_a_ring_homomorphism(p, q, seed):
 
 
 def test_matrix_evaluate_commutes_with_products():
-    a = PolyMatrix.from_rows([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
-    b = PolyMatrix.from_rows([[TAU_B], [ZETA_B]])
+    a = PolyMatrix([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
+    b = PolyMatrix([[TAU_B], [ZETA_B]])
 
     def point(v):
         return 10**9 + v

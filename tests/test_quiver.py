@@ -276,20 +276,40 @@ def test_scc_json():
     )
 
 
+def _assert_profile_matches_enumeration(q):
+    bound = 2 * q.n
+    ins, outs = helpers.in_out_length_sets(q, bound)
+    for x, (lm, lp) in length_profile(q).items():
+        xi = q.vertex_index[x]
+        if lm == INF:
+            assert set(range(bound + 1)) <= ins[xi]
+        else:
+            assert lm == max(ins[xi])
+        if lp == INF:
+            assert set(range(bound + 1)) <= outs[xi]
+        else:
+            assert lp == max(outs[xi])
+
+
 def test_length_profile_matches_enumeration():
     for q in helpers.suite(60, max_vertices=6, max_arrows=8):
-        bound = 2 * q.n
-        ins, outs = helpers.in_out_length_sets(q, bound)
-        for x, (lm, lp) in length_profile(q).items():
-            xi = q.vertex_index[x]
-            if lm == INF:
-                assert set(range(bound + 1)) <= ins[xi]
-            else:
-                assert lm == max(ins[xi])
-            if lp == INF:
-                assert set(range(bound + 1)) <= outs[xi]
-            else:
-                assert lp == max(outs[xi])
+        _assert_profile_matches_enumeration(q)
+
+
+def test_length_profile_carries_inf_along_acyclic_chains():
+    # chains of two and three acyclic vertices lead into and out of a
+    # two-cycle, declared out of order, beside a chain that meets no cycle
+    q = Quiver(
+        ["s2", "p1", "c1", "s1", "r1", "p2", "c2", "r2", "s3"],
+        [("a", "p1", "p2"), ("b", "p2", "c1"), ("c", "c1", "c2"), ("d", "c2", "c1"),
+         ("e", "c2", "s1"), ("f", "s1", "s2"), ("g", "s2", "s3"), ("h", "r1", "r2"),
+         ("i", "p1", "r2")],
+    )
+    assert length_profile(q) == {
+        "s2": (INF, 1), "p1": (0, INF), "c1": (INF, INF), "s1": (INF, 2), "r1": (0, 1),
+        "p2": (1, INF), "c2": (INF, INF), "r2": (1, 0), "s3": (INF, 0),
+    }
+    _assert_profile_matches_enumeration(q)
 
 
 def test_suffix_realizability():
