@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .paths import head_counts, path_str, walk
+from .paths import Path, head_counts, path_str, walk
 from .polyring import identity, mat_mul
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
@@ -159,26 +159,30 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True) -> V
     no relation level, so its walk stops at length N - 1.  Images with
     different endpoints act on different blocks, so comparisons key on
     (source, target, image); an image is a hashable tuple of rows or
-    columns, and is zero when none of them holds a truthy item.
+    columns, and is zero when none of them holds a truthy item.  The walk
+    takes no step past the first fault.
     """
     checked = 1  # the zero element
     seen: dict = {}  # (source, target, image) -> the first path with it
     for length, level in walk(q, N if relation else N - 1, start, step):
-        for p, m in level:
+        for path in level:
+            tail, head, arrows, m = path
             zero = not any(map(any, m))
             if length == N:
                 if not zero:
-                    return VerifyReport(RELATION_VIOLATION, checked, N - 1, (path_str(q, p),))
+                    return VerifyReport(RELATION_VIOLATION, checked, N - 1, _witness(q, path))
                 continue
             checked += 1
             if zero:
-                return VerifyReport(ZERO_ACTION, checked, N - 1, (path_str(q, p),))
-            other = seen.setdefault((p.tail, p.head, m), p)
-            if other is not p:
-                return VerifyReport(
-                    COLLISION, checked, N - 1, (path_str(q, other), path_str(q, p))
-                )
+                return VerifyReport(ZERO_ACTION, checked, N - 1, _witness(q, path))
+            other = seen.setdefault((tail, head, m), path)
+            if other is not path:
+                return VerifyReport(COLLISION, checked, N - 1, _witness(q, other, path))
     return VerifyReport(EFFECTIVE, checked, N - 1)
+
+
+def _witness(q: Quiver, *paths) -> tuple[str, ...]:
+    return tuple(path_str(q, Path(*p[:3])) for p in paths)
 
 
 def _point(index: int) -> int:
@@ -204,14 +208,14 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     must act nonzero and pairwise differently.
 
     One check, ``_check_truncated`` without a relation level, runs in at
-    most two passes.  The first walks fingerprints: every polynomial
-    evaluated at the fixed point ``_point`` modulo the prime ``_P``.
-    Evaluation is a ring homomorphism, so equal images have equal
-    fingerprints and a zero image has a zero fingerprint.  Fingerprints
-    that are all nonzero and pairwise different in their blocks therefore
-    prove the images so too, and that pass's ``effective`` is exact.  Any
-    other outcome reruns the check on the exact images, and their report
-    is returned: a fault costs an exact walk to the end of its level.
+    most two passes.  The first walks probes: each vertex starts from a
+    fixed column v of nonzero powers of a value no variable takes, and a
+    path with image M carries ``F(M) v``, F evaluating at ``_point`` modulo
+    the prime ``_P``.  That is a homomorphism, so equal images have equal
+    probes and a zero image has a zero probe.  Probes all nonzero and
+    pairwise different in their blocks prove the images so too, and that
+    pass's ``effective`` is exact.  Any other outcome reruns the check on
+    the exact images, and their report is returned.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -221,17 +225,17 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     _check_budget(q, max_len, "--max-len")
-    start = [identity(rep.dims[x]) for x in q.vertices].__getitem__
+    r = _point(len(rep.variables))
+    probes = [(tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)),) for x in q.vertices]
     arrow_fps = [m.evaluate(_point, _P) for m in rep.matrices.values()]
-    report = _check_truncated(
-        q, max_len + 1, start, lambda ai, f: _mul_mod(arrow_fps[ai], f, _P), relation=False
-    )
+    report = _check_truncated(q, max_len + 1, probes.__getitem__,
+                              lambda ai, f: _mul_mod(arrow_fps[ai], f, _P), relation=False)
     if report.ok:
         return report
+    start = [identity(rep.dims[x]) for x in q.vertices].__getitem__
     arrows = list(rep.matrices.values())
-    return _check_truncated(
-        q, max_len + 1, start, lambda ai, m: mat_mul(arrows[ai], m), relation=False
-    )
+    return _check_truncated(q, max_len + 1, start, lambda ai, m: mat_mul(arrows[ai], m),
+                            relation=False)
 
 
 def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
@@ -306,9 +310,7 @@ def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
     choices = [range(2 ** (r * c)) for r, c in shapes]
     start = [identity(d) for d in dims].__getitem__
     for assignment in itertools.product(*choices):
-        mats = [
-            _bits_to_matrix(bits, r, c) for bits, (r, c) in zip(assignment, shapes)
-        ]
+        mats = [_bits_to_matrix(bits, r, c) for bits, (r, c) in zip(assignment, shapes)]
         if _check_truncated(q, N, start, lambda ai, m: _mul_mod(mats[ai], m, 2)).ok:
             return True
     return False

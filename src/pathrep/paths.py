@@ -86,26 +86,32 @@ def compose(p: Path, q: Path) -> Path:
 
 
 def walk(q: Quiver, max_len: int, start, step):
-    """Yield ``(length, [(path, value), ...])`` for lengths 0..max_len.
+    """Yield ``(length, level)`` for lengths 0..max_len; a level yields
+    ``(tail, head, arrows, value)`` tuples.
 
     Level 0 holds the trivial paths in vertex declaration order, valued
     ``start(vertex_index)``.  Each later level extends every path of the one
     before, in its order, by each arrow out of its head, in ``out_arrows``
     order, and values the extension ``step(arrow_index, prefix_value)``; so
-    every path costs one step.  The walk stops at the first empty level.
-    """
+    every path costs one step, taken as the level is read.  Read each level
+    to its end before the next, or stop.  The walk stops at the first empty
+    level."""
     moves = [[(ai, q.arrows[ai].head) for ai in q.out_arrows[v]] for v in range(q.n)]
-    level = [(Path(v, v), start(v)) for v in range(q.n)]
+
+    def extend(prev, append):
+        for tail, head, arrows, value in prev:
+            for ai, h in moves[head]:
+                path = (tail, h, arrows + (ai,), step(ai, value))
+                append(path)
+                yield path
+
+    level = [(v, v, (), start(v)) for v in range(q.n)]
     yield 0, level
     for length in range(1, max_len + 1):
-        level = [
-            (Path(p.tail, head, p.arrows + (ai,)), step(ai, value))
-            for p, value in level
-            for ai, head in moves[p.head]
-        ]
-        if not level:
+        if not any(moves[head] for _, head, _, _ in level):
             return
-        yield length, level
+        prev, level = level, []
+        yield length, extend(prev, level.append)
 
 
 def head_counts(q: Quiver):
@@ -123,12 +129,6 @@ def head_counts(q: Quiver):
         ending = tuple(counts)
 
 
-def path_counts(q: Quiver, max_len: int):
-    """Yield the number of paths of each length 0..max_len, and stop where
-    ``walk`` stops, at the first length with none."""
-    return (sum(ending) for _, ending in zip(range(max_len + 1), head_counts(q)))
-
-
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All nonzero paths of length at most ``max_len``, each exactly once.
 
@@ -141,7 +141,7 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     for _, level in walk(q, max_len, lambda v: None, lambda ai, value: None):
         # extensions come out grouped by source vertex, which is not lex
         # order at length one; a sort of the nearly-sorted level is cheap
-        out.extend(sorted((p for p, _ in level), key=lambda p: p.arrows))
+        out.extend(Path(t, h, arrows) for t, h, arrows, _ in sorted(level, key=lambda p: p[2]))
     return out
 
 

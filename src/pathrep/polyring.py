@@ -43,11 +43,6 @@ def variable_table(arrow_names) -> dict[tuple[str, str], Variable]:
     return table
 
 
-def variable_names(arrow_names) -> list[str]:
-    """Names in global index order, for rendering polynomials."""
-    return [f"{kind}({arrow})" for arrow in arrow_names for kind in KINDS]
-
-
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     exps = dict(m1)
     for v, e in m2:

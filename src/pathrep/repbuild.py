@@ -22,9 +22,10 @@ from .paths import Path
 from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul, variable_table
 from .quiver import Quiver
 
-# The most (arrow, grade) labels one truncated construction may allocate,
-# the verify budget's figure (see the README's scale limits).
+# The most (arrow, grade) labels and dense matrix entries one truncated
+# construction may allocate (see the README's scale limits).
 LABEL_LIMIT = 2_000_000
+DENSE_LIMIT = 10_000_000
 
 
 def _prime_limit(n: int) -> int:
@@ -122,9 +123,6 @@ class SymbolicRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
 
     def to_json(self) -> dict:
         return {
@@ -331,6 +329,10 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
         raise ValueError(f"the truncation at N={N} needs a label table of {len(q.arrows) * N:,} "
                          f"(arrow, grade) labels, above the limit of {LABEL_LIMIT:,}")
     kp = k_profile(q, N)
+    entries = sum(kp.d[q.vertices[a.head]] * kp.d[q.vertices[a.tail]] for a in q.arrows)
+    if entries > DENSE_LIMIT:
+        raise ValueError(f"the truncation at N={N} needs {entries:,} dense matrix entries, "
+                         f"above the limit of {DENSE_LIMIT:,}")
     symbolic = labels == "symbolic"
     if symbolic:
         label_map, label_names = _symbolic_labels(q, N)

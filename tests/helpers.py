@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pathrep.dimension import classify_path, k_profile
 from pathrep.oracle import verify_filtration
-from pathrep.paths import Path, enumerate_paths, factorize_cycle
+from pathrep.paths import Path, enumerate_paths, factorize_cycle, head_counts
 from pathrep.quiver import Quiver, length_profile
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
@@ -137,6 +137,12 @@ def naive_paths(q, max_len):
     for v in range(q.n):
         rec(v, v, ())
     return out
+
+
+def path_counts(q, max_len):
+    """Yield the number of paths of each length 0..max_len, and stop where
+    ``paths.walk`` stops, at the first length with none."""
+    return (sum(ending) for _, ending in zip(range(max_len + 1), head_counts(q)))
 
 
 def naive_reaches(q, src):

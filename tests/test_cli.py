@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import helpers
 import pathrep
+from pathrep import repbuild
 from pathrep.cli import _dumps, main
-from pathrep.dimension import report
+from pathrep.dimension import k_profile, report
 from pathrep.quiver import Quiver, parse_quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -510,3 +511,34 @@ def test_truncated_label_table_above_the_limit_exits_2(qfile, capsys):
         assert "limit of 2,000,000" in err
     with pytest.raises(ValueError, match="label table of 2,000,004"):
         build_truncated_rep(helpers.kronecker(), 1_000_002, labels="symbolic")
+
+
+def test_truncated_dense_size_above_the_limit_exits_2(capsys):
+    """The one-loop quiver at N = 20,000 passes the label limit but would
+    store a 20,000 x 20,000 matrix; both commands refuse before building it."""
+    import pathlib
+    import time
+
+    loop = str(pathlib.Path(__file__).resolve().parent.parent / "quivers" / "loop.quiver")
+    for command in ("construct", "verify"):
+        began = time.perf_counter()
+        assert main([command, loop, "--truncate", "20000"]) == 2
+        assert time.perf_counter() - began < 1
+        err = capsys.readouterr().err
+        assert "needs 400,000,000 dense matrix entries" in err
+        assert "limit of 10,000,000" in err
+
+
+def test_truncated_dense_size_limit_is_inclusive_and_admits_the_largest_input(monkeypatch):
+    """The guard counts d(head) * d(tail) over the arrows: the loop at N has
+    N * N entries.  The largest build in the tests, the benchmark and the
+    README, the 3,000-vertex directed line at N = 50, is under the limit."""
+    monkeypatch.setattr(repbuild, "DENSE_LIMIT", 16)
+    assert build_truncated_rep(helpers.loop(), 4).dims == {"x": 4}
+    with pytest.raises(ValueError, match="needs 25 dense matrix entries, above the limit of 16"):
+        build_truncated_rep(helpers.loop(), 5)
+    monkeypatch.undo()
+    line = helpers.a_line(3000)
+    kp = k_profile(line, 50)
+    entries = sum(kp.d[line.vertices[a.head]] * kp.d[line.vertices[a.tail]] for a in line.arrows)
+    assert entries == 7_335_800 <= repbuild.DENSE_LIMIT

@@ -15,7 +15,6 @@ from pathrep.oracle import (
     verify_path_rep,
     verify_truncated,
 )
-from pathrep.paths import path_counts
 from pathrep.cli import main
 from pathrep.polyring import MultiPoly, PolyMatrix, Variable, identity, mat_mul
 from pathrep.quiver import Quiver
@@ -183,6 +182,61 @@ def test_verify_path_rep_detects_collision():
     assert result.witness == ("a", "b")
 
 
+@pytest.mark.parametrize("kind", ["path", "primes", "symbolic"])
+def test_identity_loop_collides_with_the_trivial_path(kind):
+    """A loop acting as the identity repeats the image of e(x).  The walk's
+    trivial paths all carry the one empty arrow tuple, so the collision
+    must not be told by which arrow tuple the first path had."""
+    q = helpers.loop()
+    if kind == "path":
+        rep = build_path_rep(q)
+        loop = replace(rep, matrices={"a": PolyMatrix(identity(rep.dims["x"]))})
+        assert verify_path_rep(loop, q) == oracle.VerifyReport("collision", 3, 4, ("e(x)", "a"))
+    else:
+        rep = build_truncated_rep(q, 3, labels=kind)
+        one = PolyMatrix(identity(3)) if kind == "symbolic" else identity(3)
+        loop = replace(rep, matrices={"a": one})
+        assert verify_truncated(loop, q, 3) == oracle.VerifyReport("collision", 3, 2, ("e(x)", "a"))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``oracle.<name>``."""
+    calls = [0]
+    original = getattr(oracle, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_a_fault_stops_the_walk(monkeypatch):
+    """When the first arrow in walk order acts as zero, the check returns
+    there and steps no other path of its level: one step per pass."""
+    q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y")])
+    truncated = build_truncated_rep(q, 2)
+    zero_a = replace(truncated, matrices={**truncated.matrices, "a": ((0,),)})
+    steps = _counting(monkeypatch, "_map_columns")
+    assert verify_truncated(zero_a, q, 2) == oracle.VerifyReport("zero_action", 4, 1, ("a",))
+    assert steps == [1]
+    path = build_path_rep(q)
+    zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
+    probes, exact = _counting(monkeypatch, "_mul_mod"), _counting(monkeypatch, "mat_mul")
+    assert verify_path_rep(zero_a, q) == oracle.VerifyReport("zero_action", 4, 6, ("a",))
+    assert (probes, exact) == ([1], [1])
+
+
+def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
+    """The search abandons an assignment at its first fault: on A3 with
+    total dimension 3 it makes 7 products, fewer than the 9 of a walk that
+    steps each level to its end."""
+    products = _counting(monkeypatch, "_mul_mod")
+    assert exhaustive_lower_bound_f2(helpers.a_line(3), 2, 3) is False
+    assert products == [7]
+
+
 def _unfaithful_variants(rep, victim):
     """One arrow zeroed, two arrows of one shape given the same matrix, and
     every nonzero entry replaced by 1."""
@@ -303,10 +357,10 @@ def test_verify_budget_counts_what_the_walk_checks():
     """Counted before walking, the elements are exactly the ``checked`` of an
     effective report, for both kinds."""
     for q in helpers.suite():
-        counted = 1 + sum(path_counts(q, 2 * q.n + 2))
+        counted = 1 + sum(helpers.path_counts(q, 2 * q.n + 2))
         assert verify_path_rep(build_path_rep(q), q).checked == counted
         for N in (1, 2, 3):
-            counted = 1 + sum(path_counts(q, N - 1))
+            counted = 1 + sum(helpers.path_counts(q, N - 1))
             assert verify_truncated(build_truncated_rep(q, N), q, N).checked == counted
 
 
@@ -366,7 +420,7 @@ def test_verify_budget_skipping_matches_a_level_by_level_count(monkeypatch):
     for q in quivers:
         for max_len in (0, 1, 2, 7, 100, 165, 498, 499, 500, 10**9):
             total, passed = 1, None
-            for length, count in enumerate(path_counts(q, max_len)):
+            for length, count in enumerate(helpers.path_counts(q, max_len)):
                 total += count
                 if total > 500:
                     passed = length

@@ -11,7 +11,6 @@ from pathrep.paths import (
     first_return_cycles,
     is_commutative_at,
     make_path,
-    path_counts,
     path_str,
     trivial,
     walk,
@@ -84,9 +83,18 @@ def test_enumerate_no_duplicates_and_ordered():
         assert keys == sorted(keys)
 
 
+def _walked(q, max_len, start=lambda v: None, step=lambda ai, value: None):
+    """The walk's levels as lists of ``(Path, value)`` pairs, each level read
+    to its end before the next is asked for."""
+    return [
+        (length, [(Path(t, h, arrows), value) for t, h, arrows, value in level])
+        for length, level in walk(q, max_len, start, step)
+    ]
+
+
 def test_walk_levels_match_enumeration_and_stop_when_empty():
     for q in helpers.suite(30):
-        levels = list(walk(q, 4, lambda v: None, lambda ai, value: None))
+        levels = _walked(q, 4)
         assert [length for length, _ in levels] == list(range(len(levels)))
         walked = [p for _, level in levels for p, _ in level]
         assert sorted(walked, key=lambda p: (p.length, p.arrows)) == enumerate_paths(q, 4)
@@ -95,8 +103,42 @@ def test_walk_levels_match_enumeration_and_stop_when_empty():
         )
 
 
+def test_walk_order_extends_each_level_in_order():
+    """Level k + 1 extends the paths of level k in their order, each by the
+    arrows out of its head in ``out_arrows`` order; sorting each level by
+    arrow index gives ``enumerate_paths`` order."""
+    for q in helpers.suite(30) + [helpers.kronecker(), helpers.triangle_chord()]:
+        levels = _walked(q, 4)
+        expected = [Path(v, v) for v in range(q.n)]
+        for length, level in levels:
+            assert [p for p, _ in level] == expected
+            expected = [
+                Path(p.tail, q.arrows[ai].head, p.arrows + (ai,))
+                for p, _ in level
+                for ai in q.out_arrows[p.head]
+            ]
+        in_lex_order = [
+            p for _, level in levels for p in sorted((p for p, _ in level), key=lambda p: p.arrows)
+        ]
+        assert in_lex_order == enumerate_paths(q, 4)
+
+
+def test_walk_steps_only_what_is_read():
+    """A level is built as it is read: breaking off mid-level leaves the
+    rest of the level unstepped."""
+    q = helpers.two_loops()
+    steps = []
+    for length, level in walk(q, 3, lambda v: (), lambda ai, value: steps.append(ai) or value + (ai,)):
+        if length == 2:
+            assert next(iter(level))[2] == (0, 0)
+            break
+        for _ in level:
+            pass
+    assert steps == [0, 1, 0]
+
+
 def _walked_images(q, max_len, start, step):
-    return [(p, m) for _, level in walk(q, max_len, start, step) for p, m in level]
+    return [(p, m) for _, level in _walked(q, max_len, start, step) for p, m in level]
 
 
 def test_walk_with_products_gives_rep_of_path_images():
@@ -273,5 +315,5 @@ def test_path_counts_match_the_walk():
     at the first empty level."""
     for q in helpers.suite()[:60] + [helpers.a_line(4), helpers.two_loops(), helpers.isolated()]:
         for max_len in range(0, 7):
-            sizes = [len(level) for _, level in walk(q, max_len, lambda v: None, lambda ai, v: None)]
-            assert list(path_counts(q, max_len)) == sizes
+            sizes = [len(level) for _, level in _walked(q, max_len)]
+            assert list(helpers.path_counts(q, max_len)) == sizes

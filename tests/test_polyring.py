@@ -9,7 +9,6 @@ from pathrep.polyring import (
     Variable,
     identity,
     mat_mul,
-    variable_names,
     variable_table,
 )
 
@@ -25,7 +24,7 @@ def test_variable_table_indexing():
     assert table[("a", "tau")] == Variable("a", "tau", 0)
     assert table[("a", "zeta")].index == 2
     assert table[("b", "eta")].index == 4
-    assert variable_names(["a", "b"]) == [
+    assert [v.name for v in table.values()] == [
         "tau(a)", "eta(a)", "zeta(a)", "tau(b)", "eta(b)", "zeta(b)",
     ]
 
@@ -136,7 +135,7 @@ def test_homogeneous_degree():
 
 
 def test_render():
-    names = variable_names(["a", "b"])
+    names = [v.name for v in variable_table(["a", "b"]).values()]
     p = MultiPoly({((0, 2), (4, 1)): 3})
     assert p.render(names) == "3*tau(a)^2*eta(b)"
     assert (TAU_A - ETA_A).render(names) == "tau(a) - eta(a)"
