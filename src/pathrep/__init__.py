@@ -1,5 +1,7 @@
 """Exact computation of minimal faithful matrix representations of path
-semigroups and truncated path semigroups of finite quivers."""
+semigroups and truncated path semigroups of finite quivers.
+
+The public surface is the names imported below."""
 
 from .dimension import (
     KProfile,
@@ -30,7 +32,6 @@ from .paths import (
     enumerate_paths,
     factorize_cycle,
     first_return_cycles,
-    is_commutative_at,
     make_path,
     path_str,
     trivial,
@@ -49,7 +50,6 @@ from .quiver import (
 )
 from .repbuild import (
     GradedRep,
-    RepImage,
     SymbolicRep,
     allocate_primes,
     build_path_rep,
@@ -58,57 +58,3 @@ from .repbuild import (
     loop_matrices,
     rep_of_path,
 )
-
-__all__ = [
-    "INF",
-    "Arrow",
-    "CycleBasis",
-    "ExtLen",
-    "GradedRep",
-    "KINDS",
-    "KProfile",
-    "MultiPoly",
-    "Path",
-    "PathClassification",
-    "PolyMatrix",
-    "Quiver",
-    "QuiverError",
-    "RepImage",
-    "SccPartition",
-    "Stabilization",
-    "SymbolicRep",
-    "Variable",
-    "VerifyReport",
-    "ZERO",
-    "allocate_primes",
-    "arrow_path",
-    "build_path_rep",
-    "build_truncated_rep",
-    "classify_path",
-    "compose",
-    "corner_entry",
-    "d_value",
-    "effdim_path",
-    "effdim_truncated",
-    "enumerate_paths",
-    "exhaustive_lower_bound_f2",
-    "factorize_cycle",
-    "first_return_cycles",
-    "is_commutative_at",
-    "k_profile",
-    "length_profile",
-    "line_quiver_effdim",
-    "loop_matrices",
-    "make_path",
-    "parse_quiver",
-    "path_str",
-    "rep_of_path",
-    "report",
-    "sccs",
-    "stabilization",
-    "trivial",
-    "variable_table",
-    "verify_filtration",
-    "verify_path_rep",
-    "verify_truncated",
-]

@@ -52,28 +52,13 @@ class KProfile:
 
     ``window[x]`` is the inclusive interval [lo, hi] of grades k such that
     some path of length k ends at x and some path of length N - 1 - k
-    starts at x, or None when no such grade exists.  ``graded`` lists the
-    vertices with a nonempty window, ``ungraded`` the rest; ``d`` is the
-    block dimension (window size, or 1 when empty).
+    starts at x, or None when no such grade exists; ``d`` is the block
+    dimension (window size, or 1 when empty).
     """
 
     N: int
     window: dict[str, tuple[int, int] | None]
     d: dict[str, int]
-    graded: tuple[str, ...]
-    ungraded: tuple[str, ...]
-
-    def k_min(self, x: str) -> int:
-        w = self.window[x]
-        if w is None:
-            raise ValueError(f"vertex {x!r} has an empty grade window")
-        return w[0]
-
-    def k_max(self, x: str) -> int:
-        w = self.window[x]
-        if w is None:
-            raise ValueError(f"vertex {x!r} has an empty grade window")
-        return w[1]
 
 
 def k_profile(q: Quiver, N: int) -> KProfile:
@@ -88,8 +73,6 @@ def k_profile(q: Quiver, N: int) -> KProfile:
     prof = length_profile(q)
     window: dict[str, tuple[int, int] | None] = {}
     d: dict[str, int] = {}
-    graded = []
-    ungraded = []
     for x in q.vertices:
         lm, lp = prof[x]
         lo = max(0, N - 1 - lp)
@@ -97,12 +80,10 @@ def k_profile(q: Quiver, N: int) -> KProfile:
         if lo > hi:
             window[x] = None
             d[x] = 1
-            ungraded.append(x)
         else:
             window[x] = (int(lo), int(hi))
             d[x] = int(hi - lo + 1)
-            graded.append(x)
-    return KProfile(N, window, d, tuple(graded), tuple(ungraded))
+    return KProfile(N, window, d)
 
 
 def effdim_truncated(q: Quiver, N: int) -> int:

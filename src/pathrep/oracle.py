@@ -10,13 +10,14 @@ deliberately tiny instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
-from .polyring import identity, mat_mul
+from .polyring import identity
 from .quiver import Quiver, length_profile
 from .repbuild import GradedRep, SymbolicRep
 
@@ -109,16 +110,7 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     """Complete faithfulness check of a truncated representation.
 
     Enumerates every element (all nonzero paths of length < N, the trivial
-    paths, and the zero element); see ``_check_truncated``.
-
-    Each image is carried as its columns, and a column as the sorted tuple
-    of the ``(row, value)`` pairs of its nonzero entries.  A graded arrow
-    has at most one nonzero per column, so a step costs about one product
-    per column instead of a dense matrix product.  The step sums exactly
-    and drops zero sums, whatever the number of nonzeros per column, so
-    the form is canonical: two images are equal, or zero, exactly when
-    their dense matrices are, and the reports are those of the dense
-    comparison.
+    paths, and the zero element) on its exact images; see ``_check_exact``.
     """
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_truncated needs a truncated representation")
@@ -126,6 +118,22 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
     _check_budget(q, N - 1)
+    return _check_exact(rep, q, N)
+
+
+def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
+    """``_check_truncated`` on the exact images of ``rep``, the one exact
+    check of both kinds.
+
+    Each image is carried as its columns, and a column as the sorted tuple
+    of the ``(row, value)`` pairs of its nonzero entries; each vertex
+    starts from its identity block.  A graded arrow has at most one
+    nonzero per column, so a step costs about one product per column
+    instead of a dense matrix product.  The step sums exactly and drops
+    zero sums, whatever the number of nonzero entries in a column, so the
+    form is canonical: two images are equal, or zero, exactly when their
+    dense matrices are, and the reports are those of the dense comparison.
+    """
     arrow_cols = [
         tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
         for m in rep.matrices.values()
@@ -135,6 +143,7 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
         N,
         lambda v: tuple(((j, 1),) for j in range(rep.dims[q.vertices[v]])),
         lambda ai, m: _map_columns(arrow_cols[ai], m),
+        relation,
     )
 
 
@@ -215,7 +224,7 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     probes and a zero image has a zero probe.  Probes all nonzero and
     pairwise different in their blocks prove the images so too, and that
     pass's ``effective`` is exact.  Any other outcome reruns the check on
-    the exact images, and their report is returned.
+    the exact images (``_check_exact``), and their report is returned.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -225,17 +234,15 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     _check_budget(q, max_len, "--max-len")
-    r = _point(len(rep.variables))
+    point = functools.cache(_point)  # one value per variable index
+    r = point(len(rep.variables))
     probes = [(tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)),) for x in q.vertices]
-    arrow_fps = [m.evaluate(_point, _P) for m in rep.matrices.values()]
+    arrow_fps = [m.evaluate(point, _P) for m in rep.matrices.values()]
     report = _check_truncated(q, max_len + 1, probes.__getitem__,
                               lambda ai, f: _mul_mod(arrow_fps[ai], f, _P), relation=False)
     if report.ok:
         return report
-    start = [identity(rep.dims[x]) for x in q.vertices].__getitem__
-    arrows = list(rep.matrices.values())
-    return _check_truncated(q, max_len + 1, start, lambda ai, m: mat_mul(arrows[ai], m),
-                            relation=False)
+    return _check_exact(rep, q, max_len + 1, relation=False)
 
 
 def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:

@@ -208,16 +208,3 @@ def factorize_cycle(q: Quiver, p: Path) -> list[Path]:
             begin = i + 1
     return factors
 
-
-def is_commutative_at(q: Quiver, vertex: str) -> bool:
-    """Whether the monoid of cycles at ``vertex`` is commutative.
-
-    Decided via strongly connected structure: the monoid is noncommutative
-    exactly when the vertex sits in a component that has a cycle but is not
-    a single simple directed cycle (then two distinct first-return cycles
-    exist, and the monoid is free over at least two generators).
-    """
-    part = sccs(q)
-    q.vertex_of(vertex)
-    comp = part.components[part.component_of[vertex]]
-    return not (comp.has_cycle and not comp.is_simple_cycle)

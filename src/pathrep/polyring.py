@@ -106,23 +106,6 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -141,14 +124,6 @@ class MultiPoly:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = MultiPoly.const(1)
-        for _ in range(exp):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -186,22 +161,6 @@ class MultiPoly:
         if len(degrees) != 1:
             return None
         return degrees.pop()
-
-    def render(self, names) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [names[v] if e == 1 else f"{names[v]}^{e}" for v, e in mono]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         if self.is_zero:
@@ -275,10 +234,6 @@ class PolyMatrix(tuple):
         if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("a matrix needs one or more rows of one nonzero length")
         return super().__new__(cls, rows)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls([[0] * cols] * rows)
 
     @classmethod
     def identity(cls, size: int) -> "PolyMatrix":

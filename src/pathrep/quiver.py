@@ -129,15 +129,6 @@ class Quiver:
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "arrows": [
-                {"id": a.name, "tail": self.vertices[a.tail], "head": self.vertices[a.head]}
-                for a in self.arrows
-            ],
-        }
-
 
 def parse_quiver(text: str) -> Quiver:
     """Parse the line-based quiver format.
@@ -194,19 +185,6 @@ class SccPartition:
     component_of: MappingProxyType  # vertex id -> component index
     components: tuple[SccComponent, ...]
     condensation: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "components": [
-                {
-                    "vertices": list(c.vertices),
-                    "has_cycle": c.has_cycle,
-                    "is_simple_cycle": c.is_simple_cycle,
-                }
-                for c in self.components
-            ],
-            "condensation": [list(e) for e in self.condensation],
-        }
 
 
 def sccs(q: Quiver) -> SccPartition:
@@ -344,5 +322,5 @@ def _compute_length_profile(q: Quiver) -> MappingProxyType:
 
 
 def ext_to_json(value: ExtLen):
-    """Render an extended length for JSON: ints stay ints, INF becomes "inf"."""
+    """An extended length as JSON: ints stay ints, INF becomes "inf"."""
     return "inf" if value == INF else int(value)

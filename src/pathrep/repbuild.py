@@ -284,14 +284,19 @@ class GradedRep:
         if N < 1:
             raise ValueError("representation field 'truncation' must be >= 1")
         dims = _vertex_dims(data)
-        grades = {}
-        for x, g in _field(data, "basis_labels", dict).items():
-            if g is not None and not (isinstance(g, list) and {int}.issuperset(map(type, g))):
+        grades = _field(data, "basis_labels", dict)
+        if grades.keys() != dims.keys():
+            raise ValueError(
+                "representation field 'basis_labels' needs the vertices of 'vertex_dims'"
+            )
+        for x, g in grades.items():
+            if not (g is None and dims[x] == 1 or isinstance(g, list) and len(g) == dims[x]
+                    and {int}.issuperset(map(type, g))):
                 raise ValueError(
-                    f"representation field 'basis_labels' needs null or a list of integers "
-                    f"for {x!r}"
+                    f"representation field 'basis_labels' needs for {x!r} a list of one "
+                    f"integer per dimension ({dims[x]}), or null at dimension 1"
                 )
-            grades[str(x)] = None if g is None else tuple(g)
+        grades = {x: None if g is None else tuple(g) for x, g in grades.items()}
         matrices = _arrow_matrices(
             data, PolyMatrix.from_json if symbolic else lambda rows: tuple(map(_int_row, rows))
         )
@@ -381,25 +386,9 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
     return GradedRep(N, dims, grades, matrices, label_map, labels, tuple(label_names))
 
 
-@dataclass(frozen=True)
-class RepImage:
-    """The value of a path: endpoints plus a matrix.
-
-    The zero path maps to a flagged zero without endpoints; any all-zero
-    matrix counts as the single semigroup zero regardless of its shape.
-    """
-
-    source: str | None
-    target: str | None
-    matrix: object | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.matrix is None or not any(map(any, self.matrix))
-
-
-def rep_of_path(rep, p: Path) -> RepImage:
-    """Evaluate a representation on a path.
+def rep_of_path(rep, p: Path):
+    """The image of a path under a representation, a matrix; None for the
+    zero path.
 
     Trivial paths give identity blocks, composites multiply the arrow
     matrices in composition order (last arrow leftmost); in a truncated
@@ -407,15 +396,12 @@ def rep_of_path(rep, p: Path) -> RepImage:
     structure, with no special-casing.
     """
     if p.is_zero:
-        return RepImage(None, None, None)
-    vertex_ids = tuple(rep.dims)
-    arrow_ids = tuple(rep.matrices)
-    src = vertex_ids[p.tail]
-    tgt = vertex_ids[p.head]
-    m = identity(rep.dims[src])
+        return None
+    m = identity(tuple(rep.dims.values())[p.tail])
+    arrows = tuple(rep.matrices.values())
     for ai in p.arrows:
-        m = mat_mul(rep.matrices[arrow_ids[ai]], m)
-    return RepImage(src, tgt, PolyMatrix(m) if isinstance(rep, SymbolicRep) else m)
+        m = mat_mul(arrows[ai], m)
+    return PolyMatrix(m) if isinstance(rep, SymbolicRep) else m
 
 
 def loop_matrices(letters) -> dict[str, PolyMatrix]:

@@ -288,7 +288,7 @@ def check_symbolic_homogeneity(q, bound=5):
     rep = build_path_rep(q)
     doubled = set(classify_path(q).noncommutative)
     for p in enumerate_paths(q, bound):
-        m = rep_of_path(rep, p).matrix
+        m = rep_of_path(rep, p)
         for i in range(m.rows):
             for j in range(m.cols):
                 e = m.entry(i, j)
@@ -313,7 +313,7 @@ def check_grade_structure(q, N):
     for p in enumerate_paths(q, N):
         if p.is_trivial:
             continue
-        m = rep_of_path(rep, p).matrix
+        m = rep_of_path(rep, p)
         src = grades[q.vertices[p.tail]]
         tgt = grades[q.vertices[p.head]]
         for col in range(len(src)):

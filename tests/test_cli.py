@@ -214,6 +214,19 @@ def test_verify_rep_missing_field(qfile, tmp_path, capsys):
     assert "missing field 'basis_labels'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("basis_labels", [{"x": None}, {"x": [], "y": None}])
+def test_verify_rep_basis_labels_must_fit_vertex_dims(qfile, tmp_path, capsys, basis_labels):
+    quiver_path = qfile(A2)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--truncate", "3", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    assert data["basis_labels"] == {"x": None, "y": None}
+    data["basis_labels"] = basis_labels
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert "field 'basis_labels'" in capsys.readouterr().err
+
+
 def test_verify_rep_not_an_object(qfile, tmp_path, capsys):
     rep_path = tmp_path / "rep.json"
     rep_path.write_text("[1, 2]")

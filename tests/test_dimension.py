@@ -45,18 +45,12 @@ def test_k_profile_a3():
     kp = k_profile(helpers.a_line(3), 2)
     assert kp.window == {"v1": (0, 0), "v2": (0, 1), "v3": (1, 1)}
     assert kp.d == {"v1": 1, "v2": 2, "v3": 1}
-    assert kp.graded == ("v1", "v2", "v3")
-    assert kp.ungraded == ()
-    assert kp.k_min("v2") == 0 and kp.k_max("v2") == 1
 
 
 def test_k_profile_isolated():
     kp = k_profile(helpers.isolated(), 3)
     assert kp.window == {"x": None}
     assert kp.d == {"x": 1}
-    assert kp.ungraded == ("x",)
-    with pytest.raises(ValueError):
-        kp.k_min("x")
 
 
 def test_k_profile_loop():
@@ -106,16 +100,6 @@ def test_line_quiver_effdim_validation():
         line_quiver_effdim([3], 0)
     with pytest.raises(ValueError):
         line_quiver_effdim([2, 1], 2)
-
-
-def test_classification_matches_vertexwise_decision():
-    from pathrep.paths import is_commutative_at
-
-    for q in helpers.suite(80):
-        cls = classify_path(q)
-        for x in q.vertices:
-            assert (x in cls.commutative) == is_commutative_at(q, x)
-            assert (x in cls.noncommutative) != (x in cls.commutative)
 
 
 def test_k_windows_match_direct_definition():

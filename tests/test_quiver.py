@@ -251,29 +251,10 @@ def test_analysis_cache_is_not_part_of_the_quiver():
     analysed, fresh = helpers.loop_with_tail(), helpers.loop_with_tail()
     length_profile(analysed)
     assert analysed == fresh and hash(analysed) == hash(fresh)
-    assert repr(analysed) == repr(fresh) and analysed.to_json() == fresh.to_json()
+    assert repr(analysed) == repr(fresh)
     for twin in (copy.deepcopy(analysed), pickle.loads(pickle.dumps(analysed))):
         assert twin == analysed
         assert length_profile(twin) == length_profile(analysed)
-
-
-def test_quiver_json():
-    q = helpers.kronecker()
-    data = q.to_json()
-    assert data["vertices"] == ["x", "y"]
-    assert data["arrows"] == [
-        {"id": "a", "tail": "x", "head": "y"},
-        {"id": "b", "tail": "x", "head": "y"},
-    ]
-
-
-def test_scc_json():
-    data = sccs(helpers.a2()).to_json()
-    assert set(data) == {"components", "condensation"}
-    assert all(
-        set(c) == {"vertices", "has_cycle", "is_simple_cycle"}
-        for c in data["components"]
-    )
 
 
 def _assert_profile_matches_enumeration(q):
