@@ -1,13 +1,16 @@
 """Shared test machinery: standard quivers, a fixed-seed random suite, and
 independent brute-force oracles the implementation is checked against."""
 
+import itertools
 import random
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
 from pathrep.dimension import classify_path, k_profile
 from pathrep.oracle import verify_filtration
 from pathrep.paths import Path, enumerate_paths, factorize_cycle, head_counts
+from pathrep.polyring import PolyMatrix
 from pathrep.quiver import Quiver, length_profile
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
@@ -118,6 +121,26 @@ def segments_of(dirs):
             run = 1
     sizes.append(run + 1)
     return sizes
+
+
+# ------------------------------------------------ unfaithful path reps
+
+def unfaithful_variants(rep, victims):
+    """Yield ``(label, rep)`` for variants of a path rep that are mostly not
+    faithful: each victim arrow zeroed, the first two arrows of one shape
+    given the same matrix, and every nonzero entry replaced by 1."""
+    mats = rep.matrices
+    for victim in victims:
+        m = mats[victim]
+        yield f"zero {victim}", replace(rep, matrices={**mats, victim: PolyMatrix([[0] * m.cols] * m.rows)})
+    for a, b in itertools.combinations(mats, 2):
+        if (mats[a].rows, mats[a].cols) == (mats[b].rows, mats[b].cols):
+            yield f"{b} as {a}", replace(rep, matrices={**mats, b: mats[a]})
+            break
+    yield "ones", replace(rep, matrices={
+        name: PolyMatrix([[int(not e.is_zero) for e in row] for row in m])
+        for name, m in mats.items()
+    })
 
 
 # ------------------------------------------------------- brute-force oracles

@@ -1,4 +1,3 @@
-import itertools
 import json
 from dataclasses import replace
 
@@ -237,22 +236,6 @@ def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
     assert products == [7]
 
 
-def _unfaithful_variants(rep, victim):
-    """One arrow zeroed, two arrows of one shape given the same matrix, and
-    every nonzero entry replaced by 1."""
-    mats = rep.matrices
-    m = mats[victim]
-    yield replace(rep, matrices={**mats, victim: PolyMatrix([[0] * m.cols] * m.rows)})
-    for a, b in itertools.combinations(mats, 2):
-        if (mats[a].rows, mats[a].cols) == (mats[b].rows, mats[b].cols):
-            yield replace(rep, matrices={**mats, b: mats[a]})
-            break
-    yield replace(rep, matrices={
-        name: PolyMatrix([[int(not e.is_zero) for e in row] for row in m])
-        for name, m in mats.items()
-    })
-
-
 def test_verify_path_rep_exact_fallback(monkeypatch):
     # With every variable at 0 each fingerprint is constant, so polynomial
     # images all clash or vanish and the exact images decide every report.
@@ -262,7 +245,7 @@ def test_verify_path_rep_exact_fallback(monkeypatch):
         rep = build_path_rep(q)
         reps = [rep]
         if q.arrows:
-            reps += _unfaithful_variants(rep, q.arrows[i % len(q.arrows)].name)
+            reps += [r for _, r in helpers.unfaithful_variants(rep, [q.arrows[i % len(q.arrows)].name])]
         for r in reps:
             report = verify_path_rep(r, q)
             if report.checked <= 500:

@@ -1,0 +1,46 @@
+"""Golden verifier reports: one JSON line per ``VerifyReport`` for the 200
+suite path reps, their unfaithful variants (each arrow zeroed, the first
+two arrows of one shape given one matrix, every nonzero entry set to 1),
+and the suite's truncated reps at N = 1..4 with both label kinds, compared
+with ``tests/golden/verify_reports.jsonl``.
+
+The file pins what changes to the verifiers must not change.  After a
+deliberate report change, rewrite it with
+``PYTHONPATH=src python tests/test_verify_golden.py`` and review the diff.
+"""
+
+import json
+import pathlib
+
+import helpers
+from pathrep.oracle import verify_path_rep, verify_truncated
+from pathrep.repbuild import build_path_rep, build_truncated_rep
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verify_reports.jsonl"
+
+
+def report_lines():
+    """Yield one JSON line per case, its label first."""
+    suite = helpers.suite()
+    for i, q in enumerate(suite):
+        rep = build_path_rep(q)
+        variants = [("built", rep), *helpers.unfaithful_variants(rep, q.arrow_names())]
+        for label, variant in variants:
+            yield json.dumps({"case": f"path {i} {label}", **verify_path_rep(variant, q).to_json()})
+    for i, q in enumerate(suite):
+        for N in range(1, 5):
+            for labels in ("primes", "symbolic"):
+                report = verify_truncated(build_truncated_rep(q, N, labels=labels), q, N)
+                yield json.dumps({"case": f"truncated {i} N={N} {labels}", **report.to_json()})
+
+
+def test_verify_reports_match_the_golden():
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = list(report_lines())
+    for want, got in zip(expected, actual):
+        assert got == want, f"first differing case:\n  golden: {want}\n  now:    {got}"
+    assert len(actual) == len(expected)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("".join(line + "\n" for line in report_lines()), encoding="utf-8")
