@@ -18,8 +18,15 @@ from .quiver import Quiver, QuiverError, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
 
 
+def _decimal(text: str) -> int:
+    """ASCII digits only: ``int`` also reads signs, spaces, ``_`` and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -222,7 +229,7 @@ def cmd_stabilize(ns: argparse.Namespace) -> int:
 
 def cmd_formula(ns: argparse.Namespace) -> int:
     try:
-        segments = [int(s) for s in ns.segments.split(",")]
+        segments = [_decimal(s) for s in ns.segments.split(",")]
     except ValueError:
         raise QuiverError(f"cannot parse segment list {ns.segments!r}") from None
     value = line_quiver_effdim(segments, ns.truncate)

@@ -142,7 +142,7 @@ def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
         q,
         N,
         lambda v: tuple(((j, 1),) for j in range(rep.dims[q.vertices[v]])),
-        lambda ai, m: _map_columns(arrow_cols[ai], m),
+        lambda ai, ms: (_map_columns(arrow_cols[ai], m) for m in ms),
         relation,
     )
 
@@ -168,8 +168,8 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True) -> V
     no relation level, so its walk stops at length N - 1.  Images with
     different endpoints act on different blocks, so comparisons key on
     (source, target, image); an image is a hashable tuple of rows or
-    columns, and is zero when none of them holds a truthy item.  The walk
-    takes no step past the first fault.
+    columns, and is zero when none of them holds a truthy item.  The check
+    returns at the first fault, so the walk starts no batch past it.
     """
     checked = 1  # the zero element
     seen: dict = {}  # (source, target, image) -> the first path with it
@@ -209,6 +209,22 @@ def _mul_mod(a_rows, b_cols, modulus: int):
     )
 
 
+def _mul_probes(a_rows, probes) -> list:
+    """``_mul_mod(a_rows, probe, _P)`` for each one-column probe of a batch,
+    each row's products run down the batch in C, one ``map`` per coordinate;
+    a batch of one costs less through ``_mul_mod``."""
+    if len(probes) == 1:
+        return [_mul_mod(a_rows, probes[0], _P)]
+    coords = list(zip(*[col for (col,) in probes]))  # coordinate k of every probe
+    sums = []
+    for row in a_rows:
+        acc = map(row[0].__mul__, coords[0])
+        for a, xs in zip(row[1:], coords[1:]):
+            acc = map(operator.add, acc, map(a.__mul__, xs))
+        sums.append(map(_P.__rmod__, acc))
+    return [(col,) for col in zip(*sums)]
+
+
 def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> VerifyReport:
     """Bounded faithfulness check of a path-semigroup representation.
 
@@ -239,7 +255,7 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     probes = [(tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)),) for x in q.vertices]
     arrow_fps = [m.evaluate(point, _P) for m in rep.matrices.values()]
     report = _check_truncated(q, max_len + 1, probes.__getitem__,
-                              lambda ai, f: _mul_mod(arrow_fps[ai], f, _P), relation=False)
+                              lambda ai, fs: _mul_probes(arrow_fps[ai], fs), relation=False)
     if report.ok:
         return report
     return _check_exact(rep, q, max_len + 1, relation=False)
@@ -313,17 +329,16 @@ def _compositions(total: int, parts: int):
 
 
 def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
-    shapes = [(dims[a.head], dims[a.tail]) for a in q.arrows]
-    choices = [range(2 ** (r * c)) for r, c in shapes]
+    choices = [_f2_matrices(dims[a.head], dims[a.tail]) for a in q.arrows]
     start = [identity(d) for d in dims].__getitem__
-    for assignment in itertools.product(*choices):
-        mats = [_bits_to_matrix(bits, r, c) for bits, (r, c) in zip(assignment, shapes)]
-        if _check_truncated(q, N, start, lambda ai, m: _mul_mod(mats[ai], m, 2)).ok:
+    for mats in itertools.product(*choices):
+        if _check_truncated(q, N, start, lambda ai, ms: (_mul_mod(mats[ai], m, 2) for m in ms)).ok:
             return True
     return False
 
 
-def _bits_to_matrix(bits: int, rows: int, cols: int):
-    return tuple(
-        tuple((bits >> (i * cols + j)) & 1 for j in range(cols)) for i in range(rows)
-    )
+def _f2_matrices(rows: int, cols: int) -> list:
+    """Every rows x cols matrix over the two-element field, with shared row
+    tuples, in the order of the integers whose bit i * cols + j is entry (i, j)."""
+    row_values = [tuple((k >> j) & 1 for j in range(cols)) for k in range(2**cols)]
+    return [m[::-1] for m in itertools.product(row_values, repeat=rows)]

@@ -361,6 +361,23 @@ def test_formula_bad_segments(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NOT_DECIMAL = ["1_0", " 2 ", "\uff12", "\u0663"]  # int() reads them as 10, 2, 2 and 3
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_truncate_takes_ascii_digits_only(qfile, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", qfile(A2), "--truncate", text])
+    assert exc.value.code == 2
+    assert "invalid _positive_int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_formula_segments_take_ascii_digits_only(text, capsys):
+    assert main(["formula", f"3,{text}", "--truncate", "2"]) == 2
+    assert "cannot parse segment list" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(qfile, capsys):
     assert main(["analyze", qfile("vertex x\nbogus line\n")]) == 2
     err = capsys.readouterr().err

@@ -81,7 +81,8 @@ def _dense_verify_truncated(rep, q, N):
     ``mat_mul`` over tuples of rows."""
     mats = list(rep.matrices.values())
     return oracle._check_truncated(
-        q, N, lambda v: identity(rep.dims[q.vertices[v]]), lambda ai, m: mat_mul(mats[ai], m)
+        q, N, lambda v: identity(rep.dims[q.vertices[v]]),
+        lambda ai, ms: [mat_mul(mats[ai], m) for m in ms],
     )
 
 
@@ -198,13 +199,13 @@ def test_identity_loop_collides_with_the_trivial_path(kind):
         assert verify_truncated(loop, q, 3) == oracle.VerifyReport("collision", 3, 2, ("e(x)", "a"))
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of ``oracle.<name>``."""
+def _counting(monkeypatch, name, size=lambda *args: 1):
+    """Count the calls of ``oracle.<name>``, each as ``size(*args)``."""
     calls = [0]
     original = getattr(oracle, name)
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += size(*args)
         return original(*args)
 
     monkeypatch.setattr(oracle, name, counted)
@@ -213,7 +214,7 @@ def _counting(monkeypatch, name):
 
 def test_a_fault_stops_the_walk(monkeypatch):
     """When the first arrow in walk order acts as zero, the check returns
-    there and steps no other path of its level: one step per pass."""
+    there and steps no other path of its level: one image per pass."""
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y")])
     truncated = build_truncated_rep(q, 2)
     zero_a = replace(truncated, matrices={**truncated.matrices, "a": ((0,),)})
@@ -222,9 +223,29 @@ def test_a_fault_stops_the_walk(monkeypatch):
     assert steps == [1]
     path = build_path_rep(q)
     zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
-    probes, exact = _counting(monkeypatch, "_mul_mod"), _counting(monkeypatch, "_map_columns")
+    probes = _counting(monkeypatch, "_mul_probes", lambda rows, batch: len(batch))
+    exact = _counting(monkeypatch, "_map_columns")
     assert verify_path_rep(zero_a, q) == oracle.VerifyReport("zero_action", 4, 6, ("a",))
     assert (probes, exact) == ([1], [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mul_probes_is_mul_mod_probe_by_probe(data):
+    """The batched probe product equals ``_mul_mod`` modulo 2^61 - 1 on each
+    probe, zero rows, zero entries and entries up to P - 1 included."""
+    P = (1 << 61) - 1
+    entries = st.sampled_from([0, 1, P - 1]) | st.integers(0, P - 1)
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a_rows = data.draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols).map(tuple) | st.just((0,) * cols),
+        min_size=rows, max_size=rows,
+    ))
+    probes = data.draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols).map(lambda col: (tuple(col),)),
+        min_size=1, max_size=64,
+    ))
+    assert oracle._mul_probes(a_rows, probes) == [oracle._mul_mod(a_rows, p, P) for p in probes]
 
 
 def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
@@ -245,7 +266,8 @@ def test_verify_path_rep_exact_fallback(monkeypatch):
         rep = build_path_rep(q)
         reps = [rep]
         if q.arrows:
-            reps += [r for _, r in helpers.unfaithful_variants(rep, [q.arrows[i % len(q.arrows)].name])]
+            victim = q.arrows[i % len(q.arrows)].name
+            reps += [r for _, r in helpers.unfaithful_variants(rep, [victim])]
         for r in reps:
             report = verify_path_rep(r, q)
             if report.checked <= 500:
