@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
 from .polyring import identity
-from .quiver import Quiver, length_profile
+from .quiver import Quiver, length_profile, move_table
 from .repbuild import GradedRep, SymbolicRep
 
 EFFECTIVE = "effective"
@@ -138,13 +138,13 @@ def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
         tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
         for m in rep.matrices.values()
     ]
-    return _check_truncated(
+    return _report(q, N, *_check_truncated(
         q,
         N,
         lambda v: tuple(((j, 1),) for j in range(rep.dims[q.vertices[v]])),
-        lambda ai, ms: (_map_columns(arrow_cols[ai], m) for m in ms),
+        lambda ai, m: _map_columns(arrow_cols[ai], m),
         relation,
-    )
+    ))
 
 
 def _map_columns(a_cols, m_cols) -> tuple:
@@ -161,15 +161,17 @@ def _map_columns(a_cols, m_cols) -> tuple:
     return tuple(out)
 
 
-def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True) -> VerifyReport:
+def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True):
     """Check the images that ``paths.walk(q, N, start, step)`` gives: paths
     shorter than N act nonzero and pairwise differently and, with
     ``relation``, every length-N composite acts as zero.  The path kind has
     no relation level, so its walk stops at length N - 1.  Images with
     different endpoints act on different blocks, so comparisons key on
     (source, target, image); an image is a hashable tuple of rows or
-    columns, and is zero when none of them holds a truthy item.  The check
-    returns at the first fault, so the walk starts no batch past it.
+    columns, and is zero when none of them holds a truthy item.  The walk
+    takes no step past the first fault.  Returns ``(status, checked,
+    fault)``, ``fault`` the walk tuples of the offending path or colliding
+    pair (empty when effective); only ``_report`` names them.
     """
     checked = 1  # the zero element
     seen: dict = {}  # (source, target, image) -> the first path with it
@@ -179,19 +181,21 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True) -> V
             zero = not any(map(any, m))
             if length == N:
                 if not zero:
-                    return VerifyReport(RELATION_VIOLATION, checked, N - 1, _witness(q, path))
+                    return RELATION_VIOLATION, checked, (path,)
                 continue
             checked += 1
             if zero:
-                return VerifyReport(ZERO_ACTION, checked, N - 1, _witness(q, path))
+                return ZERO_ACTION, checked, (path,)
             other = seen.setdefault((tail, head, m), path)
             if other is not path:
-                return VerifyReport(COLLISION, checked, N - 1, _witness(q, other, path))
-    return VerifyReport(EFFECTIVE, checked, N - 1)
+                return COLLISION, checked, (other, path)
+    return EFFECTIVE, checked, ()
 
 
-def _witness(q: Quiver, *paths) -> tuple[str, ...]:
-    return tuple(path_str(q, Path(*p[:3])) for p in paths)
+def _report(q: Quiver, N: int, status: str, checked: int, fault) -> VerifyReport:
+    """The report of a ``_check_truncated`` outcome, its fault's paths named."""
+    witness = tuple(path_str(q, Path(*p[:3])) for p in fault)
+    return VerifyReport(status, checked, N - 1, witness or None)
 
 
 def _point(index: int) -> int:
@@ -209,20 +213,53 @@ def _mul_mod(a_rows, b_cols, modulus: int):
     )
 
 
-def _mul_probes(a_rows, probes) -> list:
-    """``_mul_mod(a_rows, probe, _P)`` for each one-column probe of a batch,
-    each row's products run down the batch in C, one ``map`` per coordinate;
-    a batch of one costs less through ``_mul_mod``."""
+def _mul_probes(a_rows, probes):
+    """``_mul_mod(a_rows, probes, _P)``: the image under a of each probe
+    column of a block, each row's products run down the block in C, one
+    ``map`` per coordinate; a single probe costs less through ``_mul_mod``."""
     if len(probes) == 1:
-        return [_mul_mod(a_rows, probes[0], _P)]
-    coords = list(zip(*[col for (col,) in probes]))  # coordinate k of every probe
+        return _mul_mod(a_rows, probes, _P)
+    coords = list(zip(*probes))  # coordinate k of every probe
     sums = []
     for row in a_rows:
         acc = map(row[0].__mul__, coords[0])
         for a, xs in zip(row[1:], coords[1:]):
             acc = map(operator.add, acc, map(a.__mul__, xs))
         sums.append(map(_P.__rmod__, acc))
-    return [(col,) for col in zip(*sums)]
+    return list(zip(*sums))
+
+
+def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
+    """``_check_truncated``'s verdict on the probes, without its order: the
+    number of paths of length at most max_len when no probe is zero and no
+    two in one (source, target) block are equal, else ``None``.
+
+    A level is the list of probes of each (source, head) block; no path is
+    built.  Each block steps through each arrow out of its head in one
+    ``_mul_probes`` call, then each new block is checked whole, in C: no
+    zero probe, and the block's set of probes grows by the number of new
+    ones.  A fault ends the pass at the end of its level."""
+    moves = move_table(q)
+    level = {(v, v): [starts[v]] for v in range(q.n)}
+    seen: dict = {}  # (source, target) -> the set of every probe in that block
+    paths = 0
+    for length in range(max_len + 1):
+        if length:
+            stepped: dict = {}
+            for (source, head), probes in level.items():
+                for ai, h in moves[head]:
+                    stepped.setdefault((source, h), []).extend(_mul_probes(arrow_fps[ai], probes))
+            if not stepped:
+                break
+            level = stepped
+        for block, probes in level.items():
+            images = seen.setdefault(block, set())
+            size = len(images)
+            images.update(probes)
+            if len(images) != size + len(probes) or not all(map(any, probes)):
+                return None
+            paths += len(probes)
+    return paths
 
 
 def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> VerifyReport:
@@ -232,15 +269,16 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     every first-return cycle and inter-component transition at this scale)
     must act nonzero and pairwise differently.
 
-    One check, ``_check_truncated`` without a relation level, runs in at
-    most two passes.  The first walks probes: each vertex starts from a
-    fixed column v of nonzero powers of a value no variable takes, and a
-    path with image M carries ``F(M) v``, F evaluating at ``_point`` modulo
-    the prime ``_P``.  That is a homomorphism, so equal images have equal
-    probes and a zero image has a zero probe.  Probes all nonzero and
-    pairwise different in their blocks prove the images so too, and that
-    pass's ``effective`` is exact.  Any other outcome reruns the check on
-    the exact images (``_check_exact``), and their report is returned.
+    The check runs in at most two passes.  The first checks probes by
+    blocks (``_probe_blocks``): each vertex starts from a fixed column v of
+    nonzero powers of a value no variable takes, and a path with image M
+    carries ``F(M) v``, F evaluating at ``_point`` modulo the prime ``_P``.
+    That is a homomorphism, so equal images have equal probes and a zero
+    image has a zero probe.  Probes all nonzero and pairwise different in
+    their blocks prove the images so too, and that pass's ``effective`` is
+    exact.  Any other outcome reruns the check in walk order on the exact
+    images (``_check_exact``), and their report, with its witness, is
+    returned.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -252,12 +290,11 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
     _check_budget(q, max_len, "--max-len")
     point = functools.cache(_point)  # one value per variable index
     r = point(len(rep.variables))
-    probes = [(tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)),) for x in q.vertices]
+    starts = [tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)) for x in q.vertices]
     arrow_fps = [m.evaluate(point, _P) for m in rep.matrices.values()]
-    report = _check_truncated(q, max_len + 1, probes.__getitem__,
-                              lambda ai, fs: _mul_probes(arrow_fps[ai], fs), relation=False)
-    if report.ok:
-        return report
+    paths = _probe_blocks(q, max_len, starts, arrow_fps)
+    if paths is not None:
+        return VerifyReport(EFFECTIVE, 1 + paths, max_len)  # the zero element too
     return _check_exact(rep, q, max_len + 1, relation=False)
 
 
@@ -332,7 +369,7 @@ def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
     choices = [_f2_matrices(dims[a.head], dims[a.tail]) for a in q.arrows]
     start = [identity(d) for d in dims].__getitem__
     for mats in itertools.product(*choices):
-        if _check_truncated(q, N, start, lambda ai, ms: (_mul_mod(mats[ai], m, 2) for m in ms)).ok:
+        if _check_truncated(q, N, start, lambda ai, m: _mul_mod(mats[ai], m, 2))[0] == EFFECTIVE:
             return True
     return False
 

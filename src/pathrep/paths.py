@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import Quiver, sccs
+from .quiver import Quiver, move_table, sccs
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,16 @@ def walk(q: Quiver, max_len: int, start, step):
     Level 0 holds the trivial paths in vertex declaration order, valued
     ``start(vertex_index)``.  Each later level extends every path of the one
     before, in its order, by each arrow out of its head, in ``out_arrows``
-    order.  When the level is first read past an arrow's extension,
-    ``step(arrow_index, values)`` gets the values of all paths of the level
-    before that end at the arrow's tail, in level order, and returns their
-    extensions' values in that order, as an iterable read as the level is;
-    so each (level, arrow) reached costs one step.  Read each level to its
-    end before the next, or stop.  The walk stops at the first empty level."""
-    moves = [[(ai, q.arrows[ai].head) for ai in q.out_arrows[v]] for v in range(q.n)]
+    order, and values the extension ``step(arrow_index, prefix_value)``; so
+    every path costs one step, taken as the level is read.  Read each level
+    to its end before the next, or stop.  The walk stops at the first empty
+    level."""
+    moves = move_table(q)
 
     def extend(prev, append):
-        ending = {}  # head vertex -> the values of the paths of prev ending there
-        for _, head, _, value in prev:
-            ending.setdefault(head, []).append(value)
-        stepped = {}  # arrow -> its batch's values still to hand out
-        for tail, head, arrows, _ in prev:
+        for tail, head, arrows, value in prev:
             for ai, h in moves[head]:
-                if ai not in stepped:
-                    stepped[ai] = iter(step(ai, ending[head]))
-                path = (tail, h, arrows + (ai,), next(stepped[ai]))
+                path = (tail, h, arrows + (ai,), step(ai, value))
                 append(path)
                 yield path
 
@@ -146,7 +138,7 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     out = []
-    for _, level in walk(q, max_len, lambda v: None, lambda ai, values: values):
+    for _, level in walk(q, max_len, lambda v: None, lambda ai, value: None):
         # extensions come out grouped by source vertex, which is not lex
         # order at length one; a sort of the nearly-sorted level is cheap
         out.extend(Path(t, h, arrows) for t, h, arrows, _ in sorted(level, key=lambda p: p[2]))

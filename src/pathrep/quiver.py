@@ -48,8 +48,8 @@ class Quiver:
     index order used by enumeration, variable and prime allocation, and
     every JSON output.  Parallel arrows and self-loops are permitted, the
     vertex set must be nonempty.  Instances are immutable after
-    construction, so ``sccs`` and ``length_profile`` compute once per
-    instance and keep their read-only results on it.
+    construction, so ``sccs``, ``length_profile`` and ``move_table`` compute
+    once per instance and keep their read-only results on it.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -93,6 +93,7 @@ class Quiver:
         self.in_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_))
         self._sccs: SccPartition | None = None
         self._profile: MappingProxyType | None = None
+        self._moves: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -124,7 +125,7 @@ class Quiver:
         return hash((self.vertices, self.arrows))
 
     def __getstate__(self):  # copies and pickles recompute the analysis
-        return {**self.__dict__, "_sccs": None, "_profile": None}
+        return {**self.__dict__, "_sccs": None, "_profile": None, "_moves": None}
 
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
@@ -185,6 +186,15 @@ class SccPartition:
     component_of: MappingProxyType  # vertex id -> component index
     components: tuple[SccComponent, ...]
     condensation: tuple[tuple[int, int], ...]
+
+
+def move_table(q: Quiver) -> tuple:
+    """For each vertex index, the ``(arrow index, head)`` pairs of the
+    arrows out of it, in ``out_arrows`` order: the steps a path ending there
+    can take."""
+    if q._moves is None:
+        q._moves = tuple(tuple((ai, q.arrows[ai].head) for ai in out) for out in q.out_arrows)
+    return q._moves
 
 
 def sccs(q: Quiver) -> SccPartition:

@@ -80,10 +80,9 @@ def _dense_verify_truncated(rep, q, N):
     checks, but every image a whole matrix and every step one exact
     ``mat_mul`` over tuples of rows."""
     mats = list(rep.matrices.values())
-    return oracle._check_truncated(
-        q, N, lambda v: identity(rep.dims[q.vertices[v]]),
-        lambda ai, ms: [mat_mul(mats[ai], m) for m in ms],
-    )
+    return oracle._report(q, N, *oracle._check_truncated(
+        q, N, lambda v: identity(rep.dims[q.vertices[v]]), lambda ai, m: mat_mul(mats[ai], m),
+    ))
 
 
 def test_verify_truncated_matches_dense_on_all_ones_matrices():
@@ -164,6 +163,9 @@ def test_verify_path_rep_single_loop_long():
 def test_verify_path_rep_acyclic():
     q = helpers.a_line(3)
     assert verify_path_rep(build_path_rep(q), q, 5).ok
+    # the probe pass stops at the first empty level, so a huge bound costs nothing
+    expected = oracle.VerifyReport("effective", 7, 10**9)
+    assert verify_path_rep(build_path_rep(q), q, 10**9) == expected
 
 
 def test_verify_path_rep_default_bound():
@@ -213,27 +215,34 @@ def _counting(monkeypatch, name, size=lambda *args: 1):
 
 
 def test_a_fault_stops_the_walk(monkeypatch):
-    """When the first arrow in walk order acts as zero, the check returns
-    there and steps no other path of its level: one image per pass."""
+    """When the first arrow in walk order acts as zero, the walk returns
+    there and steps no other path of its level: one image per exact pass.
+    The probe pass steps its level whole and no level past it: every arrow,
+    and none of the three paths of length two through d."""
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y")])
     truncated = build_truncated_rep(q, 2)
     zero_a = replace(truncated, matrices={**truncated.matrices, "a": ((0,),)})
     steps = _counting(monkeypatch, "_map_columns")
     assert verify_truncated(zero_a, q, 2) == oracle.VerifyReport("zero_action", 4, 1, ("a",))
     assert steps == [1]
-    path = build_path_rep(q)
-    zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
-    probes = _counting(monkeypatch, "_mul_probes", lambda rows, batch: len(batch))
-    exact = _counting(monkeypatch, "_map_columns")
-    assert verify_path_rep(zero_a, q) == oracle.VerifyReport("zero_action", 4, 6, ("a",))
-    assert (probes, exact) == ([1], [1])
+    longer = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y"),
+                                      ("d", "y", "z")])
+    for q, expected, level_one in [(q, oracle.VerifyReport("zero_action", 4, 6, ("a",)), 3),
+                                   (longer, oracle.VerifyReport("zero_action", 5, 8, ("a",)), 4)]:
+        path = build_path_rep(q)
+        zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
+        probes = _counting(monkeypatch, "_mul_probes", lambda rows, block: len(block))
+        exact = _counting(monkeypatch, "_map_columns")
+        assert verify_path_rep(zero_a, q) == expected
+        assert (probes, exact) == ([level_one], [1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mul_probes_is_mul_mod_probe_by_probe(data):
-    """The batched probe product equals ``_mul_mod`` modulo 2^61 - 1 on each
-    probe, zero rows, zero entries and entries up to P - 1 included."""
+    """The product of a block of probe columns equals ``_mul_mod`` modulo
+    2^61 - 1 on each probe, zero rows, zero entries and entries up to P - 1
+    included."""
     P = (1 << 61) - 1
     entries = st.sampled_from([0, 1, P - 1]) | st.integers(0, P - 1)
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
@@ -242,10 +251,19 @@ def test_mul_probes_is_mul_mod_probe_by_probe(data):
         min_size=rows, max_size=rows,
     ))
     probes = data.draw(st.lists(
-        st.lists(entries, min_size=cols, max_size=cols).map(lambda col: (tuple(col),)),
-        min_size=1, max_size=64,
+        st.lists(entries, min_size=cols, max_size=cols).map(tuple), min_size=1, max_size=64,
     ))
-    assert oracle._mul_probes(a_rows, probes) == [oracle._mul_mod(a_rows, p, P) for p in probes]
+    assert list(oracle._mul_probes(a_rows, probes)) == [
+        oracle._mul_mod(a_rows, (p,), P)[0] for p in probes
+    ]
+
+
+def test_f2_search_formats_no_witness(monkeypatch):
+    """The search reads only whether an assignment is faithful, so it names
+    no path, not even for the assignments that fail."""
+    names = _counting(monkeypatch, "path_str")
+    assert exhaustive_lower_bound_f2(helpers.a_line(3), 2, 3) is False
+    assert names == [0]
 
 
 def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
@@ -393,6 +411,7 @@ def test_verify_budget_refuses_k4_without_walking(tmp_path, monkeypatch, capsys)
         raise AssertionError("walked")
 
     monkeypatch.setattr(oracle, "walk", no_walk)
+    monkeypatch.setattr(oracle, "_probe_blocks", no_walk)
     q = _k4()
     path = tmp_path / "k4.quiver"
     path.write_text("".join(f"vertex {v}\n" for v in q.vertices) + "".join(
@@ -477,3 +496,36 @@ def test_verify_path_rep_fingerprint_pass_decides_effective_reps(monkeypatch):
     monkeypatch.setattr(oracle, "_map_columns", no_exact_product)
     for q in helpers.suite(200):
         assert verify_path_rep(build_path_rep(q), q).status == "effective"
+
+
+def _probe_cases(point):
+    """Each suite path rep and unfaithful variant with its probes at
+    ``point``, as ``(q, max_len, starts, arrow_fps)``."""
+    P = oracle._P
+    for q in helpers.suite():
+        rep = build_path_rep(q)
+        r = point(len(rep.variables))
+        starts = [tuple(pow(r, k, P) for k in range(1, rep.dims[x] + 1)) for x in q.vertices]
+        for _, variant in [("built", rep), *helpers.unfaithful_variants(rep, q.arrow_names())]:
+            fps = [m.evaluate(point, P) for m in variant.matrices.values()]
+            yield q, 2 * q.n + 2, starts, fps
+
+
+@pytest.mark.parametrize("point", [oracle._point, lambda index: 7], ids=["points", "clashing"])
+def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
+    """On the probes of the suite's path reps and their 1,034 unfaithful
+    variants, the block pass passes exactly when ``_check_truncated`` over
+    the same probes in walk order is effective, and then counts what it
+    checks; at one value for every variable, probes clash and both verdicts
+    occur."""
+    verdicts = set()
+    for q, max_len, starts, fps in _probe_cases(point):
+        paths = oracle._probe_blocks(q, max_len, starts, fps)
+        status, checked, _ = oracle._check_truncated(  # images are one-column matrices
+            q, max_len + 1, lambda v: (starts[v],),
+            lambda ai, m: oracle._mul_mod(fps[ai], m, oracle._P), relation=False)
+        assert (paths is not None) == (status == "effective")
+        if paths is not None:
+            assert 1 + paths == checked
+        verdicts.add(status)
+    assert {"effective", "zero_action", "collision"} == verdicts

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import helpers
@@ -83,7 +86,7 @@ def test_enumerate_no_duplicates_and_ordered():
         assert keys == sorted(keys)
 
 
-def _walked(q, max_len, start=lambda v: None, step=lambda ai, values: values):
+def _walked(q, max_len, start=lambda v: None, step=lambda ai, value: None):
     """The walk's levels as lists of ``(Path, value)`` pairs, each level read
     to its end before the next is asked for."""
     return [
@@ -125,15 +128,10 @@ def test_walk_order_extends_each_level_in_order():
 
 def test_walk_steps_only_what_is_read():
     """A level is built as it is read: breaking off mid-level leaves the
-    batches of the arrows not yet reached unstepped."""
+    rest of the level unstepped."""
     q = helpers.two_loops()
     steps = []
-
-    def step(ai, values):
-        steps.append(ai)
-        return [value + (ai,) for value in values]
-
-    for length, level in walk(q, 3, lambda v: (), step):
+    for length, level in walk(q, 3, lambda v: (), lambda ai, value: steps.append(ai) or value + (ai,)):
         if length == 2:
             assert next(iter(level))[2] == (0, 0)
             break
@@ -142,48 +140,37 @@ def test_walk_steps_only_what_is_read():
     assert steps == [0, 1, 0]
 
 
-def test_walk_reads_a_lazy_batch_only_as_far_as_the_level():
-    """A step that returns its batch lazily is advanced one path at a time:
-    breaking off after the first path of a level leaves the rest of that
-    arrow's batch uncomputed."""
-    q = helpers.two_loops()
-    made = []
-
-    def step(ai, values):
-        return (made.append(ai) or value + (ai,) for value in values)
-
-    for length, level in walk(q, 3, lambda v: (), step):
-        if length == 2:
-            assert next(iter(level))[2] == (0, 0)
-            break
-        for _ in level:
-            pass
-    assert made == [0, 1, 0]
-
-
-def test_walk_steps_each_arrow_once_a_level_with_the_paths_it_extends():
-    """On each level, ``step`` runs once for each arrow reached, in the
-    order the level first reaches them, and gets the values of exactly the
-    paths of the level before that end at the arrow's tail, in level order;
-    its results value the extensions in that order."""
+def test_walk_steps_each_path_once_from_its_prefix():
+    """Every path of a level past the first costs one step, taken in level
+    order, on the arrow it ends with and the value of the path it extends;
+    the step's result is its value."""
     for q in helpers.suite(30) + [helpers.kronecker(), helpers.triangle_chord(), helpers.loop()]:
         calls = []
 
-        def step(ai, values):
-            calls.append((ai, list(values)))
-            return [value + (ai,) for value in values]
+        def step(ai, value):
+            calls.append((ai, value))
+            return value + (ai,)
 
         prev = []
         for _, level in walk(q, 4, lambda v: (v,), step):
             calls.clear()
             level = list(level)
             assert all(value == (tail,) + arrows for tail, _, arrows, value in level)
-            reached = list(dict.fromkeys(arrows[-1] for _, _, arrows, _ in level if arrows))
-            assert [ai for ai, _ in calls] == reached
-            for ai, values in calls:
-                tail = q.arrows[ai].tail
-                assert values == [value for _, head, _, value in prev if head == tail]
+            extended = {(tail, arrows): value for tail, _, arrows, value in prev}
+            assert calls == [(arrows[-1], extended[tail, arrows[:-1]])
+                             for tail, _, arrows, _ in level if prev]
             prev = level
+
+
+def test_walk_of_a_copied_or_pickled_quiver_is_the_same():
+    """The move table lives on the quiver and is left out of its copies and
+    pickles, which build their own and walk the same paths."""
+    for q in helpers.suite(30) + [helpers.kronecker(), helpers.loop()]:
+        levels = _walked(q, 4)
+        assert q._moves is not None
+        for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert other._moves is None
+            assert _walked(other, 4) == levels
 
 
 def _walked_images(q, max_len, start, step):
@@ -207,7 +194,7 @@ def test_walk_with_products_gives_rep_of_path_images():
                 q,
                 4,
                 lambda v: identity(graded.dims[q.vertices[v]]),
-                lambda ai, ms: [mat_mul(mats[ai], m) for m in ms],
+                lambda ai, m: mat_mul(mats[ai], m),
             ):
                 assert m == rep_of_path(graded, p)
 
@@ -217,9 +204,9 @@ def test_walk_with_products_gives_rep_of_path_images():
             q,
             4,
             lambda v: evaluated(Path(v, v)),
-            lambda ai, ms: [
-                tuple(tuple(e % modulus for e in row) for row in mat_mul(values[ai], m)) for m in ms
-            ],
+            lambda ai, m: tuple(
+                tuple(e % modulus for e in row) for row in mat_mul(values[ai], m)
+            ),
         ):
             assert m == evaluated(p)
 

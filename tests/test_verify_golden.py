@@ -13,6 +13,7 @@ import json
 import pathlib
 
 import helpers
+from pathrep import oracle
 from pathrep.oracle import verify_path_rep, verify_truncated
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -40,6 +41,35 @@ def test_verify_reports_match_the_golden():
     for want, got in zip(expected, actual):
         assert got == want, f"first differing case:\n  golden: {want}\n  now:    {got}"
     assert len(actual) == len(expected)
+
+
+def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
+    """With every variable and r at one value, probes of different images
+    clash, so the probe pass fails on effective reps too and
+    ``_check_exact`` decides; every report still equals the golden.  The
+    cases with more than 1,000 elements, whose exact passes take seconds,
+    are left out: 1,179 of the 1,234 path cases remain."""
+    golden = [line for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+              if line.startswith('{"case": "path ')]
+    exact = []
+    check_exact = oracle._check_exact
+    monkeypatch.setattr(oracle, "_point", lambda index: 7)
+    monkeypatch.setattr(oracle, "_check_exact",
+                        lambda *args, **kw: exact.append(args[0]) or check_exact(*args, **kw))
+    lines = iter(golden)
+    compared = fallbacks = 0
+    for i, q in enumerate(helpers.suite()):
+        rep = build_path_rep(q)
+        for label, variant in [("built", rep), *helpers.unfaithful_variants(rep, q.arrow_names())]:
+            want = next(lines)
+            if json.loads(want)["checked"] > 1000:
+                continue
+            exact.clear()
+            report = verify_path_rep(variant, q)
+            assert json.dumps({"case": f"path {i} {label}", **report.to_json()}) == want
+            compared += 1
+            fallbacks += bool(exact) and report.ok
+    assert compared == 1179 and fallbacks >= 100  # 120 effective reports came from it
 
 
 if __name__ == "__main__":
