@@ -125,22 +125,32 @@ def segments_of(dirs):
 
 # ------------------------------------------------ unfaithful path reps
 
-def unfaithful_variants(rep, victims):
-    """Yield ``(label, rep)`` for variants of a path rep that are mostly not
+def unfaithful_variants(rep, victims, matrix=PolyMatrix):
+    """Yield ``(label, rep)`` for variants of a rep that are mostly not
     faithful: each victim arrow zeroed, the first two arrows of one shape
-    given the same matrix, and every nonzero entry replaced by 1."""
+    given the same matrix, and every nonzero entry replaced by 1.  The
+    changed matrices are built by ``matrix`` from lists of rows."""
     mats = rep.matrices
     for victim in victims:
         m = mats[victim]
-        yield f"zero {victim}", replace(rep, matrices={**mats, victim: PolyMatrix([[0] * m.cols] * m.rows)})
+        yield f"zero {victim}", replace(rep, matrices={**mats, victim: matrix([[0] * len(m[0])] * len(m))})
     for a, b in itertools.combinations(mats, 2):
-        if (mats[a].rows, mats[a].cols) == (mats[b].rows, mats[b].cols):
+        if (len(mats[a]), len(mats[a][0])) == (len(mats[b]), len(mats[b][0])):
             yield f"{b} as {a}", replace(rep, matrices={**mats, b: mats[a]})
             break
     yield "ones", replace(rep, matrices={
-        name: PolyMatrix([[int(not e.is_zero) for e in row] for row in m])
-        for name, m in mats.items()
+        name: matrix([[int(bool(e)) for e in row] for row in m]) for name, m in mats.items()
     })
+
+
+def truncated_variants(rep):
+    """``unfaithful_variants`` of a truncated rep, every arrow a victim: its
+    matrices stay integer tuples of rows, or become ``PolyMatrix`` for
+    symbolic labels, as a rep file reads them."""
+    def matrix(rows):
+        return PolyMatrix(rows) if rep.label_kind == "symbolic" else tuple(map(tuple, rows))
+
+    return unfaithful_variants(rep, list(rep.matrices), matrix)
 
 
 # ------------------------------------------------------- brute-force oracles

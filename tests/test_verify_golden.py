@@ -2,11 +2,14 @@
 suite path reps, their unfaithful variants (each arrow zeroed, the first
 two arrows of one shape given one matrix, every nonzero entry set to 1),
 and the suite's truncated reps at N = 1..4 with both label kinds, compared
-with ``tests/golden/verify_reports.jsonl``.
+with ``tests/golden/verify_reports.jsonl``; and one line for each of the
+same variants of those truncated reps (every arrow zeroed in turn),
+compared with ``tests/golden/truncated_variant_reports.jsonl``.
 
 The file pins what changes to the verifiers must not change.  After a
-deliberate report change, rewrite it with
-``PYTHONPATH=src python tests/test_verify_golden.py`` and review the diff.
+deliberate report change, rewrite both
+with ``PYTHONPATH=src python tests/test_verify_golden.py`` and review the
+diff.
 """
 
 import json
@@ -18,6 +21,7 @@ from pathrep.oracle import verify_path_rep, verify_truncated
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verify_reports.jsonl"
+VARIANT_GOLDEN = GOLDEN.with_name("truncated_variant_reports.jsonl")
 
 
 def report_lines():
@@ -35,12 +39,34 @@ def report_lines():
                 yield json.dumps({"case": f"truncated {i} N={N} {labels}", **report.to_json()})
 
 
-def test_verify_reports_match_the_golden():
-    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
-    actual = list(report_lines())
+def truncated_variant_lines():
+    """Yield one JSON line per unfaithful variant of a suite truncated rep."""
+    for i, q in enumerate(helpers.suite()):
+        for N in range(1, 5):
+            for labels in ("primes", "symbolic"):
+                rep = build_truncated_rep(q, N, labels=labels)
+                for label, variant in helpers.truncated_variants(rep):
+                    report = verify_truncated(variant, q, N)
+                    yield json.dumps({"case": f"truncated {i} N={N} {labels} {label}",
+                                      **report.to_json()})
+
+
+def _assert_lines_match(golden, lines):
+    expected = golden.read_text(encoding="utf-8").splitlines()
+    actual = list(lines)
     for want, got in zip(expected, actual):
         assert got == want, f"first differing case:\n  golden: {want}\n  now:    {got}"
     assert len(actual) == len(expected)
+
+
+def test_verify_reports_match_the_golden():
+    _assert_lines_match(GOLDEN, report_lines())
+
+
+def test_truncated_variant_reports_match_the_golden():
+    """8,192 reports, every status but ``relation_violation``: a variant
+    keeps or shrinks the supports of the built matrices."""
+    _assert_lines_match(VARIANT_GOLDEN, truncated_variant_lines())
 
 
 def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
@@ -73,4 +99,5 @@ def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(line + "\n" for line in report_lines()), encoding="utf-8")
+    for golden, lines in [(GOLDEN, report_lines()), (VARIANT_GOLDEN, truncated_variant_lines())]:
+        golden.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
