@@ -1,11 +1,11 @@
 """Independent brute-force verification of representations.
 
 A truncated representation is checked completely: every semigroup element
-is enumerated and compared.  A path-semigroup representation is checked up
-to a length bound (faithfulness beyond the bound is a theorem; the bound
-guards the implementation).  The lower-bound search over the two-element
-field exhausts every dimension splitting and every arrow assignment on
-deliberately tiny instances.
+is proved to act nonzero and distinctly, or is enumerated and compared.  A
+path-semigroup representation is checked up to a length bound (faithfulness
+beyond the bound is a theorem; the bound guards the implementation).  The
+lower-bound search over the two-element field exhausts every dimension
+splitting and every arrow assignment on deliberately tiny instances.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
@@ -107,18 +106,48 @@ def _check_match(rep, q: Quiver):
 
 
 def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
-    """Complete faithfulness check of a truncated representation.
-
-    Enumerates every element (all nonzero paths of length < N, the trivial
-    paths, and the zero element) on its exact images; see ``_check_exact``.
-    """
+    """Complete faithfulness check of a truncated representation: the
+    nonzero paths of length < N, the trivial paths and the zero element act
+    nonzero and pairwise differently, and every length-N composite as zero.
+    The probe pass (``_probe_blocks``, on the arrows mod ``_P``) and a proof
+    by supports (``_supports_vanish``) are exact when they pass; otherwise
+    the ordered walk on the exact images (``_check_exact``) decides."""
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_truncated needs a truncated representation")
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
     _check_budget(q, N - 1)
+    starts, fps = _probe_inputs(rep, q, _point, _point(len(rep.labels)))
+    paths = _probe_blocks(q, N - 1, starts, fps)
+    if paths is not None and _supports_vanish(q, N, rep.dims.values(), fps):
+        return VerifyReport(EFFECTIVE, 1 + paths, N - 1)  # the zero element too
     return _check_exact(rep, q, N)
+
+
+def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
+    """Whether supports prove every length-N composite zero: entry (i, j)
+    of a path's image sums over the walks from basis vector j to i along the
+    path in the graph with an edge k -> i for each pair (k, _) in row i of
+    an arrow's sparse ``rows``, so no walk of N edges proves it.  Kahn's
+    order finds the longest walk; a cycle has walks of every length."""
+    offset = list(itertools.accumulate(dims, initial=0))
+    out: list = [[] for _ in range(offset[-1])]
+    indegree = [0] * len(out)
+    for a, m in zip(q.arrows, rows):
+        for i, row in enumerate(m):
+            indegree[offset[a.head] + i] += len(row)
+            for k, _ in row:
+                out[offset[a.tail] + k].append(offset[a.head] + i)
+    depth = [0] * len(out)  # the most edges of a walk ending at each node
+    order = [node for node in range(len(out)) if not indegree[node]]
+    for node in order:  # grows as it is read
+        for nxt in out[node]:
+            depth[nxt] = max(depth[nxt], depth[node] + 1)
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    return len(order) == len(out) and max(depth, default=0) < N
 
 
 def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
@@ -200,8 +229,11 @@ def _report(q: Quiver, N: int, status: str, checked: int, fault) -> VerifyReport
 
 def _point(index: int) -> int:
     """The value that variable ``index`` takes in a fingerprint: fixed and
-    pseudo-random, so that distinct polynomial images rarely agree there."""
-    return random.Random(index).randrange(1, _P)
+    pseudo-random (SplitMix64), so that distinct images rarely agree there."""
+    z = (index + 1) * 0x9E3779B97F4A7C15 % (1 << 64)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % (1 << 64)
+    return (z ^ z >> 31) % (_P - 1) + 1
 
 
 def _mul_mod(a_rows, b_cols, modulus: int):
@@ -213,26 +245,41 @@ def _mul_mod(a_rows, b_cols, modulus: int):
     )
 
 
+def _probe_inputs(rep, q: Quiver, point, r: int) -> tuple:
+    """Each vertex's start probe, the powers r, r^2, ... mod ``_P``; and each
+    arrow matrix as sparse rows, a row the ``(column, F(entry))`` pairs of
+    its nonzero entries (so they also give the exact support), F reducing
+    integers mod ``_P`` and evaluating polynomials there at ``point``."""
+    return ([tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)) for x in q.vertices],
+            [[tuple([(k, e % _P if isinstance(e, int) else e.evaluate(point, _P))
+                     for k, e in enumerate(row) if e]) for row in m] for m in rep.matrices.values()])
+
+
 def _mul_probes(a_rows, probes):
-    """``_mul_mod(a_rows, probes, _P)``: the image under a of each probe
-    column of a block, each row's products run down the block in C, one
-    ``map`` per coordinate; a single probe costs less through ``_mul_mod``."""
+    """The columns of a @ probes mod ``_P``, from a's sparse rows (see
+    ``_probe_inputs``) and a block of probe columns: each row's products run
+    down the block in C, one ``map`` per pair; one probe costs less summed."""
     if len(probes) == 1:
-        return _mul_mod(a_rows, probes, _P)
+        return [tuple([sum([a * p[k] for k, a in row]) % _P for row in a_rows]) for p in probes]
     coords = list(zip(*probes))  # coordinate k of every probe
     sums = []
     for row in a_rows:
-        acc = map(row[0].__mul__, coords[0])
-        for a, xs in zip(row[1:], coords[1:]):
-            acc = map(operator.add, acc, map(a.__mul__, xs))
+        acc = (0,) * len(probes)
+        for k, a in row:
+            acc = map(operator.add, acc, map(a.__mul__, coords[k]))
         sums.append(map(_P.__rmod__, acc))
     return list(zip(*sums))
 
 
 def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
-    """``_check_truncated``'s verdict on the probes, without its order: the
+    """``_check_truncated``'s verdict on probes, without its order: the
     number of paths of length at most max_len when no probe is zero and no
-    two in one (source, target) block are equal, else ``None``.
+    two in one (source, target) block are equal, else ``None``.  A path
+    with image M carries the probe F(M) v: F a ring homomorphism onto the
+    integers mod ``_P`` (``arrow_fps`` gives F of each arrow as sparse
+    rows), and v its source's start column of powers of a value no
+    variable takes.  Equal images have equal probes and a zero image has a
+    zero probe, so a pass proves the images nonzero and distinct, exactly.
 
     A level is the list of probes of each (source, head) block; no path is
     built.  Each block steps through each arrow out of its head in one
@@ -267,18 +314,10 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
 
     All paths of length <= max_len (default 2n + 2, enough to exercise
     every first-return cycle and inter-component transition at this scale)
-    must act nonzero and pairwise differently.
-
-    The check runs in at most two passes.  The first checks probes by
-    blocks (``_probe_blocks``): each vertex starts from a fixed column v of
-    nonzero powers of a value no variable takes, and a path with image M
-    carries ``F(M) v``, F evaluating at ``_point`` modulo the prime ``_P``.
-    That is a homomorphism, so equal images have equal probes and a zero
-    image has a zero probe.  Probes all nonzero and pairwise different in
-    their blocks prove the images so too, and that pass's ``effective`` is
-    exact.  Any other outcome reruns the check in walk order on the exact
-    images (``_check_exact``), and their report, with its witness, is
-    returned.
+    must act nonzero and pairwise differently.  The probe pass
+    (``_probe_blocks``, on the arrows evaluated at ``_point`` mod ``_P``) is
+    exact when it passes; otherwise the ordered walk on the exact images
+    (``_check_exact``) decides, and its report, with its witness, is returned.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
@@ -289,10 +328,8 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
         raise ValueError("max_len must be >= 1")
     _check_budget(q, max_len, "--max-len")
     point = functools.cache(_point)  # one value per variable index
-    r = point(len(rep.variables))
-    starts = [tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)) for x in q.vertices]
-    arrow_fps = [m.evaluate(point, _P) for m in rep.matrices.values()]
-    paths = _probe_blocks(q, max_len, starts, arrow_fps)
+    starts, fps = _probe_inputs(rep, q, point, point(len(rep.variables)))
+    paths = _probe_blocks(q, max_len, starts, fps)
     if paths is not None:
         return VerifyReport(EFFECTIVE, 1 + paths, max_len)  # the zero element too
     return _check_exact(rep, q, max_len + 1, relation=False)

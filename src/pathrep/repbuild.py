@@ -94,11 +94,13 @@ def _int_row(row) -> tuple:
 
 
 def _arrow_matrices(data, parse) -> dict:
-    """Arrow id -> ``parse(matrix)`` over the ``arrows`` records."""
+    """Arrow id -> ``parse(matrix)`` over the ``arrows`` records, one per id."""
     matrices = {}
     for i, a in enumerate(_field(data, "arrows", list)):
         where = f"representation arrows[{i}]"
         name = _field(a, "id", str, where)
+        if name in matrices:
+            raise ValueError(f"{where} repeats arrow id {name!r}")
         rows = _field(a, "matrix", list, where)
         try:
             matrices[name] = parse(rows)

@@ -133,7 +133,8 @@ def unfaithful_variants(rep, victims, matrix=PolyMatrix):
     mats = rep.matrices
     for victim in victims:
         m = mats[victim]
-        yield f"zero {victim}", replace(rep, matrices={**mats, victim: matrix([[0] * len(m[0])] * len(m))})
+        zero = matrix([[0] * len(m[0])] * len(m))
+        yield f"zero {victim}", replace(rep, matrices={**mats, victim: zero})
     for a, b in itertools.combinations(mats, 2):
         if (len(mats[a]), len(mats[a][0])) == (len(mats[b]), len(mats[b][0])):
             yield f"{b} as {a}", replace(rep, matrices={**mats, b: mats[a]})

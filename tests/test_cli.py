@@ -134,6 +134,24 @@ def test_verify_sabotaged_rep_file(qfile, tmp_path, capsys):
     assert "a" in out and "b" in out
 
 
+@pytest.mark.parametrize("args", [[], ["--truncate", "2"]], ids=["path", "truncated"])
+def test_verify_rep_repeated_arrow_record(qfile, tmp_path, capsys, args):
+    """A second record for arrow a is refused, whether it copies a's record
+    or carries b's matrix (which, as the last record, made a collide
+    with b)."""
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, *args, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    a, b = data["arrows"]
+    for repeat in (dict(a), {**a, "matrix": b["matrix"]}):
+        data["arrows"] = [a, b, repeat]
+        rep_path.write_text(json.dumps(data))
+        assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "arrows[2] repeats arrow id 'a'" in err
+
+
 def test_verify_rep_file_roundtrip_ok(qfile, tmp_path, capsys):
     quiver_path = qfile(A3)
     rep_path = tmp_path / "rep.json"

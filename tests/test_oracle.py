@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -114,6 +115,54 @@ def test_verify_truncated_drops_cancelling_sums(one):
     expected = oracle.VerifyReport("zero_action", 7, 2, ("b*a",))
     assert _dense_verify_truncated(rep, q, 3) == expected
     assert verify_truncated(rep, q, 3) == expected
+
+
+@pytest.mark.parametrize("one", [1, MultiPoly.variable(0)], ids=["int", "poly"])
+def test_verify_truncated_relation_level_cancelling_to_zero(one, monkeypatch):
+    # the same a and b at N = 2: b*a is the relation level, zero only by
+    # cancellation, so supports prove nothing and the exact pass decides
+    q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")])
+    rep = replace(
+        build_truncated_rep(q, 2),
+        dims={"x": 1, "y": 2, "z": 1},
+        matrices={"a": ((one,), (one,)), "b": ((one, one * -1),)},
+    )
+    expected = oracle.VerifyReport("effective", 6, 1)
+    assert _dense_verify_truncated(rep, q, 2) == expected
+    exact = _counting(monkeypatch, "_check_exact")
+    assert verify_truncated(rep, q, 2) == expected
+    assert exact == [1]
+    _, rows = oracle._probe_inputs(rep, q, oracle._point, 1)
+    assert not oracle._supports_vanish(q, 2, rep.dims.values(), rows)
+
+
+def test_verify_truncated_decides_built_reps_without_the_exact_pass(monkeypatch):
+    """Built reps pass the probe pass and the support proof, so the exact
+    pass, whose product is made to fail here, never runs."""
+    def no_exact_product(*args):
+        raise AssertionError("exact pass ran")
+
+    monkeypatch.setattr(oracle, "_map_columns", no_exact_product)
+    for q in helpers.suite(60):
+        for N in (1, 2, 3, 4):
+            for labels in ("primes", "symbolic"):
+                assert verify_truncated(build_truncated_rep(q, N, labels=labels), q, N).ok
+
+
+def test_verify_truncated_memory_stays_with_the_probes():
+    """The exact walk keeps every image of the loop at N = 400: products of
+    up to 400 primes in each column, a peak of about 27 MB under
+    ``tracemalloc``.  The probe pass keeps one probe column of 61-bit
+    values per path: about 4 MB."""
+    q = helpers.loop()
+    rep = build_truncated_rep(q, 400)
+    tracemalloc.start()
+    try:
+        assert verify_truncated(rep, q, 400) == oracle.VerifyReport("effective", 401, 399)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_verify_truncated_images_do_not_depend_on_summing_order():
@@ -237,15 +286,22 @@ def test_a_fault_stops_the_walk(monkeypatch):
         assert (probes, exact) == ([level_one], [1])
 
 
-@settings(max_examples=100, deadline=None)
+def _sparse(a_rows, keep_zeros=False):
+    """Dense rows as ``_mul_probes`` takes them: the ``(column, entry)``
+    pairs of each row's nonzero entries, or of all of them."""
+    return [tuple((k, e) for k, e in enumerate(row) if e or keep_zeros) for row in a_rows]
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mul_probes_is_mul_mod_probe_by_probe(data):
-    """The product of a block of probe columns equals ``_mul_mod`` modulo
-    2^61 - 1 on each probe, zero rows, zero entries and entries up to P - 1
-    included."""
+    """The product of a block of 1 to 64 probe columns by sparse rows
+    equals ``_mul_mod`` modulo 2^61 - 1 on the dense rows, probe by probe:
+    zero rows, zero entries (dropped from the pairs, or kept as pairs) and
+    entries up to P - 1 included."""
     P = (1 << 61) - 1
     entries = st.sampled_from([0, 1, P - 1]) | st.integers(0, P - 1)
-    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     a_rows = data.draw(st.lists(
         st.lists(entries, min_size=cols, max_size=cols).map(tuple) | st.just((0,) * cols),
         min_size=rows, max_size=rows,
@@ -253,7 +309,8 @@ def test_mul_probes_is_mul_mod_probe_by_probe(data):
     probes = data.draw(st.lists(
         st.lists(entries, min_size=cols, max_size=cols).map(tuple), min_size=1, max_size=64,
     ))
-    assert list(oracle._mul_probes(a_rows, probes)) == [
+    sparse = _sparse(a_rows, keep_zeros=data.draw(st.booleans()))
+    assert list(oracle._mul_probes(sparse, probes)) == [
         oracle._mul_mod(a_rows, (p,), P)[0] for p in probes
     ]
 
@@ -476,7 +533,12 @@ def test_verify_budget_skipping_matches_a_level_by_level_count(monkeypatch):
             assert (f"fits is {passed - 1}" in message) == (passed > 1)
 
 
-def test_verify_budget_refuses_a_huge_truncation_in_a_rep_file(tmp_path, capsys):
+def test_verify_budget_refuses_a_huge_truncation_in_a_rep_file(tmp_path, monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    for name in ("walk", "_probe_blocks", "_supports_vanish"):
+        monkeypatch.setattr(oracle, name, no_walk)
     q = helpers.loop()
     data = build_truncated_rep(q, 3).to_json()
     data["truncation"] = 10**18
@@ -500,7 +562,8 @@ def test_verify_path_rep_fingerprint_pass_decides_effective_reps(monkeypatch):
 
 def _probe_cases(point):
     """Each suite path rep and unfaithful variant with its probes at
-    ``point``, as ``(q, max_len, starts, arrow_fps)``."""
+    ``point``, as ``(q, max_len, starts, arrow_fps)``, the fingerprints
+    dense."""
     P = oracle._P
     for q in helpers.suite():
         rep = build_path_rep(q)
@@ -520,7 +583,7 @@ def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
     occur."""
     verdicts = set()
     for q, max_len, starts, fps in _probe_cases(point):
-        paths = oracle._probe_blocks(q, max_len, starts, fps)
+        paths = oracle._probe_blocks(q, max_len, starts, [_sparse(m) for m in fps])
         status, checked, _ = oracle._check_truncated(  # images are one-column matrices
             q, max_len + 1, lambda v: (starts[v],),
             lambda ai, m: oracle._mul_mod(fps[ai], m, oracle._P), relation=False)

@@ -32,23 +32,20 @@ def report_lines():
         variants = [("built", rep), *helpers.unfaithful_variants(rep, q.arrow_names())]
         for label, variant in variants:
             yield json.dumps({"case": f"path {i} {label}", **verify_path_rep(variant, q).to_json()})
-    for i, q in enumerate(suite):
-        for N in range(1, 5):
-            for labels in ("primes", "symbolic"):
-                report = verify_truncated(build_truncated_rep(q, N, labels=labels), q, N)
-                yield json.dumps({"case": f"truncated {i} N={N} {labels}", **report.to_json()})
+    yield from truncated_lines(variants=False)
 
 
-def truncated_variant_lines():
-    """Yield one JSON line per unfaithful variant of a suite truncated rep."""
+def truncated_lines(variants):
+    """Yield one JSON line per suite truncated rep (N = 1..4, both label
+    kinds), or, with ``variants``, per unfaithful variant of one."""
     for i, q in enumerate(helpers.suite()):
         for N in range(1, 5):
             for labels in ("primes", "symbolic"):
                 rep = build_truncated_rep(q, N, labels=labels)
-                for label, variant in helpers.truncated_variants(rep):
+                case = f"truncated {i} N={N} {labels}"
+                for label, variant in helpers.truncated_variants(rep) if variants else [("", rep)]:
                     report = verify_truncated(variant, q, N)
-                    yield json.dumps({"case": f"truncated {i} N={N} {labels} {label}",
-                                      **report.to_json()})
+                    yield json.dumps({"case": f"{case} {label}".rstrip(), **report.to_json()})
 
 
 def _assert_lines_match(golden, lines):
@@ -66,7 +63,7 @@ def test_verify_reports_match_the_golden():
 def test_truncated_variant_reports_match_the_golden():
     """8,192 reports, every status but ``relation_violation``: a variant
     keeps or shrinks the supports of the built matrices."""
-    _assert_lines_match(VARIANT_GOLDEN, truncated_variant_lines())
+    _assert_lines_match(VARIANT_GOLDEN, truncated_lines(variants=True))
 
 
 def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
@@ -98,6 +95,24 @@ def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
     assert compared == 1179 and fallbacks >= 100  # 120 effective reports came from it
 
 
+def test_clashing_probes_leave_the_truncated_reports_unchanged(monkeypatch):
+    """With every variable and r at one value, probes of different images
+    clash, so the probe pass fails on effective reps too and
+    ``_check_exact`` decides; every truncated report of both goldens,
+    built reps and their variants, still equals the golden."""
+    decided = []
+    check_exact = oracle._check_exact
+    monkeypatch.setattr(oracle, "_point", lambda index: 7)
+    monkeypatch.setattr(oracle, "_check_exact",
+                        lambda *args: decided.append(check_exact(*args)) or decided[-1])
+    built = [line for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+             if line.startswith('{"case": "truncated ')]
+    assert list(truncated_lines(variants=False)) == built
+    _assert_lines_match(VARIANT_GOLDEN, truncated_lines(variants=True))
+    assert sum(report.ok for report in decided) >= 400  # 462 effective reports came from it
+
+
 if __name__ == "__main__":
-    for golden, lines in [(GOLDEN, report_lines()), (VARIANT_GOLDEN, truncated_variant_lines())]:
+    for golden, lines in [(GOLDEN, report_lines()),
+                          (VARIANT_GOLDEN, truncated_lines(variants=True))]:
         golden.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
