@@ -18,6 +18,7 @@ QUIVERS = sorted((ROOT / "quivers").glob("*.quiver"))
 
 COMMANDS = (
     ("analyze",),
+    ("analyze", "--json"),
     ("analyze", "--truncate", "3", "--json"),
     ("construct",),
     ("construct", "--truncate", "3"),
