@@ -12,9 +12,9 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .dimension import effdim_table, line_quiver_effdim, report, stabilization
+from .dimension import analysis, effdim_table, line_quiver_effdim, stabilization
 from .oracle import verify_path_rep, verify_truncated
-from .quiver import Quiver, QuiverError, parse_quiver
+from .quiver import Quiver, QuiverError, ext_to_json, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
 
 
@@ -122,34 +122,45 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows)
 
 
+# One vertex of ``analyze --json`` as ``_dumps`` writes it, without and with N.
+_VERTEX = '    %s: {\n      "l_minus": %s,\n      "l_plus": %s,\n      "scc": %d,\n      "commutative": %s'
+_VERTEX_N = _VERTEX + ',\n      "K": %s,\n      "d": %d\n    }'
+_VERTEX += "\n    }"
+_BOOL = ("false", "true")
+
+
+def _analysis_json(rows: list[tuple], totals: dict, truncated: bool) -> str:
+    """``_dumps(report(q, N))`` from ``analysis``'s rows, one template per vertex."""
+    _, lms, lps, *_ = zip(*rows)
+    ext = {v: _LEAVES[type(j)](j) for v in {*lms, *lps} for j in [ext_to_json(v)]}
+    if truncated:
+        body = [_VERTEX_N % (_quote(x), ext[lm], ext[lp], scc, _BOOL[comm],
+                             "null" if w is None else "[\n        %d,\n        %d\n      ]" % w, d)
+                for x, lm, lp, scc, comm, w, d in rows]
+    else:
+        body = [_VERTEX % (_quote(x), ext[lm], ext[lp], scc, _BOOL[comm])
+                for x, lm, lp, scc, comm, _, _ in rows]
+    return '{\n  "vertices": {\n' + ",\n".join(body) + '\n  },\n  "totals": ' + _dumps(totals, "\n  ") + "\n}"
+
+
 def cmd_analyze(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
-    data = report(q, ns.truncate)
+    truncated = ns.truncate is not None
+    rows, totals = analysis(q, ns.truncate)
     if ns.json:
-        _emit(_dumps(data), ns)
+        _emit(_analysis_json(rows, totals, truncated), ns)
         return 0
     lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows", ""]
-    header = ["vertex", "scc", "commutative", "l-", "l+"]
-    if ns.truncate is not None:
-        header += ["K", "d"]
-    rows = [header]
-    for x in q.vertices:
-        v = data["vertices"][x]
-        row = [x, str(v["scc"]), "yes" if v["commutative"] else "no",
-               str(v["l_minus"]), str(v["l_plus"])]
-        if ns.truncate is not None:
-            w = v["K"]
-            row += ["-" if w is None else f"[{w[0]},{w[1]}]", str(v["d"])]
-        rows.append(row)
-    lines.append(_table(rows))
-    lines.append("")
-    totals = data["totals"]
-    lines.append(f"eff.dim(P) = {totals['effdim_path']}")
-    if ns.truncate is not None:
+    table = [["vertex", "scc", "commutative", "l-", "l+"] + (["K", "d"] if truncated else [])]
+    for x, lm, lp, scc, comm, w, d in rows:
+        row = [x, str(scc), "yes" if comm else "no", str(lm), str(lp)]
+        if truncated:
+            row += ["-" if w is None else f"[{w[0]},{w[1]}]", str(d)]
+        table.append(row)
+    lines += [_table(table), "", f"eff.dim(P) = {totals['effdim_path']}"]
+    if truncated:
         lines.append(f"eff.dim(P_{ns.truncate}) = {totals['effdim_truncated']}")
-    lines.append(
-        f"stabilization: a={totals['a']} b={totals['b']} threshold={totals['threshold']}"
-    )
+    lines.append(f"stabilization: a={totals['a']} b={totals['b']} threshold={totals['threshold']}")
     _emit("\n".join(lines), ns)
     return 0
 

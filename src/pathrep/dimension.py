@@ -166,34 +166,57 @@ def line_quiver_effdim(segments, N: int) -> int:
     )
 
 
+def analysis(q: Quiver, N: int | None = None) -> tuple[list[tuple], dict]:
+    """The per-vertex analysis and its totals in one pass over the vertices.
+
+    Rows are ``(id, l-, l+, scc, commutative, window, d)`` in declaration
+    order; ``window`` and ``d`` are ``k_profile``'s, or None without a
+    truncation level.  The totals equal ``effdim_path``,
+    ``effdim_truncated`` (only with N) and ``stabilization``'s ``a``, ``b``
+    and ``threshold``, summed here rather than by those functions.  No
+    integer meets INF in arithmetic, so any N works, however large.
+    """
+    if N is not None and N < 1:
+        raise ValueError("N must be >= 1")
+    prof = length_profile(q)
+    part = sccs(q)
+    comp = part.component_of
+    noncomm = [c.has_cycle and not c.is_simple_cycle for c in part.components]
+    rows = []
+    extra = truncated = a = b = 0
+    window = d = None
+    for x in q.vertices:
+        lm, lp = prof[x]
+        scc = comp[x]
+        extra += noncomm[scc]
+        if lm == lp == INF:
+            a += 1
+        else:
+            b += 1 if lm + lp < INF else min(lm, lp) + 1
+        if N is not None:
+            lo, hi = 0 if lp == INF else max(0, N - 1 - lp), min(N - 1, lm)
+            window, d = ((lo, hi), hi - lo + 1) if lo <= hi else (None, 1)
+            truncated += d
+        rows.append((x, lm, lp, scc, not noncomm[scc], window, d))
+    totals = {"effdim_path": q.n + extra}
+    if N is not None:
+        totals["effdim_truncated"] = truncated
+    totals.update(a=a, b=b, threshold=q.n)
+    return rows, totals
+
+
 def report(q: Quiver, N: int | None = None) -> dict:
-    """JSON-ready per-vertex and total dimension data.
+    """JSON-ready per-vertex and total dimension data, from ``analysis``.
 
     Grade windows and block dimensions appear only when a truncation level
     is given; a window of null then means it is empty.
     """
-    prof = length_profile(q)
-    part = sccs(q)
-    cls = classify_path(q)
-    st = stabilization(q)
-    commutative = set(cls.commutative)
-    kp = k_profile(q, N) if N is not None else None
+    rows, totals = analysis(q, N)
     vertices = {}
-    for x in q.vertices:
-        lm, lp = prof[x]
-        entry = {
-            "l_minus": ext_to_json(lm),
-            "l_plus": ext_to_json(lp),
-            "scc": part.component_of[x],
-            "commutative": x in commutative,
-        }
-        if kp is not None:
-            w = kp.window[x]
-            entry["K"] = None if w is None else [w[0], w[1]]
-            entry["d"] = kp.d[x]
-        vertices[x] = entry
-    totals = {"effdim_path": effdim_path(q)}
-    if N is not None:
-        totals["effdim_truncated"] = effdim_truncated(q, N)
-    totals.update(a=st.a, b=st.b, threshold=st.threshold)
+    for x, lm, lp, scc, commutative, window, d in rows:
+        entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp),
+                               "scc": scc, "commutative": commutative}
+        if N is not None:
+            entry["K"] = None if window is None else list(window)
+            entry["d"] = d
     return {"vertices": vertices, "totals": totals}

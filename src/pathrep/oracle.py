@@ -284,11 +284,13 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
     A level is the list of probes of each (source, head) block; no path is
     built.  Each block steps through each arrow out of its head in one
     ``_mul_probes`` call, then each new block is checked whole, in C: no
-    zero probe, and the block's set of probes grows by the number of new
-    ones.  A fault ends the pass at the end of its level."""
+    zero probe, and the block's set of probe hashes grows by the number of
+    new ones: distinct hashes prove the probes distinct, and a hash clash
+    fails the pass like equal probes.  A fault ends the pass at the end of
+    its level."""
     moves = move_table(q)
     level = {(v, v): [starts[v]] for v in range(q.n)}
-    seen: dict = {}  # (source, target) -> the set of every probe in that block
+    seen: dict = {}  # (source, target) -> the hashes of every probe in that block
     paths = 0
     for length in range(max_len + 1):
         if length:
@@ -302,7 +304,7 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
         for block, probes in level.items():
             images = seen.setdefault(block, set())
             size = len(images)
-            images.update(probes)
+            images.update(map(hash, probes))
             if len(images) != size + len(probes) or not all(map(any, probes)):
                 return None
             paths += len(probes)

@@ -13,7 +13,7 @@ import helpers
 import pathrep
 from pathrep import repbuild
 from pathrep.cli import _dumps, main
-from pathrep.dimension import k_profile, report
+from pathrep.dimension import effdim_path, effdim_truncated, k_profile, report, stabilization
 from pathrep.quiver import Quiver, parse_quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
@@ -532,14 +532,59 @@ def _large_quiver(n=2000, seed=5):
     return Quiver(ids, [(f"e{j}", t, h) for j, (t, h) in enumerate(pairs)])
 
 
+def _quiver_text(q):
+    return "".join(f"vertex {v}\n" for v in q.vertices) + "".join(
+        f"arrow {a.name}: {q.vertices[a.tail]} -> {q.vertices[a.head]}\n" for a in q.arrows)
+
+
+@st.composite
+def small_quivers(draw):
+    """Up to 7 vertices and 10 arrows: loops, parallel arrows, isolated
+    vertices, and vertices of bounded and unbounded l- and l+."""
+    ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),
+                        min_size=1, max_size=7, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
+    return Quiver(ids, [(f"e{j}", t, h) for j, (t, h) in enumerate(pairs)])
+
+
+@given(small_quivers(), st.sampled_from([None, 1, 2, "n + 1", 10**20]))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_analyze_json_rows_match_the_report(qfile, capsys, q, N):
+    """``analyze --json`` writes its rows by template; the bytes are those
+    of the stdlib on ``report``, whose totals are summed in the same pass
+    and must equal the functions that define them."""
+    N = q.n + 1 if N == "n + 1" else N
+    flags = [] if N is None else ["--truncate", str(N)]
+    assert main(["analyze", qfile(_quiver_text(q)), *flags, "--json"]) == 0
+    data = report(q, N)
+    assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+    totals = data["totals"]
+    stab = stabilization(q)
+    assert (totals["a"], totals["b"], totals["threshold"]) == (stab.a, stab.b, stab.threshold)
+    assert totals["effdim_path"] == effdim_path(q)
+    if N is not None:
+        assert totals["effdim_truncated"] == effdim_truncated(q, N)
+        kp = k_profile(q, N)
+        for x, entry in data["vertices"].items():
+            assert (entry["K"], entry["d"]) == (kp.window[x] and list(kp.window[x]), kp.d[x])
+
+
+def test_analyze_takes_a_level_beyond_the_floats(qfile, capsys):
+    """A level above 1e308 meets INF as an integer: ``N - 1 - INF`` would
+    raise OverflowError."""
+    N = 10**400
+    assert main(["analyze", qfile(_quiver_text(helpers.loop_with_tail())), "--truncate", str(N), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [v["K"] for v in data["vertices"].values()] == [[0, N - 1], [N - 2, N - 1], [N - 1, N - 1]]
+    assert data["totals"]["effdim_truncated"] == N + 3
+
+
 def test_json_writer_matches_the_stdlib_on_command_outputs(qfile, capsys):
     q = _large_quiver()
     data = report(q, 3)
     assert len(data["vertices"]) == 2000
     assert _dumps(data) == json.dumps(data, indent=2)
-    text = "".join(f"vertex {v}\n" for v in q.vertices) + "".join(
-        f"arrow {a.name}: {q.vertices[a.tail]} -> {q.vertices[a.head]}\n" for a in q.arrows)
-    assert main(["analyze", qfile(text), "--truncate", "3", "--json"]) == 0
+    assert main(["analyze", qfile(_quiver_text(q)), "--truncate", "3", "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
     small = helpers.loop_with_tail()
     for rep in (build_truncated_rep(small, 3), build_truncated_rep(small, 3, labels="symbolic"),

@@ -152,8 +152,8 @@ def test_verify_truncated_decides_built_reps_without_the_exact_pass(monkeypatch)
 def test_verify_truncated_memory_stays_with_the_probes():
     """The exact walk keeps every image of the loop at N = 400: products of
     up to 400 primes in each column, a peak of about 27 MB under
-    ``tracemalloc``.  The probe pass keeps one probe column of 61-bit
-    values per path: about 4 MB."""
+    ``tracemalloc``.  The probe pass keeps the hash of each path's probe
+    column and one level of probe columns: about 0.13 MB."""
     q = helpers.loop()
     rep = build_truncated_rep(q, 400)
     tracemalloc.start()
@@ -162,7 +162,7 @@ def test_verify_truncated_memory_stays_with_the_probes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10_000_000
+    assert peak < 1_000_000
 
 
 def test_verify_truncated_images_do_not_depend_on_summing_order():
