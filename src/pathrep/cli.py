@@ -126,19 +126,19 @@ def _table(rows: list[list[str]]) -> str:
 _VERTEX = '    %s: {\n      "l_minus": %s,\n      "l_plus": %s,\n      "scc": %d,\n      "commutative": %s'
 _VERTEX_N = _VERTEX + ',\n      "K": %s,\n      "d": %d\n    }'
 _VERTEX += "\n    }"
-_BOOL = ("false", "true")
 
 
 def _analysis_json(rows: list[tuple], totals: dict, truncated: bool) -> str:
     """``_dumps(report(q, N))`` from ``analysis``'s rows, one template per vertex."""
     _, lms, lps, *_ = zip(*rows)
     ext = {v: _LEAVES[type(j)](j) for v in {*lms, *lps} for j in [ext_to_json(v)]}
+    boolean = _LEAVES[bool]
     if truncated:
-        body = [_VERTEX_N % (_quote(x), ext[lm], ext[lp], scc, _BOOL[comm],
+        body = [_VERTEX_N % (_quote(x), ext[lm], ext[lp], scc, boolean(comm),
                              "null" if w is None else "[\n        %d,\n        %d\n      ]" % w, d)
                 for x, lm, lp, scc, comm, w, d in rows]
     else:
-        body = [_VERTEX % (_quote(x), ext[lm], ext[lp], scc, _BOOL[comm])
+        body = [_VERTEX % (_quote(x), ext[lm], ext[lp], scc, boolean(comm))
                 for x, lm, lp, scc, comm, _, _ in rows]
     return '{\n  "vertices": {\n' + ",\n".join(body) + '\n  },\n  "totals": ' + _dumps(totals, "\n  ") + "\n}"
 

@@ -18,21 +18,16 @@ class PathClassification:
 
 
 def classify_path(q: Quiver) -> PathClassification:
-    """Noncommutative vertices are those in a non-simple cyclic component;
-    the split is constant on components, so it is computed per component."""
-    part = sccs(q)
-    noncomm_comp = [c.has_cycle and not c.is_simple_cycle for c in part.components]
-    noncomm = []
-    comm = []
-    for v in q.vertices:
-        (noncomm if noncomm_comp[part.component_of[v]] else comm).append(v)
-    return PathClassification(tuple(noncomm), tuple(comm))
+    """Noncommutative vertices are those in a non-simple cyclic component."""
+    rows, _ = analysis(q)
+    return PathClassification(tuple(x for x, *_, comm, _, _ in rows if not comm),
+                              tuple(x for x, *_, comm, _, _ in rows if comm))
 
 
 def effdim_path(q: Quiver) -> int:
     """Minimal faithful matrix size for the full path semigroup:
     one dimension per vertex plus one extra per noncommutative vertex."""
-    return len(classify_path(q).noncommutative) + q.n
+    return analysis(q)[1]["effdim_path"]
 
 
 def d_value(l_minus: ExtLen, l_plus: ExtLen, N: int) -> int:
@@ -43,7 +38,8 @@ def d_value(l_minus: ExtLen, l_plus: ExtLen, N: int) -> int:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return min(l_minus + 1, l_plus + 1, N, max(l_minus + l_plus + 2 - N, 1))
+    both = l_minus + l_plus + 2  # INF - N would make N a float, which fails above 1.8e308
+    return min(l_minus + 1, l_plus + 1, N, both if both == INF else max(both - N, 1))
 
 
 @dataclass(frozen=True)
@@ -62,33 +58,14 @@ class KProfile:
 
 
 def k_profile(q: Quiver, N: int) -> KProfile:
-    """Grade windows computed from extremal path lengths.
-
-    The interval form [max(0, N-1-l+), min(N-1, l-)] matches the direct
-    path-existence definition because every prefix/suffix of a path is a
-    path, so all intermediate lengths are realized.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    prof = length_profile(q)
-    window: dict[str, tuple[int, int] | None] = {}
-    d: dict[str, int] = {}
-    for x in q.vertices:
-        lm, lp = prof[x]
-        lo = max(0, N - 1 - lp)
-        hi = min(N - 1, lm)
-        if lo > hi:
-            window[x] = None
-            d[x] = 1
-        else:
-            window[x] = (int(lo), int(hi))
-            d[x] = int(hi - lo + 1)
-    return KProfile(N, window, d)
+    """Grade windows and block dimensions, from ``analysis``."""
+    rows, _ = analysis(q, N)
+    return KProfile(N, {x: window for x, *_, window, _ in rows}, {x: d for x, *_, d in rows})
 
 
 def effdim_truncated(q: Quiver, N: int) -> int:
     """Minimal faithful matrix size for the level-N truncated path semigroup."""
-    return sum(d_value(lm, lp, N) for lm, lp in length_profile(q).values())
+    return analysis(q, N)[1]["effdim_truncated"]
 
 
 def effdim_table(q: Quiver, last: int) -> list[int]:
@@ -122,23 +99,9 @@ class Stabilization:
 
 
 def stabilization(q: Quiver) -> Stabilization:
-    """Affine stabilization of the truncated dimension.
-
-    a counts vertices with unbounded paths on both sides; b adds 1 per
-    doubly-bounded vertex and min(l-, l+) + 1 per singly-bounded vertex.
-    The threshold is the vertex count, past which every finite l- + l+ is
-    too small to matter.
-    """
-    a = 0
-    b = 0
-    for lm, lp in length_profile(q).values():
-        if lm == INF and lp == INF:
-            a += 1
-        elif lm < INF and lp < INF:
-            b += 1
-        else:
-            b += int(min(lm, lp)) + 1
-    return Stabilization(a, b, q.n)
+    """Affine stabilization of the truncated dimension, from ``analysis``."""
+    totals = analysis(q)[1]
+    return Stabilization(totals["a"], totals["b"], totals["threshold"])
 
 
 def line_quiver_effdim(segments, N: int) -> int:
@@ -170,11 +133,18 @@ def analysis(q: Quiver, N: int | None = None) -> tuple[list[tuple], dict]:
     """The per-vertex analysis and its totals in one pass over the vertices.
 
     Rows are ``(id, l-, l+, scc, commutative, window, d)`` in declaration
-    order; ``window`` and ``d`` are ``k_profile``'s, or None without a
-    truncation level.  The totals equal ``effdim_path``,
+    order; ``window`` and ``d`` are those of ``KProfile``, or None without
+    a truncation level.  A vertex is noncommutative when its component is
+    cyclic but not a simple cycle; the split is constant on components.
+    The window is [max(0, N-1-l+), min(N-1, l-)]: every prefix and suffix
+    of a path is a path, so every grade in between is realized.  Its size
+    is ``d_value``'s closed form.  Totals: ``effdim_path``,
     ``effdim_truncated`` (only with N) and ``stabilization``'s ``a``, ``b``
-    and ``threshold``, summed here rather than by those functions.  No
-    integer meets INF in arithmetic, so any N works, however large.
+    and ``threshold``; a counts vertices with unbounded paths on both
+    sides, b adds 1 per doubly-bounded vertex and min(l-, l+) + 1 per
+    singly-bounded one, and the threshold is the vertex count, past which
+    every finite l- + l+ is too small to matter.  No integer meets INF in
+    arithmetic, so any N works, however large.
     """
     if N is not None and N < 1:
         raise ValueError("N must be >= 1")

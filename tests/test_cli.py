@@ -13,8 +13,8 @@ import helpers
 import pathrep
 from pathrep import repbuild
 from pathrep.cli import _dumps, main
-from pathrep.dimension import effdim_path, effdim_truncated, k_profile, report, stabilization
-from pathrep.quiver import Quiver, parse_quiver
+from pathrep.dimension import d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
+from pathrep.quiver import INF, Quiver, length_profile, parse_quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
@@ -551,21 +551,29 @@ def small_quivers(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_analyze_json_rows_match_the_report(qfile, capsys, q, N):
     """``analyze --json`` writes its rows by template; the bytes are those
-    of the stdlib on ``report``, whose totals are summed in the same pass
-    and must equal the functions that define them."""
+    of the stdlib on ``report``.  Its totals and block dimensions, summed in
+    one pass, agree with the closed form ``d_value``, and the library
+    functions read the same pass."""
     N = q.n + 1 if N == "n + 1" else N
     flags = [] if N is None else ["--truncate", str(N)]
     assert main(["analyze", qfile(_quiver_text(q)), *flags, "--json"]) == 0
     data = report(q, N)
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
     totals = data["totals"]
+    prof = length_profile(q).values()
+    assert totals["a"] == sum(lm == lp == INF for lm, lp in prof) and totals["threshold"] == q.n
+    for M in (q.n, q.n + 1):
+        assert sum(d_value(lm, lp, M) for lm, lp in prof) == totals["a"] * M + totals["b"]
     stab = stabilization(q)
     assert (totals["a"], totals["b"], totals["threshold"]) == (stab.a, stab.b, stab.threshold)
-    assert totals["effdim_path"] == effdim_path(q)
+    noncomm = sum(not entry["commutative"] for entry in data["vertices"].values())
+    assert totals["effdim_path"] == q.n + noncomm == effdim_path(q)
     if N is not None:
+        assert totals["effdim_truncated"] == sum(d_value(lm, lp, N) for lm, lp in prof)
         assert totals["effdim_truncated"] == effdim_truncated(q, N)
         kp = k_profile(q, N)
         for x, entry in data["vertices"].items():
+            assert entry["d"] == d_value(*length_profile(q)[x], N)
             assert (entry["K"], entry["d"]) == (kp.window[x] and list(kp.window[x]), kp.d[x])
 
 

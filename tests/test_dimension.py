@@ -133,6 +133,15 @@ def test_d_value_monotone_and_bounded():
                     assert d_value(lm, lp2, N) >= d
 
 
+def test_levels_beyond_the_floats():
+    """INF - N would make N a float, which fails above 1.8e308."""
+    N = 10**400
+    q = helpers.loop_with_tail()
+    assert k_profile(q, N).window == {"x": (0, N - 1), "y": (N - 2, N - 1), "z": (N - 1, N - 1)}
+    assert effdim_truncated(q, N) == N + 3
+    assert [d_value(lm, lp, N) for lm, lp in ((INF, INF), (INF, 1), (0, INF), (2, 3))] == [N, 2, 1, 1]
+
+
 def test_stabilization_exact_from_threshold():
     for q in helpers.suite(150):
         st = stabilization(q)
