@@ -114,7 +114,10 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 def _load_quiver(ns: argparse.Namespace) -> Quiver:
     with open(ns.quiver, encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+        try:
+            return parse_quiver(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{ns.quiver}: {exc}") from None
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -183,6 +186,8 @@ def _load_rep(path: str):
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a representation file must hold a JSON object")
     kind = data.get("kind")

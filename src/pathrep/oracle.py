@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
 from .polyring import identity
-from .quiver import Quiver, length_profile, move_table
+from .quiver import Quiver, length_profile, longest_walks
 from .repbuild import GradedRep, SymbolicRep
 
 EFFECTIVE = "effective"
@@ -129,25 +129,15 @@ def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
     """Whether supports prove every length-N composite zero: entry (i, j)
     of a path's image sums over the walks from basis vector j to i along the
     path in the graph with an edge k -> i for each pair (k, _) in row i of
-    an arrow's sparse ``rows``, so no walk of N edges proves it.  Kahn's
-    order finds the longest walk; a cycle has walks of every length."""
+    an arrow's sparse ``rows``, so no walk of N edges proves it.  The
+    longest walk is ``quiver.longest_walks``'s, INF past a cycle."""
     offset = list(itertools.accumulate(dims, initial=0))
-    out: list = [[] for _ in range(offset[-1])]
-    indegree = [0] * len(out)
+    succ: list = [[] for _ in range(offset[-1])]
     for a, m in zip(q.arrows, rows):
         for i, row in enumerate(m):
-            indegree[offset[a.head] + i] += len(row)
             for k, _ in row:
-                out[offset[a.tail] + k].append(offset[a.head] + i)
-    depth = [0] * len(out)  # the most edges of a walk ending at each node
-    order = [node for node in range(len(out)) if not indegree[node]]
-    for node in order:  # grows as it is read
-        for nxt in out[node]:
-            depth[nxt] = max(depth[nxt], depth[node] + 1)
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                order.append(nxt)
-    return len(order) == len(out) and max(depth, default=0) < N
+                succ[offset[a.tail] + k].append(offset[a.head] + i)
+    return max(longest_walks(succ), default=0) < N
 
 
 def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
@@ -288,7 +278,7 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
     new ones: distinct hashes prove the probes distinct, and a hash clash
     fails the pass like equal probes.  A fault ends the pass at the end of
     its level."""
-    moves = move_table(q)
+    moves = q.out_arrows
     level = {(v, v): [starts[v]] for v in range(q.n)}
     seen: dict = {}  # (source, target) -> the hashes of every probe in that block
     paths = 0
@@ -387,21 +377,13 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
             "exhaustive search bounds exceeded: "
             "need total_dim <= 4 and |arrows| * total_dim^2 <= 20"
         )
-    for dims in _compositions(total_dim, q.n):
-        if 0 in dims:
-            continue  # a trivial path would act as zero, clashing with the zero element
+    # Dims >= 1, as a trivial path acting as zero clashes with the zero
+    # element; lexicographic cut points give lexicographic dims.
+    for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
+        dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
         if _f2_assignment_exists(q, N, dims):
             return True
     return False
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import Quiver, move_table, sccs
+from .quiver import Quiver, sccs
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,13 @@ def walk(q: Quiver, max_len: int, start, step):
 
     Level 0 holds the trivial paths in vertex declaration order, valued
     ``start(vertex_index)``.  Each later level extends every path of the one
-    before, in its order, by each arrow out of its head, in ``out_arrows``
-    order, and values the extension ``step(arrow_index, prefix_value)``; so
+    before, in its order, by each arrow out of its head, in the order of the
+    head's ``(arrow index, head)`` pairs in ``q.out_arrows`` (declaration
+    order), and values the extension ``step(arrow_index, prefix_value)``; so
     every path costs one step, taken as the level is read.  Read each level
     to its end before the next, or stop.  The walk stops at the first empty
     level."""
-    moves = move_table(q)
+    moves = q.out_arrows
 
     def extend(prev, append):
         for tail, head, arrows, value in prev:
@@ -178,8 +179,7 @@ def first_return_cycles(q: Quiver, vertex: str, max_len: int) -> CycleBasis:
     for _ in range(max_len):
         nxt = []
         for head, seq in frontier:
-            for ai in q.out_arrows[head]:
-                h2 = q.arrows[ai].head
+            for ai, h2 in q.out_arrows[head]:
                 if h2 == x:
                     found.append(Path(x, x, seq + (ai,)))
                 elif h2 in inside:

@@ -47,9 +47,11 @@ class Quiver:
     Declaration order of vertices and arrows is canonical: it fixes the
     index order used by enumeration, variable and prime allocation, and
     every JSON output.  Parallel arrows and self-loops are permitted, the
-    vertex set must be nonempty.  Instances are immutable after
-    construction, so ``sccs``, ``length_profile`` and ``move_table`` compute
-    once per instance and keep their read-only results on it.
+    vertex set must be nonempty.  ``out_arrows[v]`` holds the ``(arrow
+    index, head)`` pairs of the arrows out of vertex v, in declaration
+    order: the steps a path ending at v can take.  Instances are immutable
+    after construction, so ``sccs`` and ``length_profile`` compute once per
+    instance and keep their read-only results on it.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -63,8 +65,7 @@ class Quiver:
             vindex[v] = len(vindex)
         built: list[Arrow] = []
         aindex: dict[str, int] = {}
-        out_: list[list[int]] = [[] for _ in vindex]
-        in_: list[list[int]] = [[] for _ in vindex]
+        out_: list[list[tuple[int, int]]] = [[] for _ in vindex]
         for i, entry in enumerate(arrows):
             try:
                 name, tail, head = entry
@@ -81,19 +82,16 @@ class Quiver:
                 raise QuiverError(f"arrow {name!r} uses undeclared vertex {bad!r}", ("arrow", i))
             aindex[name] = i
             built.append(Arrow(name, t, h))
-            out_[t].append(i)
-            in_[h].append(i)
+            out_[t].append((i, h))
         if not vindex:  # after the arrows, so a stray arrow names its line
             raise QuiverError("no vertices declared")
         self.vertices: tuple[str, ...] = tuple(vindex)
         self.vertex_index: dict[str, int] = vindex
         self.arrows: tuple[Arrow, ...] = tuple(built)
         self.arrow_index: dict[str, int] = aindex
-        self.out_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_))
-        self.in_arrows: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_))
+        self.out_arrows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out_))
         self._sccs: SccPartition | None = None
         self._profile: MappingProxyType | None = None
-        self._moves: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -125,7 +123,7 @@ class Quiver:
         return hash((self.vertices, self.arrows))
 
     def __getstate__(self):  # copies and pickles recompute the analysis
-        return {**self.__dict__, "_sccs": None, "_profile": None, "_moves": None}
+        return {**self.__dict__, "_sccs": None, "_profile": None}
 
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
@@ -176,25 +174,14 @@ class SccComponent:
 
 @dataclass(frozen=True)
 class SccPartition:
-    """Mutual-reachability classes with cycle flags and the condensation DAG.
+    """Mutual-reachability classes with their cycle flags.
 
     Components are listed in the order Tarjan's algorithm completes them,
-    i.e. every successor component precedes its predecessors; condensation
-    edges are deduplicated pairs of component indices in arrow order.
+    i.e. every successor component precedes its predecessors.
     """
 
     component_of: MappingProxyType  # vertex id -> component index
     components: tuple[SccComponent, ...]
-    condensation: tuple[tuple[int, int], ...]
-
-
-def move_table(q: Quiver) -> tuple:
-    """For each vertex index, the ``(arrow index, head)`` pairs of the
-    arrows out of it, in ``out_arrows`` order: the steps a path ending there
-    can take."""
-    if q._moves is None:
-        q._moves = tuple(tuple((ai, q.arrows[ai].head) for ai in out) for out in q.out_arrows)
-    return q._moves
 
 
 def sccs(q: Quiver) -> SccPartition:
@@ -230,8 +217,7 @@ def _compute_sccs(q: Quiver) -> SccPartition:
         while call_stack:
             v, it = call_stack[-1]
             advanced = False
-            for ai in it:
-                w = q.arrows[ai].head
+            for _, w in it:
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
@@ -260,41 +246,28 @@ def _compute_sccs(q: Quiver) -> SccPartition:
                 comp.sort()
                 comps.append(comp)
 
-    k = len(comps)
-    internal = [0] * k
-    loop_inside = [False] * k
-    cond: list[tuple[int, int]] = []
-    cond_seen: set[tuple[int, int]] = set()
+    # A component has a cycle exactly when it holds an arrow: a self-loop,
+    # or at least one arrow per vertex when it spans several.
+    internal = [0] * len(comps)
     for a in q.arrows:
-        ct, ch = comp_of[a.tail], comp_of[a.head]
-        if ct == ch:
-            internal[ct] += 1
-            if a.tail == a.head:
-                loop_inside[ct] = True
-        else:
-            edge = (ct, ch)
-            if edge not in cond_seen:
-                cond_seen.add(edge)
-                cond.append(edge)
-    components = []
-    for c, members in enumerate(comps):
-        has_cycle = len(members) > 1 or loop_inside[c]
-        simple = has_cycle and internal[c] == len(members)
-        components.append(
-            SccComponent(tuple(q.vertices[v] for v in members), has_cycle, simple)
-        )
+        if comp_of[a.tail] == comp_of[a.head]:
+            internal[comp_of[a.tail]] += 1
+    components = [
+        SccComponent(tuple(q.vertices[v] for v in members), internal[c] > 0, internal[c] == len(members))
+        for c, members in enumerate(comps)
+    ]
     component_of = {q.vertices[v]: comp_of[v] for v in range(n)}
-    return SccPartition(MappingProxyType(component_of), tuple(components), tuple(cond))
+    return SccPartition(MappingProxyType(component_of), tuple(components))
 
 
 def length_profile(q: Quiver) -> MappingProxyType:
     """Per vertex, the supremum of lengths of paths ending / starting there.
 
-    The supremum is INF exactly when some cyclic component can feed into
-    (resp. be reached from) the vertex; otherwise it is a longest-path value
-    over the condensation, which is finite and at most n - 1 because any
-    longer path would contain a subcycle.  The result is a read-only map
-    from vertex id to (l-, l+).
+    The supremum is INF exactly when some cycle leads into (resp. can be
+    reached from) the vertex; otherwise it is the longest such path, which
+    is at most n - 1 because any longer path would contain a subcycle.  Both
+    sides are ``longest_walks``: on the arrows, and on the arrows reversed.
+    The result is a read-only map from vertex id to (l-, l+).
     """
     if q._profile is None:
         q._profile = _compute_length_profile(q)
@@ -302,33 +275,34 @@ def length_profile(q: Quiver) -> MappingProxyType:
 
 
 def _compute_length_profile(q: Quiver) -> MappingProxyType:
-    part = sccs(q)
-    comp_of = [part.component_of[v] for v in q.vertices]
-    cyclic = [part.components[c].has_cycle for c in comp_of]
-    # Component order: an arrow out of an acyclic vertex leads to a smaller
-    # index, so one sweep each way settles both sides, and 1 + INF carries
-    # INF from every cyclic vertex along the arrows.
-    n = q.n
-    l_plus: list[ExtLen] = [0] * n
-    l_minus: list[ExtLen] = [0] * n
-    order = sorted(range(n), key=lambda v: comp_of[v])
-    for v in order:  # successors first
-        if cyclic[v]:
-            l_plus[v] = INF
-            continue
-        best = 0
-        for ai in q.out_arrows[v]:
-            best = max(best, 1 + l_plus[q.arrows[ai].head])
-        l_plus[v] = best
-    for v in reversed(order):  # predecessors first
-        if cyclic[v]:
-            l_minus[v] = INF
-            continue
-        best = 0
-        for ai in q.in_arrows[v]:
-            best = max(best, 1 + l_minus[q.arrows[ai].tail])
-        l_minus[v] = best
-    return MappingProxyType({q.vertices[v]: (l_minus[v], l_plus[v]) for v in range(n)})
+    succ: list[list[int]] = [[] for _ in q.vertices]
+    pred: list[list[int]] = [[] for _ in q.vertices]
+    for _, t, h in q.arrows:
+        succ[t].append(h)
+        pred[h].append(t)
+    return MappingProxyType(dict(zip(q.vertices, zip(longest_walks(succ), longest_walks(pred)))))
+
+
+def longest_walks(succ) -> list[ExtLen]:
+    """For each node of the graph with an edge i -> j for every j in
+    ``succ[i]``, the most edges of a walk ending there, or INF when a cycle
+    leads to it (a cycle has walks of every length).  Kahn's order settles
+    the nodes level by level, so the last predecessor of a node to settle
+    is a deepest one; the nodes it leaves with in-degree are exactly those
+    a cycle leads to."""
+    indegree = [0] * len(succ)
+    for nexts in succ:
+        for j in nexts:
+            indegree[j] += 1
+    depth: list[ExtLen] = [0] * len(succ)
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:  # grows as it is read
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                depth[j] = depth[i] + 1
+                order.append(j)
+    return [INF if left else d for d, left in zip(depth, indegree)]
 
 
 def ext_to_json(value: ExtLen):

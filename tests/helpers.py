@@ -173,6 +173,15 @@ def naive_paths(q, max_len):
     return out
 
 
+def out_arrow_ids(q):
+    """Each vertex's out-arrow indices in declaration order, read off
+    ``q.arrows`` rather than the quiver's own adjacency table."""
+    out = [[] for _ in range(q.n)]
+    for i, a in enumerate(q.arrows):
+        out[a.tail].append(i)
+    return out
+
+
 def path_counts(q, max_len):
     """Yield the number of paths of each length 0..max_len, and stop where
     ``paths.walk`` stops, at the first length with none."""

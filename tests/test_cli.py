@@ -196,6 +196,26 @@ def test_verify_rep_nested_too_deeply(qfile, tmp_path, capsys, text):
     assert err.startswith("error:") and str(rep_path) in err
 
 
+def test_quiver_file_not_utf8_names_the_file(tmp_path, capsys):
+    quiver_path = tmp_path / "q.quiver"
+    quiver_path.write_bytes(b"vertex x\n\xff\n")
+    assert main(["analyze", str(quiver_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {quiver_path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("data", [b"not json", b'{"kind": "path", "vertex_dims": {"x": 1',
+                                  b'{"kind": "\xff"}'],
+                         ids=["not-json", "cut-off", "not-utf8"])
+def test_verify_rep_that_does_not_decode_names_the_file(qfile, tmp_path, capsys, data):
+    quiver_path = qfile(LOOP)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_bytes(data)
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rep_path}: ") and quiver_path not in err
+
+
 def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
     quiver_path = qfile(LOOP)
     rep_path = tmp_path / "rep.json"

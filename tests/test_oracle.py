@@ -592,3 +592,27 @@ def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
             assert 1 + paths == checked
         verdicts.add(status)
     assert {"effective", "zero_action", "collision"} == verdicts
+
+
+def test_supports_vanish_at_the_boundary():
+    """The support graph of a hand-built loop rep: a shift 0 -> 1 -> 2 of
+    basis vectors has a longest walk of 2 edges, so it proves level 3 and not
+    level 2; closing it into a cycle proves no level."""
+    q = helpers.loop()
+    shift = [(), ((0, 1),), ((1, 7),)]  # sparse rows: row i holds (column, entry) pairs
+    assert oracle._supports_vanish(q, 3, [3], [shift])
+    assert not oracle._supports_vanish(q, 2, [3], [shift])
+    cycle = [((2, 1),)] + shift[1:]
+    assert not oracle._supports_vanish(q, 3, [3], [cycle])
+    assert not oracle._supports_vanish(q, 10**400, [3], [cycle])
+
+
+def test_supports_vanish_offsets_each_vertex_block():
+    """Edges run from the tail's block to the head's: on x -> y with dims
+    2 and 1, the one entry gives one edge, from x's second basis vector to
+    y's, so the longest walk has 1 edge."""
+    q = helpers.a2()
+    rows = [[((1, 4),)]]
+    assert oracle._supports_vanish(q, 2, [2, 1], rows)
+    assert not oracle._supports_vanish(q, 1, [2, 1], rows)
+    assert oracle._supports_vanish(q, 1, [2, 1], [[()]])  # no edge: every walk is empty

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from pathrep.quiver import INF, Arrow, Quiver, QuiverError, length_profile, parse_quiver, sccs
+from pathrep.quiver import (
+    INF,
+    Arrow,
+    Quiver,
+    QuiverError,
+    length_profile,
+    longest_walks,
+    parse_quiver,
+    sccs,
+)
 
 
 def test_parse_loop():
@@ -200,7 +209,6 @@ def test_sccs_loop():
     assert len(part.components) == 1
     c = part.components[0]
     assert c.has_cycle and c.is_simple_cycle
-    assert part.condensation == ()
 
 
 def test_sccs_triangle_with_chord():
@@ -216,8 +224,7 @@ def test_sccs_a2():
     part = sccs(q)
     assert len(part.components) == 2
     assert all(not c.has_cycle for c in part.components)
-    cx, cy = part.component_of["x"], part.component_of["y"]
-    assert part.condensation == ((cx, cy),)
+    assert part.component_of["y"] < part.component_of["x"]  # successors first
 
 
 def test_length_profile_a3():
@@ -306,12 +313,52 @@ def test_suffix_realizability():
 def test_simple_cycle_flag_matches_enumeration():
     for q in helpers.suite(60):
         part = sccs(q)
+        out = helpers.out_arrow_ids(q)
         for comp in part.components:
             members = {q.vertex_index[v] for v in comp.vertices}
             no_branch = all(
-                sum(1 for ai in q.out_arrows[v] if q.arrows[ai].head in members) < 2
+                sum(1 for ai in out[v] if q.arrows[ai].head in members) < 2
                 for v in members
             )
             for v in comp.vertices:
                 cycles = helpers.naive_first_return(q, q.vertex_index[v], q.n)
                 assert comp.is_simple_cycle == (len(cycles) == 1 and no_branch)
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists of a digraph of up to 7 nodes: self-loops, parallel
+    edges and isolated nodes included."""
+    n = draw(st.integers(0, 7))
+    succ = [[] for _ in range(n)]
+    if n:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=12)):
+            succ[i].append(j)
+    return succ
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_longest_walks_matches_brute_force(succ):
+    """A node is INF exactly when a walk of n edges ends there (it repeats a
+    node, so it runs round a cycle); otherwise its value is the most edges
+    of a walk ending there, found by stepping the set of walk ends."""
+    n = len(succ)
+    longest = [0] * n
+    ends = set(range(n))  # the nodes where a walk of k edges ends
+    for k in range(1, n + 1):
+        ends = {j for i in ends for j in succ[i]}
+        for j in ends:
+            longest[j] = k
+    expected = [INF if v == n and n else v for v in longest]
+    assert longest_walks(succ) == expected
+
+
+def test_longest_walks_by_hand():
+    assert longest_walks([]) == []
+    assert longest_walks([[]]) == [0]
+    assert longest_walks([[0]]) == [INF]
+    assert longest_walks([[1, 1], [2], []]) == [0, 1, 2]  # parallel edges
+    assert longest_walks([[1], [0], [3], [], [2]]) == [INF, INF, 1, 2, 0]
+    assert longest_walks([[], [1, 2], []]) == [0, INF, INF]
