@@ -91,12 +91,11 @@ def walk(q: Quiver, max_len: int, start, step):
 
     Level 0 holds the trivial paths in vertex declaration order, valued
     ``start(vertex_index)``.  Each later level extends every path of the one
-    before, in its order, by each arrow out of its head, in the order of the
-    head's ``(arrow index, head)`` pairs in ``q.out_arrows`` (declaration
-    order), and values the extension ``step(arrow_index, prefix_value)``; so
-    every path costs one step, taken as the level is read.  Read each level
-    to its end before the next, or stop.  The walk stops at the first empty
-    level."""
+    before, in its order, by each ``(arrow index, head)`` pair out of its
+    head in ``q.out_arrows``, in declaration order, and values the extension
+    ``step(arrow_index, prefix_value)``; so every path costs one step,
+    taken as the level is read.  Read each level to its end before the
+    next, or stop.  The walk stops at the first empty level."""
     moves = q.out_arrows
 
     def extend(prev, append):
