@@ -351,7 +351,7 @@ def test_longest_walks_matches_brute_force(succ):
         ends = {j for i in ends for j in succ[i]}
         for j in ends:
             longest[j] = k
-    expected = [INF if v == n and n else v for v in longest]
+    expected = [INF if v == n else v for v in longest]
     assert longest_walks(succ) == expected
 
 
