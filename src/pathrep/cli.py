@@ -116,7 +116,7 @@ def _load_quiver(ns: argparse.Namespace) -> Quiver:
     with open(ns.quiver, encoding="utf-8") as fh:
         try:
             return parse_quiver(fh.read())
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # undecodable text or a QuiverError
             raise ValueError(f"{ns.quiver}: {exc}") from None
 
 
@@ -181,21 +181,21 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 
 
 def _load_rep(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a representation file must hold a JSON object")
-    kind = data.get("kind")
-    if kind == "path":
-        return SymbolicRep.from_json(data)
-    if kind == "truncated":
-        return GradedRep.from_json(data)
-    raise QuiverError(f"unrecognized representation kind {kind!r}")
+        if not isinstance(data, dict):
+            raise ValueError("a representation file must hold a JSON object")
+        kind = data.get("kind")
+        if kind == "path":
+            return SymbolicRep.from_json(data)
+        if kind == "truncated":
+            return GradedRep.from_json(data)
+        raise ValueError(f"unrecognized representation kind {kind!r}")
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # undecodable or malformed content
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:

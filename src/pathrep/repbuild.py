@@ -36,22 +36,6 @@ def _prime_limit(n: int) -> int:
     return int(n * (log(n) + log(log(n)))) + 2
 
 
-def _primes():
-    """2, 3, 5, 7, ... in order.  Each round sieves below the limit for
-    twice as many primes as are known and yields the new ones."""
-    known = start = 0
-    while True:
-        limit = _prime_limit(2 * known or 1)
-        sieve = bytearray([1]) * limit
-        sieve[:2] = b"\0\0"
-        for p in range(2, isqrt(limit - 1) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-        new = list(compress(range(start, limit), sieve[start:]))
-        yield from new
-        known, start = known + len(new), limit
-
-
 def _field(data, name: str, kind, where: str = "representation"):
     """``data[name]`` from a representation file, checked for presence and
     type, so that a malformed file fails with a message naming the field."""
@@ -195,36 +179,37 @@ def build_path_rep(q: Quiver) -> SymbolicRep:
     return SymbolicRep(dims, matrices, variables)
 
 
+def _label_keys(q: Quiver, N: int) -> list[tuple[str, int]]:
+    """Level-N label keys in (arrow declaration, grade) order, for either kind."""
+    return [(a.name, k) for a in q.arrows for k in range(N)]
+
+
 def allocate_primes(q: Quiver, N: int) -> dict[tuple[str, int], int]:
-    """Injective (arrow, grade) -> prime table: pairs in declaration-then-
-    grade order get 2, 3, 5, 7, ..."""
+    """Injective (arrow, grade) -> prime table: the keys in (arrow, grade) order
+    get 2, 3, 5, 7, ... from one sieve below ``_prime_limit`` of their count.
+    The label of grade g in the window (lo, hi) lands in column hi - g."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    gen = _primes()
-    return {(a.name, k): next(gen) for a in q.arrows for k in range(N)}
-
-
-def _symbolic_labels(q: Quiver, N: int):
-    labels = {}
-    names = []
-    idx = 0
-    for a in q.arrows:
-        for k in range(N):
-            labels[(a.name, k)] = MultiPoly.variable(idx)
-            names.append(f"p({a.name},{k})")
-            idx += 1
-    return labels, names
+    keys = _label_keys(q, N)
+    limit = _prime_limit(len(keys))
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return dict(zip(keys, compress(range(limit), sieve)))
 
 
 @dataclass(frozen=True)
 class GradedRep:
     """Graded representation of the level-N truncated path semigroup.
 
-    ``grades[x]`` lists the basis grades in descending order (so grade-
-    raising arrow matrices are strictly upper triangular), or is None for a
-    vertex carrying a single ungraded vector.  Matrices are dense tuples of
-    tuples with at most one nonzero entry per column, namely the label of
-    (arrow, source grade).  ``label_kind`` is "primes" or "symbolic".
+    ``grades[x]`` lists the basis grades in descending order, so grade g of
+    the window (lo, hi) is basis index hi - g and grade-raising arrow
+    matrices are strictly upper triangular; it is None for a vertex carrying
+    a single ungraded vector.  Matrices are dense tuples of tuples with at
+    most one nonzero entry per column, namely the label of (arrow, source
+    grade).  ``label_kind`` is "primes" or "symbolic".
     """
 
     N: int
@@ -327,8 +312,9 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
         (full-length grades cannot occur here);
       - an ungraded source acts with the grade-0 label, landing on the
         least admissible grade of a graded target or the single vector.
-    Paths of length >= N then vanish automatically: they only ever traverse
-    graded vertices and each step strictly raises the grade.
+    Grade g of a window (lo, hi) sits at basis index hi - g.  Paths of
+    length >= N then vanish automatically: they only ever traverse graded
+    vertices and each step strictly raises the grade.
     """
     if labels not in ("primes", "symbolic"):
         raise ValueError("labels must be 'primes' or 'symbolic'")
@@ -340,52 +326,37 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
     if entries > DENSE_LIMIT:
         raise ValueError(f"the truncation at N={N} needs {entries:,} dense matrix entries, "
                          f"above the limit of {DENSE_LIMIT:,}")
-    symbolic = labels == "symbolic"
-    if symbolic:
-        label_map, label_names = _symbolic_labels(q, N)
+    if labels == "primes":
+        label_map, label_names, zero = allocate_primes(q, N), (), 0
     else:
-        label_map, label_names = allocate_primes(q, N), []
-    zero = MultiPoly.zero() if symbolic else 0
-    grades: dict[str, tuple[int, ...] | None] = {}
-    pos: dict[str, dict[int, int]] = {}
-    dims: dict[str, int] = {}
-    for x in q.vertices:
-        w = kp.window[x]
-        if w is None:
-            grades[x] = None
-            dims[x] = 1
-        else:
-            lo, hi = w
-            desc = tuple(range(hi, lo - 1, -1))
-            grades[x] = desc
-            dims[x] = len(desc)
-            pos[x] = {g: i for i, g in enumerate(desc)}
+        keys = _label_keys(q, N)
+        label_map = {key: MultiPoly.variable(i) for i, key in enumerate(keys)}
+        label_names, zero = tuple(f"p({a},{k})" for a, k in keys), MultiPoly.zero()
+    grades = {x: None if w is None else tuple(range(w[1], w[0] - 1, -1))
+              for x, w in kp.window.items()}
     matrices: dict[str, tuple] = {}
     for a in q.arrows:
-        x = q.vertices[a.tail]
-        y = q.vertices[a.head]
-        m = [[zero] * dims[x] for _ in range(dims[y])]
-        wx = kp.window[x]
-        wy = kp.window[y]
+        x, y = q.vertices[a.tail], q.vertices[a.head]
+        m = [[zero] * kp.d[x] for _ in range(kp.d[y])]
+        wx, wy = kp.window[x], kp.window[y]
         if wx is not None:
             for k in range(wx[0], wx[1] + 1):
-                col = pos[x][k]
                 if wy is not None:
                     if k == N - 1:
                         continue
                     j = max(wy[0], k + 1)
                     assert j <= wy[1], "no admissible grade above the source grade"
-                    m[pos[y][j]][col] = label_map[(a.name, k)]
+                    m[wy[1] - j][wx[1] - k] = label_map[(a.name, k)]
                 else:
                     # a grade-(N-1) source would force the target to carry a
                     # full-length path too, contradicting its empty window
                     assert k < N - 1
-                    m[0][col] = label_map[(a.name, k)]
+                    m[0][wx[1] - k] = label_map[(a.name, k)]
         else:
-            row = pos[y][wy[0]] if wy is not None else 0
+            row = wy[1] - wy[0] if wy is not None else 0
             m[row][0] = label_map[(a.name, 0)]
         matrices[a.name] = tuple(tuple(r) for r in m)
-    return GradedRep(N, dims, grades, matrices, label_map, labels, tuple(label_names))
+    return GradedRep(N, kp.d, grades, matrices, label_map, labels, label_names)
 
 
 def rep_of_path(rep, p: Path):

@@ -216,6 +216,43 @@ def test_verify_rep_that_does_not_decode_names_the_file(qfile, tmp_path, capsys,
     assert err.startswith(f"error: {rep_path}: ") and quiver_path not in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "nope"}, "unrecognized representation kind 'nope'"),
+    ({"kind": "path", "vertex_dims": {"x": 1}}, "representation is missing field 'variables'"),
+    ({"kind": "truncated", "labels": "primes", "truncation": 0},
+     "representation field 'truncation' must be >= 1"),
+], ids=["unknown-kind", "missing-field", "bad-truncation"])
+def test_verify_rep_with_bad_content_names_the_file(qfile, tmp_path, capsys, data, message):
+    quiver_path = qfile(LOOP)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {rep_path}: {message}\n" and quiver_path not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct", "verify", "stabilize"])
+def test_bad_quiver_names_the_file(qfile, tmp_path, capsys, command):
+    quiver_path = qfile("vertex x\nvertex x\n")
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(build_path_rep(helpers.loop()).to_json()))
+    args = [command, quiver_path] + (["--rep", str(rep_path)] if command == "verify" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {quiver_path}: line 2: duplicate vertex id 'x'\n"
+    assert str(rep_path) not in err
+
+
+def test_verify_rep_mismatch_names_no_file(qfile, tmp_path, capsys):
+    # a rep that does not fit the quiver concerns both files, so neither is named
+    quiver_path = qfile(A2)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(build_path_rep(helpers.loop()).to_json()))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: representation does not match the quiver\n"
+
+
 def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
     quiver_path = qfile(LOOP)
     rep_path = tmp_path / "rep.json"

@@ -13,7 +13,6 @@ from pathrep.repbuild import (
     GradedRep,
     SymbolicRep,
     _prime_limit,
-    _primes,
     allocate_primes,
     build_path_rep,
     build_truncated_rep,
@@ -88,18 +87,18 @@ def test_primes_match_a_sieve():
         if not composite[c]:
             sieve.append(c)
             composite[c * c :: c] = b"\x01" * len(range(c * c, limit, c))
-    assert list(itertools.islice(_primes(), 20_000)) == sieve[:20_000]
+    assert list(allocate_primes(helpers.loop(), 20_000).values()) == sieve[:20_000]
 
 
 def test_primes_across_the_small_limit():
     # below six primes the sieve uses a fixed limit, from six on Rosser's bound
     first = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     for count in range(1, len(first) + 1):
-        assert list(itertools.islice(_primes(), count)) == first[:count]
+        assert list(allocate_primes(helpers.loop(), count).values()) == first[:count]
     q = Quiver(["x"], [(f"a{i}", "x", "x") for i in range(7)])
     for N in (1, 2):
         assert list(allocate_primes(q, N).values()) == first[:7 * N]
-    primes = list(itertools.islice(_primes(), 20_000))  # checked against a sieve above
+    primes = list(allocate_primes(helpers.loop(), 20_000).values())  # checked against a sieve above
     for n in range(1, 20_001):
         assert _prime_limit(n) > primes[n - 1]
 
