@@ -113,7 +113,7 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 
 def _load_quiver(ns: argparse.Namespace) -> Quiver:
-    with open(ns.quiver, encoding="utf-8") as fh:
+    with open(ns.quiver, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
         try:
             return parse_quiver(fh.read())
         except ValueError as exc:  # undecodable text or a QuiverError
@@ -182,7 +182,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 
 def _load_rep(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("a representation file must hold a JSON object")

@@ -150,14 +150,11 @@ def analysis(q: Quiver, N: int | None = None) -> tuple[list[tuple], dict]:
         raise ValueError("N must be >= 1")
     prof = length_profile(q)
     part = sccs(q)
-    comp = part.component_of
     noncomm = [c.has_cycle and not c.is_simple_cycle for c in part.components]
     rows = []
     extra = truncated = a = b = 0
     window = d = None
-    for x in q.vertices:
-        lm, lp = prof[x]
-        scc = comp[x]
+    for x, (lm, lp), scc in zip(q.vertices, prof.values(), part.component_of.values()):
         extra += noncomm[scc]
         if lm == lp == INF:
             a += 1

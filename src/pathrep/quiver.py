@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -15,10 +18,12 @@ from typing import NamedTuple
 INF = math.inf
 ExtLen = int | float
 
-_LINE_RE = re.compile(
-    r"vertex\s+([A-Za-z0-9_]+)|arrow\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)"
-)
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_ID = "[A-Za-z0-9_]+"
+_ID_RE = re.compile(_ID + r"\Z")
+_IDS_RE = re.compile(rf"{_ID}(?:\n{_ID})*")
+# One declaration on the line after a "\n"; [^\S\n] is \s within a line.
+_VERTEX_RE = re.compile(rf"\nvertex[^\S\n]+({_ID})$", re.M)
+_ARROW_RE = re.compile(rf"\narrow[^\S\n]+({_ID})[^\S\n]*:[^\S\n]*({_ID})[^\S\n]*->[^\S\n]*({_ID})$", re.M)
 
 
 class QuiverError(ValueError):
@@ -55,39 +60,19 @@ class Quiver:
     """
 
     def __init__(self, vertices, arrows=()):
-        is_id = _ID_RE.match
-        vindex: dict[str, int] = {}
-        for v in vertices:
-            if not isinstance(v, str) or not is_id(v):
-                raise QuiverError(f"bad vertex id {v!r}", ("vertex", len(vindex)))
-            if v in vindex:
-                raise QuiverError(f"duplicate vertex id {v!r}", ("vertex", len(vindex)))
-            vindex[v] = len(vindex)
-        built: list[Arrow] = []
-        aindex: dict[str, int] = {}
-        out_: list[list[tuple[int, int]]] = [[] for _ in vindex]
-        for i, entry in enumerate(arrows):
-            try:
-                name, tail, head = entry
-            except (TypeError, ValueError):
-                raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
-            if not isinstance(name, str) or not is_id(name):
-                raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
-            if name in aindex:
-                raise QuiverError(f"duplicate arrow id {name!r}", ("arrow", i))
-            t = vindex.get(tail) if isinstance(tail, str) else None
-            h = vindex.get(head) if isinstance(head, str) else None
-            if t is None or h is None:
-                bad = tail if t is None else head
-                raise QuiverError(f"arrow {name!r} uses undeclared vertex {bad!r}", ("arrow", i))
-            aindex[name] = i
-            built.append(Arrow(name, t, h))
-            out_[t].append((i, h))
+        vertices, arrows = list(vertices), list(arrows)
+        try:  # below about 16 declarations, checking one by one is faster
+            checked = _checked_in_bulk(vertices, arrows) if len(vertices) + len(arrows) > 16 else None
+        except (TypeError, ValueError):  # an entry without a length, an id that is not a str
+            checked = None
+        vindex, aindex, tails, heads = checked or _checked_one_by_one(vertices, arrows)
         if not vindex:  # after the arrows, so a stray arrow names its line
             raise QuiverError("no vertices declared")
+        out_: list[list[tuple[int, int]]] = [[] for _ in vindex]
+        deque(map(list.append, map(out_.__getitem__, tails), zip(range(len(aindex)), heads)), 0)
         self.vertices: tuple[str, ...] = tuple(vindex)
         self.vertex_index: dict[str, int] = vindex
-        self.arrows: tuple[Arrow, ...] = tuple(built)
+        self.arrows: tuple[Arrow, ...] = tuple(map(tuple.__new__, repeat(Arrow), zip(aindex, tails, heads)))
         self.arrow_index: dict[str, int] = aindex
         self.out_arrows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out_))
         self._sccs: SccPartition | None = None
@@ -129,6 +114,73 @@ class Quiver:
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
 
 
+def _checked_in_bulk(vertices: list, arrows: list):
+    """``(vertex index, arrow index, tails, heads)`` when every declaration
+    is valid, else None.  Each check runs over a whole list; a TypeError
+    (an entry without a length, an id that is not a str or not hashable)
+    only means that ``_checked_one_by_one`` must decide."""
+    n, m = len(vertices), len(arrows)
+    if set(map(len, arrows)) - {3}:
+        return None
+    names, tails, heads = zip(*arrows) if arrows else ((), (), ())
+    ends = tails + heads
+    "".join(ends)  # a TypeError unless every end is a str or a subclass
+    # Joined by "\n", the ids match one pattern and hold one "\n" fewer than
+    # ids, so an id holding a "\n" fails; ``join`` rejects every non-str.
+    ids = "\n".join([*vertices, *names])
+    if _IDS_RE.fullmatch(ids) is None or ids.count("\n") != n + m - 1:
+        return None
+    vindex, aindex = dict(zip(vertices, range(n))), dict(zip(names, range(m)))
+    if len(vindex) < n or len(aindex) < m:
+        return None
+    ends = list(map(vindex.get, ends))
+    return None if None in ends else (vindex, aindex, ends[:m], ends[m:])
+
+
+def _checked_one_by_one(vertices: list, arrows: list):
+    """``_checked_in_bulk``'s result, checking one declaration at a time in
+    order: vertices before arrows, an arrow's id before its tail before its
+    head.  Raises the QuiverError of the first bad declaration."""
+    is_id = _ID_RE.match
+    vindex: dict[str, int] = {}
+    for v in vertices:
+        if not isinstance(v, str) or not is_id(v):
+            raise QuiverError(f"bad vertex id {v!r}", ("vertex", len(vindex)))
+        if v in vindex:
+            raise QuiverError(f"duplicate vertex id {v!r}", ("vertex", len(vindex)))
+        vindex[v] = len(vindex)
+    aindex: dict[str, int] = {}
+    tails: list[int] = []
+    heads: list[int] = []
+    for i, entry in enumerate(arrows):
+        try:
+            name, tail, head = entry
+        except (TypeError, ValueError):
+            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
+        if not isinstance(name, str) or not is_id(name):
+            raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
+        if name in aindex:
+            raise QuiverError(f"duplicate arrow id {name!r}", ("arrow", i))
+        t = vindex.get(tail) if isinstance(tail, str) else None
+        h = vindex.get(head) if isinstance(head, str) else None
+        if t is None or h is None:
+            bad = tail if t is None else head
+            raise QuiverError(f"arrow {name!r} uses undeclared vertex {bad!r}", ("arrow", i))
+        aindex[name] = i
+        tails.append(t)
+        heads.append(h)
+    return vindex, aindex, tails, heads
+
+
+def _numbered_lines(text: str):
+    """``(line number, line)`` of each line that is not blank once its
+    comment and surrounding whitespace are cut."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_quiver(text: str) -> Quiver:
     """Parse the line-based quiver format.
 
@@ -136,37 +188,32 @@ def parse_quiver(text: str) -> Quiver:
     starts a comment, blank lines are ignored, ids match ``[A-Za-z0-9_]+``.
     Arrows may reference vertices declared later in the file.  The
     structural checks are ``Quiver``'s; every error names the offending
-    line, except an empty vertex set.
+    line, except an empty vertex set.  The nonblank lines, each after a
+    newline, are read by one pass per declaration kind: the matches fall
+    short of the lines exactly when a line does not parse.  Line numbers
+    are counted only for an error.
     """
-    vertices: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    linenos: dict[str, list[int]] = {"vertex": [], "arrow": []}
-    match = _LINE_RE.fullmatch
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = (line[: line.index("#")] if "#" in line else line).strip()
-        if not line:
-            continue
-        m = match(line)
-        if m is None:
-            raise QuiverError(f"line {lineno}: cannot parse {line!r}")
-        vertex, name, tail, head = m.groups()
-        if vertex:
-            vertices.append(vertex)
-            linenos["vertex"].append(lineno)
-        else:
-            arrows.append((name, tail, head))
-            linenos["arrow"].append(lineno)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    lines = list(filter(None, map(str.strip, lines)))
+    body = "\n" + "\n".join(lines)
+    vertices, arrows = _VERTEX_RE.findall(body), _ARROW_RE.findall(body)
+    if len(vertices) + len(arrows) < len(lines):
+        for lineno, line in _numbered_lines(text):
+            if not (_VERTEX_RE.match("\n" + line) or _ARROW_RE.match("\n" + line)):
+                raise QuiverError(f"line {lineno}: cannot parse {line!r}")
     try:
         return Quiver(vertices, arrows)
     except QuiverError as exc:
         if exc.decl is None:
             raise
         kind, pos = exc.decl
-        raise QuiverError(f"line {linenos[kind][pos]}: {exc}") from None
+        lineno = [n for n, line in _numbered_lines(text) if line.startswith(kind)][pos]
+        raise QuiverError(f"line {lineno}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SccComponent:
+class SccComponent(NamedTuple):
     vertices: tuple[str, ...]
     has_cycle: bool
     is_simple_cycle: bool
@@ -198,10 +245,10 @@ def sccs(q: Quiver) -> SccPartition:
 
 
 def _compute_sccs(q: Quiver) -> SccPartition:
+    out = q.out_arrows
     n = q.n
-    index = [-1] * n
+    index = [-1] * n  # visit order, n once the vertex's component is complete
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comp_of = [-1] * n
     comps: list[list[int]] = []
@@ -212,52 +259,47 @@ def _compute_sccs(q: Quiver) -> SccPartition:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        call_stack = [(root, iter(q.out_arrows[root]))]
+        call_stack = [(root, iter(out[root]), 0)]  # (vertex, its steps left, its place on stack)
         while call_stack:
-            v, it = call_stack[-1]
-            advanced = False
+            v, it, at = call_stack[-1]
             for _, w in it:
-                if index[w] == -1:
+                iw = index[w]
+                if iw == -1:
                     index[w] = low[w] = counter
                     counter += 1
+                    call_stack.append((w, iter(out[w]), len(stack)))
                     stack.append(w)
-                    on_stack[w] = True
-                    call_stack.append((w, iter(q.out_arrows[w])))
-                    advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            call_stack.pop()
-            if call_stack:
-                u = call_stack[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
+                if iw < low[v]:  # w is on the stack: complete components have index n
+                    low[v] = iw
+            else:
+                call_stack.pop()
+                lv = low[v]
+                if call_stack:
+                    u = call_stack[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
+                    comp = sorted(stack[at:])
+                    del stack[at:]
+                    for w in comp:
+                        comp_of[w] = len(comps)
+                        index[w] = n
+                    comps.append(comp)
 
     # A component has a cycle exactly when it holds an arrow: a self-loop,
     # or at least one arrow per vertex when it spans several.
     internal = [0] * len(comps)
-    for a in q.arrows:
-        if comp_of[a.tail] == comp_of[a.head]:
-            internal[comp_of[a.tail]] += 1
-    components = [
-        SccComponent(tuple(q.vertices[v] for v in members), internal[c] > 0, internal[c] == len(members))
-        for c, members in enumerate(comps)
-    ]
-    component_of = {q.vertices[v]: comp_of[v] for v in range(n)}
-    return SccPartition(MappingProxyType(component_of), tuple(components))
+    for v, steps in enumerate(out):
+        c = comp_of[v]
+        for _, w in steps:
+            if comp_of[w] == c:
+                internal[c] += 1
+    names = q.vertices.__getitem__
+    members = [tuple(map(names, comp)) for comp in comps]
+    components = zip(members, map(bool, internal), map(eq, internal, map(len, comps)))
+    return SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
+                        tuple(map(tuple.__new__, repeat(SccComponent), components)))
 
 
 def length_profile(q: Quiver) -> MappingProxyType:

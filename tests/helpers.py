@@ -3,7 +3,9 @@ independent brute-force oracles the implementation is checked against."""
 
 import itertools
 import random
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -11,7 +13,7 @@ from pathrep.dimension import classify_path, k_profile
 from pathrep.oracle import verify_filtration
 from pathrep.paths import Path, enumerate_paths, factorize_cycle, head_counts
 from pathrep.polyring import PolyMatrix
-from pathrep.quiver import Quiver, length_profile
+from pathrep.quiver import Quiver, QuiverError, length_profile
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 SUITE_SEED = 20260810
@@ -72,6 +74,89 @@ def isolated():
 
 def loop_with_tail():
     return Quiver(["x", "y", "z"], [("l", "x", "x"), ("a", "x", "y"), ("b", "y", "z")])
+
+
+# ------------------------------------------------- reference quiver builds
+
+_REF_ID = re.compile(r"[A-Za-z0-9_]+\Z")
+_REF_LINE = re.compile(
+    r"vertex\s+([A-Za-z0-9_]+)|arrow\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)"
+)
+
+
+def reference_quiver(vertices, arrows=()):
+    """``Quiver(vertices, arrows)`` as its attributes, checked and built one
+    declaration at a time, as the constructor did before it checked whole
+    lists: raises the same ``QuiverError``, message and ``decl``."""
+    vindex = {}
+    for v in vertices:
+        if not isinstance(v, str) or not _REF_ID.match(v):
+            raise QuiverError(f"bad vertex id {v!r}", ("vertex", len(vindex)))
+        if v in vindex:
+            raise QuiverError(f"duplicate vertex id {v!r}", ("vertex", len(vindex)))
+        vindex[v] = len(vindex)
+    built, aindex = [], {}
+    out_ = [[] for _ in vindex]
+    for i, entry in enumerate(arrows):
+        try:
+            name, tail, head = entry
+        except (TypeError, ValueError):
+            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
+        if not isinstance(name, str) or not _REF_ID.match(name):
+            raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
+        if name in aindex:
+            raise QuiverError(f"duplicate arrow id {name!r}", ("arrow", i))
+        t = vindex.get(tail) if isinstance(tail, str) else None
+        h = vindex.get(head) if isinstance(head, str) else None
+        if t is None or h is None:
+            bad = tail if t is None else head
+            raise QuiverError(f"arrow {name!r} uses undeclared vertex {bad!r}", ("arrow", i))
+        aindex[name] = i
+        built.append((name, t, h))
+        out_[t].append((i, h))
+    if not vindex:
+        raise QuiverError("no vertices declared")
+    return SimpleNamespace(vertices=tuple(vindex), arrows=tuple(built), out_arrows=tuple(map(tuple, out_)),
+                           vertex_index=vindex, arrow_index=aindex)
+
+
+def reference_parse(text):
+    """``parse_quiver(text)`` as ``reference_quiver``'s attributes, one line
+    at a time, as the parser did before it read whole texts."""
+    vertices, arrows = [], []
+    linenos = {"vertex": [], "arrow": []}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = (line[: line.index("#")] if "#" in line else line).strip()
+        if not line:
+            continue
+        m = _REF_LINE.fullmatch(line)
+        if m is None:
+            raise QuiverError(f"line {lineno}: cannot parse {line!r}")
+        vertex, name, tail, head = m.groups()
+        if vertex:
+            vertices.append(vertex)
+            linenos["vertex"].append(lineno)
+        else:
+            arrows.append((name, tail, head))
+            linenos["arrow"].append(lineno)
+    try:
+        return reference_quiver(vertices, arrows)
+    except QuiverError as exc:
+        if exc.decl is None:
+            raise
+        kind, pos = exc.decl
+        raise QuiverError(f"line {linenos[kind][pos]}: {exc}") from None
+
+
+def build_outcome(build, *args):
+    """What ``build(*args)`` gives: the quiver's attributes, with the type
+    of each vertex id, or the ``QuiverError``'s message and ``decl``."""
+    try:
+        q = build(*args)
+    except QuiverError as exc:
+        return "error", str(exc), exc.decl
+    return ("quiver", q.vertices, tuple(map(type, q.vertices)), q.arrows, q.out_arrows,
+            q.vertex_index, q.arrow_index)
 
 
 # ------------------------------------------------------------ random suite

@@ -204,6 +204,27 @@ def test_quiver_file_not_utf8_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: {quiver_path}: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_quiver_file_with_a_byte_order_mark(qfile, tmp_path, capsys):
+    """A UTF-8 byte-order mark, as some editors write, is not part of the
+    first line; CRLF line ends read as LF ones."""
+    marked = tmp_path / "bom.quiver"
+    marked.write_bytes(b"\xef\xbb\xbf" + A3.replace("\n", "\r\n").encode())
+    outputs = []
+    for path in (qfile(A3), str(marked)):
+        assert main(["analyze", path, "--truncate", "2", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_rep_file_with_a_byte_order_mark(qfile, tmp_path, capsys):
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--truncate", "2", "--out", str(rep_path)]) == 0
+    rep_path.write_bytes(b"\xef\xbb\xbf" + rep_path.read_bytes())
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 0
+    assert "status: effective" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("data", [b"not json", b'{"kind": "path", "vertex_dims": {"x": 1',
                                   b'{"kind": "\xff"}'],
                          ids=["not-json", "cut-off", "not-utf8"])

@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -11,6 +11,7 @@ from pathrep.quiver import (
     Arrow,
     Quiver,
     QuiverError,
+    SccComponent,
     length_profile,
     longest_walks,
     parse_quiver,
@@ -76,6 +77,10 @@ def test_parse_comments_blanks_and_forward_refs():
     ("arrow a: x -> x\n", "line 1: arrow 'a' uses undeclared vertex 'x'"),
     ("", "no vertices declared"),
     ("# only a comment\n\n", "no vertices declared"),
+    # every str.splitlines break ends a line; whitespace within one is any \s
+    *[(brk.join(["vertex x", "", "arrow a:\tx\xa0->\u3000x # loop", "vertex x y"]),
+       "line 4: cannot parse 'vertex x y'")
+      for brk in ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]],
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(QuiverError) as exc:
@@ -193,6 +198,110 @@ def test_arrow_is_an_immutable_record():
         a.tail = 2
     q = Quiver(["x", "y"], [("a", "x", "y")])
     assert q.arrows == (a,) and hash(q) == hash(Quiver(["x", "y"], [("a", "x", "y")]))
+
+
+class _Sub(str):
+    """A str subclass: every check takes it as ``isinstance`` does."""
+
+
+# Mostly valid ids, so that most inputs get past their first declarations.
+_VERTEX_IDS = st.sampled_from(["x", "y", "z", "x", "y", "z", _Sub("x"), _Sub("y"), "x\ny", "y\n", "\nx", "",
+                               "x y", "\xe9", "a-b", 7, None, b"x", ("x",), ["x"]])
+_ARROW_IDS = st.sampled_from(["a", "b", "c", "a", "b", "c", _Sub("a"), _Sub("b")]) | _VERTEX_IDS
+
+
+class _Alias:
+    """Not a str, though it hashes and compares as "x"."""
+
+    def __hash__(self):
+        return hash("x")
+
+    def __eq__(self, other):
+        return other == "x"
+
+    def __repr__(self):
+        return "_Alias()"
+
+
+_ENDS = _VERTEX_IDS | st.sampled_from(["x", "y", "w", {"x": 1}, {"x"}, _Alias()])
+_ENTRIES = st.one_of(
+    st.tuples(_ARROW_IDS, _ENDS, _ENDS),
+    st.tuples(_ARROW_IDS, _ENDS, _ENDS),
+    st.tuples(_ARROW_IDS, _ENDS),
+    st.tuples(_ARROW_IDS, _ENDS, _ENDS, _ENDS),
+    st.sampled_from([5, None, "abc", "ab"]),
+)
+
+
+@given(st.integers(0, 20), st.booleans(), st.lists(_VERTEX_IDS, max_size=6), st.lists(_ENTRIES, max_size=6))
+@example(0, False, [], [])
+@example(0, False, [], [("a", "x", "x")])
+@example(20, False, ["x\ny"], [])
+@example(12, True, ["x", _Sub("y")], [(_Sub("a"), _Sub("x"), "y")])
+@example(12, True, ["x"], [("a", "x", ["x"])])
+@example(12, True, ["x"], [("a", "x", "x", "x")])
+@example(12, True, ["x"], [("a", _Alias(), "x")])
+@example(12, True, ["x"], [("a", "y", "x")])
+@settings(max_examples=400, deadline=None)
+def test_constructor_matches_the_one_by_one_reference(pad, pad_arrows, vertices, arrows):
+    """``Quiver`` gives the quiver the reference builds one declaration at a
+    time, or its error, message and ``decl`` alike.  A padding of valid
+    declarations in front takes the input past the size from which the
+    constructor checks whole lists."""
+    pads = [f"p{i}" for i in range(pad)]
+    vertices = pads + vertices
+    arrows = [(f"q{i}", v, pads[i - 1]) for i, v in enumerate(pads) if pad_arrows] + arrows
+    assert helpers.build_outcome(Quiver, vertices, arrows) == helpers.build_outcome(
+        helpers.reference_quiver, vertices, arrows)
+
+
+def test_constructor_takes_entries_without_a_length():
+    """An entry that unpacks to three items is a declaration, as the
+    reference reads it, whether or not it has a length."""
+    entries = [("a", "x", "y"), iter(("b", "y", "x"))] + [(f"c{i}", "x", "x") for i in range(20)]
+    q = Quiver(["x", "y"], entries)
+    assert q.arrows[:2] == (("a", 0, 1), ("b", 1, 0)) and len(q.arrows) == 22
+
+
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = st.sampled_from([" ", "\t", "\xa0", "\u3000", "\x1f", " \t "])
+_GAPS = st.sampled_from(["", " ", "\t", "\xa0", "\u3000"])
+_NAMES = st.sampled_from(["x", "y", "z"])
+_LINES = st.one_of(
+    st.builds("{}vertex{}{}{}".format, _GAPS, _SPACES, _NAMES, _GAPS),
+    st.builds("{}arrow{}{}{}:{}{}{}->{}{}{}".format, _GAPS, _SPACES, st.sampled_from("ab"), _GAPS, _GAPS,
+              _NAMES, _GAPS, _GAPS, _NAMES, _GAPS),
+    _GAPS,
+    st.sampled_from(["# vertex w", "  #", "vertex x y", "arrow a x -> y", "vertexx", "arrow a: x ->",
+                     "vertex x\x00", "vertex \u2160", "Vertex x", "vertex x # trailing"]),
+)
+
+
+@given(st.integers(0, 20), st.lists(st.tuples(_LINES, st.booleans(), st.sampled_from(_BREAKS)), max_size=10),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_line_by_line_reference(pad, lines, last_break):
+    """``parse_quiver`` reads each ``str.splitlines`` line, comments, blank
+    lines and whitespace as the line-by-line reference does, and names the
+    same line in every error."""
+    parts = [f"vertex p{i}\n" for i in range(pad)]
+    parts += [line + ("  # note" if comment else "") + brk for line, comment, brk in lines]
+    text = "".join(parts)
+    if parts and not last_break:
+        text = text.rstrip("".join(_BREAKS))
+    assert helpers.build_outcome(parse_quiver, text) == helpers.build_outcome(helpers.reference_parse, text)
+
+
+def test_scc_component_is_an_immutable_record():
+    c = SccComponent(("x", "y", "z"), True, True)
+    assert (c.vertices, c.has_cycle, c.is_simple_cycle) == (("x", "y", "z"), True, True)
+    assert SccComponent._fields == ("vertices", "has_cycle", "is_simple_cycle")
+    assert repr(c) == "SccComponent(vertices=('x', 'y', 'z'), has_cycle=True, is_simple_cycle=True)"
+    assert c == SccComponent(("x", "y", "z"), True, True) and c != SccComponent(("x", "y", "z"), True, False)
+    assert hash(c) == hash((("x", "y", "z"), True, True))  # as the frozen dataclass hashed
+    with pytest.raises(AttributeError):
+        c.has_cycle = False
+    assert sccs(helpers.three_cycle()).components == (c,)
 
 
 def test_constructor_rejects_bad_ids():
