@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
@@ -55,6 +56,8 @@ class VerifyReport:
 
 # Fingerprints live modulo the Mersenne prime 2^61 - 1.
 _P = (1 << 61) - 1
+# A probe's key weighs its coordinate k by _KEY_BASE^k: SplitMix64's golden-ratio constant.
+_KEY_BASE = 0x9E3779B97F4A7C15 % _P
 
 # The most elements one verification may check (see the README's scale limits).
 VERIFY_BUDGET = 2_000_000
@@ -245,20 +248,57 @@ def _probe_inputs(rep, q: Quiver, point, r: int) -> tuple:
                      for k, e in enumerate(row) if e]) for row in m] for m in rep.matrices.values()])
 
 
-def _mul_probes(a_rows, probes):
-    """The columns of a @ probes mod ``_P``, from a's sparse rows (see
-    ``_probe_inputs``) and a block of probe columns: each row's products run
-    down the block in C, one ``map`` per pair; one probe costs less summed."""
-    if len(probes) == 1:
-        return [tuple([sum([a * p[k] for k, a in row]) % _P for row in a_rows]) for p in probes]
-    coords = list(zip(*probes))  # coordinate k of every probe
-    sums = []
+def _lane_width(arrow_fps, dims) -> int:
+    """The bits W of one lane of a packed probe block: the least multiple of
+    64 that is at least 124 + the bit length of the largest row pair count
+    or vertex dimension.  A lane holds less than 2^62 between steps (for
+    any count below 2^59), so a row's sum of c products of a value below
+    2^61 by a lane, or a key's sum of d, stays below 2^(W - 1) and no lane
+    carries into its neighbour before a fold."""
+    most = max(map(len, itertools.chain.from_iterable(arrow_fps)), default=0)
+    most = max(most, *dims, 0)
+    return (124 + most.bit_length() + 63) // 64 * 64
+
+
+def _lane_masks(width: int, n: int) -> tuple:
+    """The masks of the low 61 bits of each of n lanes, and of the W - 61
+    bits above them shifted down by 61: the two halves of a fold mod 2^61 - 1."""
+    lane = width // 8
+    return (int.from_bytes(_P.to_bytes(lane, "little") * n, "little"),
+            int.from_bytes(((1 << width - 61) - 1).to_bytes(lane, "little") * n, "little"))
+
+
+def _mul_probes(a_rows, n: int, coords, low: int, high: int) -> list:
+    """Coordinates of a @ probes mod ``_P`` for a block of n probes, from a's
+    sparse rows (see ``_probe_inputs``) and the block's coordinates.  One
+    probe is a tuple of plain integers, reduced with one ``%`` per row.
+    From two on, coordinate k is one integer whose lane j of W bits holds
+    coordinate k of probe j, so each product and sum runs over the whole
+    block as one big-integer operation, in C; the sum is then folded twice
+    mod 2^61 - 1 lane by lane (``low`` and ``high`` from ``_lane_masks``),
+    which leaves each lane below 2^62."""
+    if n == 1:
+        return [sum([a * coords[k] for k, a in row]) % _P for row in a_rows]
+    out = []
     for row in a_rows:
-        acc = (0,) * len(probes)
-        for k, a in row:
-            acc = map(operator.add, acc, map(a.__mul__, coords[k]))
-        sums.append(map(_P.__rmod__, acc))
-    return list(zip(*sums))
+        s = sum([a * coords[k] for k, a in row])
+        s = (s & low) + (s >> 61 & high)
+        out.append((s & low) + (s >> 61 & high))
+    return out
+
+
+def _probe_keys(n: int, coords, weights, width: int, low: int, high: int) -> list:
+    """The key K = sum of w_k * X_k mod ``_P`` of each probe X of a block
+    (see ``_mul_probes``), in [0, _P]: a linear map, so equal probes have
+    equal keys and a zero probe the key 0 or _P.  A packed block's keys
+    are summed over all lanes at once, folded three times into [0, _P]
+    and read as the low 64-bit word of each lane."""
+    key = sum(map(operator.mul, weights, coords))
+    for _ in range(3):
+        key = (key & low) + (key >> 61 & high)
+    words = memoryview(key.to_bytes(width // 8 * n, sys.byteorder)).cast("Q")
+    step = width // 64
+    return words[(step - 1) * (sys.byteorder == "big")::step].tolist()
 
 
 def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
@@ -271,33 +311,52 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
     variable takes.  Equal images have equal probes and a zero image has a
     zero probe, so a pass proves the images nonzero and distinct, exactly.
 
-    A level is the list of probes of each (source, head) block; no path is
-    built.  Each block steps through each arrow out of its head in one
-    ``_mul_probes`` call, then each new block is checked whole, in C: no
-    zero probe, and the block's set of probe hashes grows by the number of
-    new ones: distinct hashes prove the probes distinct, and a hash clash
-    fails the pass like equal probes.  A fault ends the pass at the end of
-    its level."""
+    A level maps each (source, head) block to its probe count n and
+    coordinates (see ``_mul_probes``); no path is built.  Each block steps
+    through each arrow out of its head in one ``_mul_probes`` call, and the
+    blocks that reach one (source, h) are joined lane-wise by a shift and
+    an or.  Then each new block is checked on its keys (``_probe_keys``,
+    with weights the powers of ``_KEY_BASE``): no key is zero, and the
+    block's set of keys grows by n.  A nonzero key proves the probe
+    nonzero and distinct keys prove the probes distinct; a zero or equal
+    key fails the pass like a zero or equal probe.  A fault ends the pass
+    at the end of its level."""
+    dims = list(map(len, starts))
+    width = _lane_width(arrow_fps, dims)
+    weights = [pow(_KEY_BASE, k, _P) for k in range(max(dims, default=0))]
+    lanes, low, high = 1, 0, 0  # masks for up to `lanes` lanes, grown on demand
     moves = q.out_arrows
-    level = {(v, v): [starts[v]] for v in range(q.n)}
-    seen: dict = {}  # (source, target) -> the hashes of every probe in that block
+    level = {(v, v): (1, starts[v]) for v in range(q.n)}
+    seen: dict = {}  # (source, target) -> the key of every probe in that block
     paths = 0
     for length in range(max_len + 1):
         if length:
             stepped: dict = {}
-            for (source, head), probes in level.items():
+            for (source, head), (n, coords) in level.items():
                 for ai, h in moves[head]:
-                    stepped.setdefault((source, h), []).extend(_mul_probes(arrow_fps[ai], probes))
+                    out = _mul_probes(arrow_fps[ai], n, coords, low, high)
+                    joined = stepped.get((source, h))
+                    if joined is None:
+                        stepped[source, h] = (n, out)
+                    else:
+                        shift = width * joined[0]
+                        stepped[source, h] = (joined[0] + n, [x | y << shift for x, y in zip(joined[1], out)])
             if not stepped:
                 break
             level = stepped
-        for block, probes in level.items():
+        for block, (n, coords) in level.items():
             images = seen.setdefault(block, set())
             size = len(images)
-            images.update(map(hash, probes))
-            if len(images) != size + len(probes) or not all(map(any, probes)):
+            if n == 1:
+                images.add(sum(map(operator.mul, weights, coords)) % _P)
+            else:
+                if n > lanes:
+                    lanes = 2 * n
+                    low, high = _lane_masks(width, lanes)
+                images.update(_probe_keys(n, coords, weights, width, low, high))
+            if len(images) != size + n or 0 in images or _P in images:
                 return None
-            paths += len(probes)
+            paths += n
     return paths
 
 

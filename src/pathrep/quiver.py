@@ -63,7 +63,7 @@ class Quiver:
         vertices, arrows = list(vertices), list(arrows)
         try:  # below about 16 declarations, checking one by one is faster
             checked = _checked_in_bulk(vertices, arrows) if len(vertices) + len(arrows) > 16 else None
-        except (TypeError, ValueError):  # an entry without a length, an id that is not a str
+        except TypeError:  # an id or end that is not a str, an id that is not hashable
             checked = None
         vindex, aindex, tails, heads = checked or _checked_one_by_one(vertices, arrows)
         if not vindex:  # after the arrows, so a stray arrow names its line
@@ -117,10 +117,10 @@ class Quiver:
 def _checked_in_bulk(vertices: list, arrows: list):
     """``(vertex index, arrow index, tails, heads)`` when every declaration
     is valid, else None.  Each check runs over a whole list; a TypeError
-    (an entry without a length, an id that is not a str or not hashable)
-    only means that ``_checked_one_by_one`` must decide."""
+    (an id that is not a str or not hashable) only means that
+    ``_checked_one_by_one`` must decide."""
     n, m = len(vertices), len(arrows)
-    if set(map(len, arrows)) - {3}:
+    if set(map(type, arrows)) - {tuple, list} or set(map(len, arrows)) - {3}:
         return None
     names, tails, heads = zip(*arrows) if arrows else ((), (), ())
     ends = tails + heads
@@ -153,10 +153,9 @@ def _checked_one_by_one(vertices: list, arrows: list):
     tails: list[int] = []
     heads: list[int] = []
     for i, entry in enumerate(arrows):
-        try:
-            name, tail, head = entry
-        except (TypeError, ValueError):
-            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
+        if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i))
+        name, tail, head = entry
         if not isinstance(name, str) or not is_id(name):
             raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
         if name in aindex:

@@ -87,7 +87,9 @@ _REF_LINE = re.compile(
 def reference_quiver(vertices, arrows=()):
     """``Quiver(vertices, arrows)`` as its attributes, checked and built one
     declaration at a time, as the constructor did before it checked whole
-    lists: raises the same ``QuiverError``, message and ``decl``."""
+    lists: raises the same ``QuiverError``, message and ``decl``.  An arrow
+    entry must be a tuple or list of three items; a string or a dict that
+    unpacks to three is no declaration."""
     vindex = {}
     for v in vertices:
         if not isinstance(v, str) or not _REF_ID.match(v):
@@ -98,10 +100,9 @@ def reference_quiver(vertices, arrows=()):
     built, aindex = [], {}
     out_ = [[] for _ in vindex]
     for i, entry in enumerate(arrows):
-        try:
-            name, tail, head = entry
-        except (TypeError, ValueError):
-            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i)) from None
+        if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+            raise QuiverError(f"bad arrow declaration {entry!r}", ("arrow", i))
+        name, tail, head = entry
         if not isinstance(name, str) or not _REF_ID.match(name):
             raise QuiverError(f"bad arrow id {name!r}", ("arrow", i))
         if name in aindex:

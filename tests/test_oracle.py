@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -222,6 +223,33 @@ def test_verify_truncated_matches_dense_on_small_entries(data):
     assert verify_truncated(rep, q, N) == _dense_verify_truncated(rep, q, N)
 
 
+def test_verify_truncated_widens_the_lanes_for_long_rows(monkeypatch):
+    """Two parallel arrows a, b: x -> y and c: y -> z, with rows of 66 to 70
+    nonzeros, past the 15 pairs that 128-bit lanes hold, so lanes widen to
+    192 bits.  Blocks (x, y) and (x, z) hold two probes each, and (x, y)
+    steps packed.  b is a with one more label, at column 0; zeroing c's
+    label at row 0 then makes c*a and c*b collide.  Both reps agree with
+    the dense reference."""
+    rng = random.Random(7)
+    q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "z")])
+    a = [[rng.randint(1, 9) for _ in range(70)] for _ in range(66)]
+    a[0][0] = 0
+    b = [row[:] for row in a]
+    b[0][0] = 5
+    c = [rng.randint(1, 9) for _ in range(66)]
+    rep = replace(build_truncated_rep(q, 3), dims={"x": 70, "y": 66, "z": 1},
+                  matrices={"a": tuple(map(tuple, a)), "b": tuple(map(tuple, b)), "c": (tuple(c),)})
+    _, rows = oracle._probe_inputs(rep, q, oracle._point, 1)
+    assert oracle._lane_width(rows, rep.dims.values()) == 192
+    zeroed = replace(rep, matrices={**rep.matrices, "c": ((0, *c[1:]),)})
+    for sample, status in [(rep, "effective"), (zeroed, "collision")]:
+        packed = _counting(monkeypatch, "_mul_probes", lambda rows, n, *block: n > 1)
+        expected = _dense_verify_truncated(sample, q, 3)
+        assert expected.status == status
+        assert verify_truncated(sample, q, 3) == expected
+        assert packed == [1]
+
+
 def test_verify_path_rep_two_loops():
     q = helpers.two_loops()
     result = verify_path_rep(build_path_rep(q), q, 4)
@@ -307,7 +335,7 @@ def test_a_fault_stops_the_walk(monkeypatch):
                                    (longer, oracle.VerifyReport("zero_action", 5, 8, ("a",)), 4)]:
         path = build_path_rep(q)
         zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
-        probes = _counting(monkeypatch, "_mul_probes", lambda rows, block: len(block))
+        probes = _counting(monkeypatch, "_mul_probes", lambda rows, n, *block: n)
         exact = _counting(monkeypatch, "_map_columns")
         assert verify_path_rep(zero_a, q) == expected
         assert (probes, exact) == ([level_one], [1])
@@ -319,27 +347,59 @@ def _sparse(a_rows, keep_zeros=False):
     return [tuple((k, e) for k, e in enumerate(row) if e or keep_zeros) for row in a_rows]
 
 
+def _pack(probes, width):
+    """A block of probe columns as ``_mul_probes`` takes it: the columns
+    themselves for one probe, else one integer per coordinate, with
+    coordinate k of probe j in lane j of ``width`` bits."""
+    if len(probes) == 1:
+        return probes[0]
+    return [sum(x << width * j for j, x in enumerate(column)) for column in zip(*probes)]
+
+
+def _unpack(n, coords, width):
+    """The probe columns of a block that ``_pack`` packed, each entry
+    reduced mod 2^61 - 1."""
+    if n == 1:
+        return [tuple(coords)]
+    size = width // 8
+    lanes = [x.to_bytes(size * n, "little") for x in coords]
+    return [tuple([int.from_bytes(b[size * j:size * (j + 1)], "little") % oracle._P for b in lanes])
+            for j in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mul_probes_is_mul_mod_probe_by_probe(data):
-    """The product of a block of 1 to 64 probe columns by sparse rows
-    equals ``_mul_mod`` modulo 2^61 - 1 on the dense rows, probe by probe:
-    zero rows, zero entries (dropped from the pairs, or kept as pairs) and
-    entries up to P - 1 included."""
+@given(st.integers(1, 6), st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
+       st.sampled_from([1, 2, 3, 64, 200]) | st.integers(1, 200), st.booleans(), st.integers(0, 2**32))
+def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
+    """A block of 1 to 200 probe columns, packed, stepped through sparse rows
+    of up to 130 pairs and unpacked, equals ``_mul_mod`` modulo 2^61 - 1 on
+    the dense rows, probe by probe: zero rows, zero entries (dropped from
+    the pairs, or kept as pairs) and entries 0, 1 and P - 1 included.
+    Rows of 16 pairs or more widen the lanes past 128 bits.  A second step,
+    through a matrix with as many columns as the first has rows, starts
+    from folded lanes, which may exceed P - 1."""
     P = (1 << 61) - 1
-    entries = st.sampled_from([0, 1, P - 1]) | st.integers(0, P - 1)
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    a_rows = data.draw(st.lists(
-        st.lists(entries, min_size=cols, max_size=cols).map(tuple) | st.just((0,) * cols),
-        min_size=rows, max_size=rows,
-    ))
-    probes = data.draw(st.lists(
-        st.lists(entries, min_size=cols, max_size=cols).map(tuple), min_size=1, max_size=64,
-    ))
-    sparse = _sparse(a_rows, keep_zeros=data.draw(st.booleans()))
-    assert list(oracle._mul_probes(sparse, probes)) == [
-        oracle._mul_mod(a_rows, (p,), P)[0] for p in probes
-    ]
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice([0, 0, 1, P - 1, rng.randrange(P)])
+
+    def matrix(rows, cols):
+        return [(0,) * cols if rng.random() < 0.2 else tuple(entry() for _ in range(cols))
+                for _ in range(rows)]
+
+    a_rows, b_rows = matrix(rows, cols), matrix(rng.randint(1, 6), rows)
+    probes = [tuple(entry() for _ in range(cols)) for _ in range(n)]
+    a_sparse, b_sparse = _sparse(a_rows, keep_zeros), _sparse(b_rows, keep_zeros)
+    width = oracle._lane_width([a_sparse, b_sparse], [cols, rows])
+    longest = max(map(len, a_sparse + b_sparse))
+    assert width == (128 if max(longest, cols) < 16 else 192)
+    low, high = oracle._lane_masks(width, n)
+    once = oracle._mul_probes(a_sparse, n, _pack(probes, width), low, high)
+    images = [oracle._mul_mod(a_rows, (p,), P) for p in probes]
+    assert _unpack(n, once, width) == [image[0] for image in images]
+    twice = oracle._mul_probes(b_sparse, n, once, low, high)
+    assert _unpack(n, twice, width) == [oracle._mul_mod(b_rows, image, P)[0] for image in images]
 
 
 def test_f2_search_formats_no_witness(monkeypatch):

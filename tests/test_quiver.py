@@ -229,7 +229,8 @@ _ENTRIES = st.one_of(
     st.tuples(_ARROW_IDS, _ENDS, _ENDS),
     st.tuples(_ARROW_IDS, _ENDS),
     st.tuples(_ARROW_IDS, _ENDS, _ENDS, _ENDS),
-    st.sampled_from([5, None, "abc", "ab"]),
+    st.tuples(_ARROW_IDS, _ENDS, _ENDS).map(list),
+    st.sampled_from([5, None, "abc", "ab", {"a": 1, "x": 2, "y": 3}]),
 )
 
 
@@ -255,12 +256,24 @@ def test_constructor_matches_the_one_by_one_reference(pad, pad_arrows, vertices,
         helpers.reference_quiver, vertices, arrows)
 
 
-def test_constructor_takes_entries_without_a_length():
-    """An entry that unpacks to three items is a declaration, as the
-    reference reads it, whether or not it has a length."""
-    entries = [("a", "x", "y"), iter(("b", "y", "x"))] + [(f"c{i}", "x", "x") for i in range(20)]
-    q = Quiver(["x", "y"], entries)
-    assert q.arrows[:2] == (("a", 0, 1), ("b", 1, 0)) and len(q.arrows) == 22
+@pytest.mark.parametrize("vertices, entry", [
+    (["b", "c"], "abc"),
+    (["a", "b", "c"], {"x": 1, "b": 2, "c": 3}),
+    (["x", "y"], iter(("b", "y", "x"))),
+], ids=["str", "dict", "iterator"])
+def test_constructor_rejects_entries_that_are_not_tuples_or_lists(vertices, entry):
+    """An entry that unpacks to three items but is not a tuple or list is
+    no ``(id, tail, head)`` triple: a 3-character string, a 3-key dict or an
+    iterator gives ``bad arrow declaration``, whether the declarations are
+    checked one by one or, past 16 of them, as whole lists."""
+    for pad in (0, 20):
+        pads = [f"p{i}" for i in range(pad)]
+        with pytest.raises(QuiverError) as exc:
+            Quiver(pads + vertices, [(f"q{i}", p, p) for i, p in enumerate(pads)] + [entry])
+        assert str(exc.value) == f"bad arrow declaration {entry!r}"
+        assert exc.value.decl == ("arrow", pad)
+    q = Quiver(["x", "y"], [["a", "x", "y"]] + [(f"c{i}", "x", "x") for i in range(20)])
+    assert q.arrows[0] == ("a", 0, 1) and len(q.arrows) == 21  # a list is a declaration
 
 
 _BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
