@@ -255,8 +255,7 @@ def _lane_width(arrow_fps, dims) -> int:
     any count below 2^59), so a row's sum of c products of a value below
     2^61 by a lane, or a key's sum of d, stays below 2^(W - 1) and no lane
     carries into its neighbour before a fold."""
-    most = max(map(len, itertools.chain.from_iterable(arrow_fps)), default=0)
-    most = max(most, *dims, 0)
+    most = max([*map(len, itertools.chain.from_iterable(arrow_fps)), *dims, 0])
     return (124 + most.bit_length() + 63) // 64 * 64
 
 

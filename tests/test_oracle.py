@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import tracemalloc
 from dataclasses import replace
@@ -358,17 +359,20 @@ def _pack(probes, width):
 
 def _unpack(n, coords, width):
     """The probe columns of a block that ``_pack`` packed, each entry
-    reduced mod 2^61 - 1."""
+    reduced mod 2^61 - 1, once each lane is checked to be below 2^62, the
+    bound the next step relies on."""
     if n == 1:
+        assert all(0 <= x < oracle._P for x in coords)
         return [tuple(coords)]
     size = width // 8
     lanes = [x.to_bytes(size * n, "little") for x in coords]
-    return [tuple([int.from_bytes(b[size * j:size * (j + 1)], "little") % oracle._P for b in lanes])
-            for j in range(n)]
+    columns = [[int.from_bytes(b[size * j:size * (j + 1)], "little") for b in lanes] for j in range(n)]
+    assert all(x < 1 << 62 for column in columns for x in column)
+    return [tuple([x % oracle._P for x in column]) for column in columns]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
+@given(st.sampled_from([1, 6, 15]) | st.integers(1, 15), st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
        st.sampled_from([1, 2, 3, 64, 200]) | st.integers(1, 200), st.booleans(), st.integers(0, 2**32))
 def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
     """A block of 1 to 200 probe columns, packed, stepped through sparse rows
@@ -376,8 +380,8 @@ def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
     the dense rows, probe by probe: zero rows, zero entries (dropped from
     the pairs, or kept as pairs) and entries 0, 1 and P - 1 included.
     Rows of 16 pairs or more widen the lanes past 128 bits.  A second step,
-    through a matrix with as many columns as the first has rows, starts
-    from folded lanes, which may exceed P - 1."""
+    through rows of up to 15 pairs (as many as the first matrix has rows),
+    starts from folded lanes, which may exceed P - 1 but stay below 2^62."""
     P = (1 << 61) - 1
     rng = random.Random(seed)
 
@@ -400,6 +404,42 @@ def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
     assert _unpack(n, once, width) == [image[0] for image in images]
     twice = oracle._mul_probes(b_sparse, n, once, low, high)
     assert _unpack(n, twice, width) == [oracle._mul_mod(b_rows, image, P)[0] for image in images]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 15, 16, 130]), st.integers(2, 200), st.integers(0, 2**32))
+def test_probe_keys_are_linear_keys_mod_p(dim, n, seed):
+    """A packed block's keys are sum(w_k * x_k) mod 2^61 - 1 of each probe,
+    for lanes anywhere below 2^62, as ``_mul_probes`` leaves them: each key
+    lies in [0, P], and a probe that is zero mod P (lanes of 0, P or 2P)
+    has the key 0 or P."""
+    P = oracle._P
+    rng = random.Random(seed)
+    lane = [0, P, 2 * P, 1, P + 1, (1 << 61), (1 << 62) - 1]
+    probes = [tuple(rng.choice(lane + [rng.randrange(1 << 62)]) for _ in range(dim))
+              for _ in range(n)]
+    probes[0] = tuple(rng.choice([0, P, 2 * P]) for _ in range(dim))
+    weights = [pow(oracle._KEY_BASE, k, P) for k in range(dim)]
+    width = oracle._lane_width([], [dim])
+    keys = oracle._probe_keys(n, _pack(probes, width), weights, width,
+                              *oracle._lane_masks(width, n))
+    assert all(0 <= key <= P for key in keys) and keys[0] in (0, P)
+    assert [key % P for key in keys] == [sum(map(operator.mul, weights, p)) % P for p in probes]
+
+
+def test_a_zero_probe_folded_to_p_fails_the_probe_pass():
+    """Lanes are reduced only into [0, P], so a zero probe can carry P, and
+    so can its key.  a sends x's start 1 to (5, P - 5), and c sums the two
+    coordinates: the probe of c*a is P in its lane, zero mod P, and its
+    key P must fail the pass as the key 0 would.  b keeps the block (x, y),
+    and so (x, z), packed."""
+    P = oracle._P
+    q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "z")])
+    a, b, c = [((0, 5),), ((0, P - 5),)], [((0, 7),), ((0, 7),)], [((0, 1), (1, 1))]
+    starts = [(1,), (1, 2), (1,)]
+    assert oracle._probe_blocks(q, 1, starts, [a, b, c]) == 6
+    assert oracle._probe_blocks(q, 2, starts, [a, b, c]) is None
+    assert oracle._probe_blocks(q, 2, starts, [a, b, [((0, 1), (1, 2))]]) == 8
 
 
 def test_f2_search_formats_no_witness(monkeypatch):
