@@ -372,8 +372,10 @@ def _unpack(n, coords, width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 6, 15]) | st.integers(1, 15), st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
-       st.sampled_from([1, 2, 3, 64, 200]) | st.integers(1, 200), st.booleans(), st.integers(0, 2**32))
+@given(st.sampled_from([1, 6, 15]) | st.integers(1, 15),
+       st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
+       st.sampled_from([1, 2, 3, 64, 200]) | st.integers(1, 200),
+       st.booleans(), st.integers(0, 2**32))
 def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
     """A block of 1 to 200 probe columns, packed, stepped through sparse rows
     of up to 130 pairs and unpacked, equals ``_mul_mod`` modulo 2^61 - 1 on
