@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -98,6 +99,8 @@ def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte.  With an indent the
     stdlib encodes every item in Python; here Python only walks the
     containers, and each leaf is encoded in C."""
+    if type(obj) in _LEAVES:
+        return _LEAVES[type(obj)](obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         brackets, items = "{}", [
@@ -146,6 +149,57 @@ def _analysis_json(rows: list[tuple], totals: dict, truncated: bool) -> str:
     return '{\n  "vertices": {\n' + ",\n".join(body) + '\n  },\n  "totals": ' + _dumps(totals, "\n  ") + "\n}"
 
 
+class _Raw(str):
+    """JSON text, which ``_dumps`` writes as it stands."""
+
+
+_LEAVES[_Raw] = str
+
+# An arrow record and a label table row of ``construct --truncate`` as
+# ``_dumps`` writes them: matrix rows sit at depth 8, their entries at depth
+# 10, and a label in the table at depth 6.
+_ARROW = ('{\n      "id": %s,\n      "shape": [\n        %d,\n        %d\n      ],'
+          '\n      "matrix": [\n        %s\n      ]\n    }')
+_TABLE_ROW = "[\n      %s,\n      %s,\n      %s\n    ]"
+_ROW, _ENTRY = ",\n        ", ",\n          "
+
+
+def _graded_json(rep: GradedRep) -> str:
+    """``_dumps(rep.to_json())``, byte for byte, with each matrix row one
+    ``join``.  Each label's text is made once, from the label table, and
+    serves both places it appears.  Entries are looked up by identity: a
+    built rep holds its labels and one zero, and any other entry (every
+    entry of a rep read from a file is a new object) gets its own text."""
+    table = sorted(rep.labels.items())
+    label_texts = [_dumps(rep._entry_json(v), "\n      ") for _, v in table]
+    texts = {id(v): t.replace("\n", "\n    ") for (_, v), t in zip(table, label_texts)}
+
+    def row(r):
+        if not r:
+            return "[]"
+        try:
+            return "[\n          " + _ENTRY.join(map(texts.__getitem__, map(id, r))) + "\n        ]"
+        except KeyError:  # an entry met for the first time
+            texts.update((id(e), _dumps(rep._entry_json(e), "\n          ")) for e in r)
+            return row(r)
+
+    data = {
+        "kind": "truncated",
+        "truncation": rep.N,
+        "labels": rep.label_kind,
+        "vertex_dims": dict(rep.dims),
+        "basis_labels": {x: None if g is None else list(g) for x, g in rep.grades.items()},
+        "arrows": [_Raw(_ARROW % (_dumps(name), len(m), len(m[0]), _ROW.join(map(row, m))))
+                   for name, m in rep.matrices.items()],
+        "prime_table" if rep.label_kind == "primes" else "label_table":
+            [_Raw(_TABLE_ROW % (_dumps(arrow), _dumps(k), t))
+             for ((arrow, k), _), t in zip(table, label_texts)],
+    }
+    if rep.label_kind == "symbolic":
+        data["label_variables"] = list(rep.label_variable_names)
+    return _dumps(data)
+
+
 def cmd_analyze(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
     truncated = ns.truncate is not None
@@ -173,10 +227,9 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     if ns.truncate is None:
         if ns.labels is not None:
             raise QuiverError("--labels applies only with --truncate")
-        rep = build_path_rep(q)
+        _emit(_dumps(build_path_rep(q).to_json()), ns)
     else:
-        rep = build_truncated_rep(q, ns.truncate, labels=ns.labels or "primes")
-    _emit(_dumps(rep.to_json()), ns)
+        _emit(_graded_json(build_truncated_rep(q, ns.truncate, labels=ns.labels or "primes")), ns)
     return 0
 
 
@@ -269,11 +322,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    # A command makes many containers and no cyclic garbage worth a pass of
+    # the collector; its earlier state returns with the command.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[ns.command](ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

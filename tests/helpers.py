@@ -240,6 +240,19 @@ def truncated_variants(rep):
     return unfaithful_variants(rep, list(rep.matrices), matrix)
 
 
+def label_moved_down(rep):
+    """Yield ``(arrow, rep)``, one variant per arrow whose first label (in
+    row order) has a row below it: the label moved one row down, so one
+    grade lower, and the arrow no longer raises that vector's grade."""
+    for name, m in rep.matrices.items():
+        r, c = next(((r, c) for r, row in enumerate(m) for c, e in enumerate(row) if e),
+                    (len(m) - 1, 0))
+        if r + 1 < len(m):
+            rows = [list(row) for row in m]
+            rows[r + 1][c], rows[r][c] = rows[r][c], rows[r + 1][c]
+            yield name, replace(rep, matrices={**rep.matrices, name: tuple(map(tuple, rows))})
+
+
 # ------------------------------------------------------- brute-force oracles
 
 def naive_paths(q, max_len):

@@ -1,9 +1,11 @@
 import copy
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,11 +13,12 @@ from hypothesis import strategies as st
 
 import helpers
 import pathrep
-from pathrep import repbuild
-from pathrep.cli import _dumps, main
+from pathrep import cli, repbuild
+from pathrep.cli import _dumps, _graded_json, main
 from pathrep.dimension import d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
+from pathrep.polyring import MultiPoly
 from pathrep.quiver import INF, Quiver, length_profile, parse_quiver
-from pathrep.repbuild import build_path_rep, build_truncated_rep
+from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
 TWO_LOOPS = "vertex x\narrow a: x -> x\narrow b: x -> x\n"
@@ -503,12 +506,13 @@ def test_shipped_sample_quivers(capsys):
         capsys.readouterr()
 
 
-def test_module_invocation(qfile):
+@pytest.mark.parametrize("module", ["pathrep.cli", "pathrep"])
+def test_module_invocation(qfile, module):
     # the child imports the package that this run imported, wherever it is
     src = os.path.dirname(os.path.dirname(pathrep.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "pathrep.cli", "analyze", qfile(LOOP), "--truncate", "2"],
+        [sys.executable, "-m", module, "analyze", qfile(LOOP), "--truncate", "2"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -721,3 +725,103 @@ def test_truncated_dense_size_limit_is_inclusive_and_admits_the_largest_input(mo
     kp = k_profile(line, 50)
     entries = sum(kp.d[line.vertices[a.head]] * kp.d[line.vertices[a.tail]] for a in line.arrows)
     assert entries == 7_335_800 <= repbuild.DENSE_LIMIT
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector switched on or off before the test, and as it
+    was after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _failing_rep(qfile, tmp_path):
+    """A quiver file and a rep file of it that ``verify --rep`` rejects."""
+    quiver_path = qfile(KRONECKER)
+    rep = build_truncated_rep(parse_quiver(KRONECKER), 2).to_json()
+    rep["arrows"][1]["matrix"] = rep["arrows"][0]["matrix"]
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep))
+    return [quiver_path, "--rep", str(rep_path)]
+
+
+def test_a_command_pauses_the_collector_and_restores_it(collector, qfile, tmp_path, monkeypatch,
+                                                        capsys):
+    """The collector is off while a command runs, and its earlier state
+    returns after every way out of ``main``: exit 0, 1 or 2, or an
+    exception."""
+    states = []
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda ns, command=command: states.append(gc.isenabled()) or command(ns))
+    assert main(["analyze", qfile(A3)]) == 0
+    assert gc.isenabled() is collector
+    assert main(["verify", *_failing_rep(qfile, tmp_path)]) == 1
+    assert gc.isenabled() is collector
+    assert main(["construct", qfile("vertex x\nvertex x\n")]) == 2
+    assert gc.isenabled() is collector
+
+    def raising(ns):
+        states.append(gc.isenabled())
+        raise RuntimeError("escapes main")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", raising)
+    with pytest.raises(RuntimeError, match="escapes main"):
+        main(["analyze", qfile(A3)])
+    assert gc.isenabled() is collector
+    assert states == [False] * 4
+    capsys.readouterr()
+
+
+def _assert_rows_written_exactly(rep):
+    data = rep.to_json()
+    text = _graded_json(rep)
+    assert text == _dumps(data)
+    assert text == json.dumps(data, indent=2)
+    return text
+
+
+def test_truncated_rep_writer_matches_the_stdlib_on_built_and_read_reps():
+    """Every suite rep at N = 1..4 with both label kinds, and a directed
+    line, as built and as read back from its JSON, whose entries are all
+    new objects outside the label table."""
+    reps = [build_truncated_rep(q, N, labels=labels) for q in helpers.suite()
+            for N in range(1, 5) for labels in ("primes", "symbolic")]
+    reps.append(build_truncated_rep(helpers.a_line(30), 8))
+    for rep in reps:
+        text = _assert_rows_written_exactly(rep)
+        assert _assert_rows_written_exactly(GradedRep.from_json(json.loads(text))) == text
+
+
+def test_truncated_rep_writer_matches_the_stdlib_on_odd_reps(qfile, capsys):
+    """Variants whose entries lie outside the label table, a quiver with no
+    arrows, hand-made entries and an arrow id that needs escaping."""
+    for q in helpers.suite(20):
+        for labels in ("primes", "symbolic"):
+            for _, variant in helpers.truncated_variants(build_truncated_rep(q, 3, labels=labels)):
+                _assert_rows_written_exactly(variant)
+    for labels in ("primes", "symbolic"):
+        rep = build_truncated_rep(Quiver(["x", "y"], []), 2, labels=labels)
+        assert _assert_rows_written_exactly(rep).count('"arrows": []') == 1
+        assert main(["construct", qfile("vertex x\nvertex y\n"), "--truncate", "2",
+                     "--labels", labels]) == 0
+        assert capsys.readouterr().out == _dumps(rep.to_json()) + "\n"
+    primes = build_truncated_rep(helpers.kronecker(), 2)
+    odd = ((1, -1), (2**70, 0))
+    _assert_rows_written_exactly(replace(primes, dims={"x": 2, "y": 2},
+                                         matrices={"a": odd, "b": odd[::-1]}))
+    symbolic = build_truncated_rep(helpers.kronecker(), 2, labels="symbolic")
+    a0, b0 = symbolic.labels["a", 0], symbolic.labels["b", 0]
+    _assert_rows_written_exactly(replace(symbolic, matrices={
+        "a": ((a0 + b0, MultiPoly.const(-1)), (MultiPoly.const(2**70), MultiPoly.zero())),
+        "b": ((1, -1), (a0, b0 * a0 + 2))}))
+    data = json.loads(_graded_json(primes))
+    data["vertex_dims"] = {"\u00e9\"": 1, "y": 1}
+    data["basis_labels"] = {"\u00e9\"": None, "y": None}
+    data["arrows"][0]["id"] = "\u00e9\""
+    data["prime_table"] = [["\u00e9\"" if row[0] == "a" else row[0], *row[1:]]
+                           for row in data["prime_table"]]
+    escaped = _assert_rows_written_exactly(GradedRep.from_json(data))
+    assert '"\\u00e9\\""' in escaped

@@ -104,19 +104,6 @@ def test_verify_truncated_matches_dense_on_all_ones_matrices():
     assert {"effective", "collision", "relation_violation"} <= statuses
 
 
-def _label_moved_down(rep):
-    """One variant per arrow whose first label (in row order) has a row
-    below it: the label moved one row down, so one grade lower, and the
-    arrow no longer raises that vector's grade."""
-    for name, m in rep.matrices.items():
-        r, c = next(((r, c) for r, row in enumerate(m) for c, e in enumerate(row) if e),
-                    (len(m) - 1, 0))
-        if r + 1 < len(m):
-            rows = [list(row) for row in m]
-            rows[r + 1][c], rows[r][c] = rows[r][c], rows[r + 1][c]
-            yield replace(rep, matrices={**rep.matrices, name: tuple(map(tuple, rows))})
-
-
 def test_verify_truncated_matches_dense_on_labels_a_grade_too_low():
     # a label one grade higher only loses an image (zero_action); one grade
     # lower lets a path of length N survive, the relation_violation path
@@ -124,7 +111,7 @@ def test_verify_truncated_matches_dense_on_labels_a_grade_too_low():
     for q in helpers.suite(150):
         for N in (2, 3):
             for labels in ("primes", "symbolic"):
-                for variant in _label_moved_down(build_truncated_rep(q, N, labels=labels)):
+                for _, variant in helpers.label_moved_down(build_truncated_rep(q, N, labels=labels)):
                     expected = _dense_verify_truncated(variant, q, N)
                     assert verify_truncated(variant, q, N) == expected
                     statuses.add(expected.status)

@@ -4,10 +4,14 @@ two arrows of one shape given one matrix, every nonzero entry set to 1),
 and the suite's truncated reps at N = 1..4 with both label kinds, compared
 with ``tests/golden/verify_reports.jsonl``; and one line for each of the
 same variants of those truncated reps (every arrow zeroed in turn),
-compared with ``tests/golden/truncated_variant_reports.jsonl``.
+compared with ``tests/golden/truncated_variant_reports.jsonl``; and one
+line for each variant of the first 150 suite quivers' truncated reps at
+N = 2, 3 with a label moved one grade down (``helpers.label_moved_down``),
+every one a ``relation_violation``, compared with
+``tests/golden/relation_violation_reports.jsonl``.
 
-The file pins what changes to the verifiers must not change.  After a
-deliberate report change, rewrite both
+The files pin what changes to the verifiers must not change.  After a
+deliberate report change, rewrite all three
 with ``PYTHONPATH=src python tests/test_verify_golden.py`` and review the
 diff.
 """
@@ -22,6 +26,7 @@ from pathrep.repbuild import build_path_rep, build_truncated_rep
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verify_reports.jsonl"
 VARIANT_GOLDEN = GOLDEN.with_name("truncated_variant_reports.jsonl")
+RELATION_GOLDEN = GOLDEN.with_name("relation_violation_reports.jsonl")
 
 
 def report_lines():
@@ -48,6 +53,17 @@ def truncated_lines(variants):
                     yield json.dumps({"case": f"{case} {label}".rstrip(), **report.to_json()})
 
 
+def relation_lines():
+    """Yield one JSON line per variant of ``helpers.label_moved_down``."""
+    for i, q in enumerate(helpers.suite(150)):
+        for N in (2, 3):
+            for labels in ("primes", "symbolic"):
+                for arrow, variant in helpers.label_moved_down(build_truncated_rep(q, N, labels=labels)):
+                    report = verify_truncated(variant, q, N)
+                    case = f"moved down {i} N={N} {labels} {arrow}"
+                    yield json.dumps({"case": case, **report.to_json()})
+
+
 def _assert_lines_match(golden, lines):
     expected = golden.read_text(encoding="utf-8").splitlines()
     actual = list(lines)
@@ -64,6 +80,15 @@ def test_truncated_variant_reports_match_the_golden():
     """8,192 reports, every status but ``relation_violation``: a variant
     keeps or shrinks the supports of the built matrices."""
     _assert_lines_match(VARIANT_GOLDEN, truncated_lines(variants=True))
+
+
+def test_relation_violation_reports_match_the_golden():
+    """Every report of a label moved a grade down is a relation violation,
+    with the path of length N that survives as its witness."""
+    _assert_lines_match(RELATION_GOLDEN, relation_lines())
+    statuses = {json.loads(line)["status"]
+                for line in RELATION_GOLDEN.read_text(encoding="utf-8").splitlines()}
+    assert statuses == {"relation_violation"}
 
 
 def test_clashing_probes_leave_the_path_reports_unchanged(monkeypatch):
@@ -114,5 +139,6 @@ def test_clashing_probes_leave_the_truncated_reports_unchanged(monkeypatch):
 
 if __name__ == "__main__":
     for golden, lines in [(GOLDEN, report_lines()),
-                          (VARIANT_GOLDEN, truncated_lines(variants=True))]:
+                          (VARIANT_GOLDEN, truncated_lines(variants=True)),
+                          (RELATION_GOLDEN, relation_lines())]:
         golden.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
