@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
-from .polyring import identity
 from .quiver import Quiver, length_profile, longest_walks
 from .repbuild import GradedRep, SymbolicRep
 
@@ -229,15 +228,6 @@ def _point(index: int) -> int:
     return (z ^ z >> 31) % (_P - 1) + 1
 
 
-def _mul_mod(a_rows, b_cols, modulus: int):
-    """The columns of a @ b over the integers mod ``modulus``, from the rows
-    of a and the columns of b; a walk's images are kept as their columns,
-    so its products need no transposing."""
-    return tuple(
-        [tuple([sum(map(operator.mul, r, c)) % modulus for r in a_rows]) for c in b_cols]
-    )
-
-
 def _probe_inputs(rep, q: Quiver, point, r: int) -> tuple:
     """Each vertex's start probe, the powers r, r^2, ... mod ``_P``; and each
     arrow matrix as sparse rows, a row the ``(column, F(entry))`` pairs of
@@ -391,16 +381,17 @@ def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
     Every arrow matrix must have at most one nonzero entry per column, and
     that entry must send its basis vector strictly upward in grade without
     ever reaching grade N.  Vertices with an ungraded vector sit at an
-    effective grade equal to the longest path into them.
+    effective grade equal to the longest path into them: INF when a cycle
+    leads into them, so that no nonzero entry may enter or leave them.
     """
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_filtration needs a truncated representation")
     _check_match(rep, q)
     prof = length_profile(q)
-    basis_grades: dict[str, tuple[int, ...]] = {}
+    basis_grades: dict[str, tuple] = {}
     for x in q.vertices:
         g = rep.grades[x]
-        basis_grades[x] = g if g is not None else (int(prof[x][0]),)
+        basis_grades[x] = g if g is not None else (prof[x][0],)
     checked = 0
     for a in q.arrows:
         src = basis_grades[q.vertices[a.tail]]
@@ -425,8 +416,11 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
 
     Tries every splitting of total_dim over the vertices and every 0/1
     assignment of arrow matrices, checking the truncation relations and
-    pairwise distinctness of all element images.  Refuses instances beyond
-    the tractability guard.
+    pairwise distinctness of all element images.  An image is carried as
+    its columns, a column as the 1-tuple of its bit mask (bit i is row i),
+    so a step looks each column up in the arrow's table (``_f2_tables``)
+    and multiplies no matrix.  Refuses instances beyond the tractability
+    guard.
     """
     if N < 1 or total_dim < 1:
         raise ValueError("N and total_dim must be >= 1")
@@ -435,26 +429,29 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
             "exhaustive search bounds exceeded: "
             "need total_dim <= 4 and |arrows| * total_dim^2 <= 20"
         )
+    tables: dict = {}  # (rows, cols) -> _f2_tables, shared by every splitting
     # Dims >= 1, as a trivial path acting as zero clashes with the zero
     # element; lexicographic cut points give lexicographic dims.
     for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
         dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
-        if _f2_assignment_exists(q, N, dims):
-            return True
+        start = [tuple((1 << j,) for j in range(d)) for d in dims].__getitem__
+        choices = [_f2_tables(dims[a.head], dims[a.tail], tables) for a in q.arrows]
+        for maps in itertools.product(*choices):
+            if _check_truncated(q, N, start, lambda ai, m: tuple([maps[ai][c] for c, in m]))[0] == EFFECTIVE:
+                return True
     return False
 
 
-def _f2_assignment_exists(q: Quiver, N: int, dims) -> bool:
-    choices = [_f2_matrices(dims[a.head], dims[a.tail]) for a in q.arrows]
-    start = [identity(d) for d in dims].__getitem__
-    for mats in itertools.product(*choices):
-        if _check_truncated(q, N, start, lambda ai, m: _mul_mod(mats[ai], m, 2))[0] == EFFECTIVE:
-            return True
-    return False
-
-
-def _f2_matrices(rows: int, cols: int) -> list:
-    """Every rows x cols matrix over the two-element field, with shared row
-    tuples, in the order of the integers whose bit i * cols + j is entry (i, j)."""
-    row_values = [tuple((k >> j) & 1 for j in range(cols)) for k in range(2**cols)]
-    return [m[::-1] for m in itertools.product(row_values, repeat=rows)]
+def _f2_tables(rows: int, cols: int, tables: dict) -> list:
+    """Every linear map F2^cols -> F2^rows as its table: entry x is the image
+    of the vector with mask x, as a 1-tuple.  Each map of (rows, cols - 1)
+    is extended by each last column v (entry x + 2^(cols - 1) is entry x
+    xor v), so bits j * rows up of a map's index hold its column j."""
+    if (rows, cols) not in tables:
+        if cols:
+            masks = [(y,) for y in range(1 << rows)]
+            tables[rows, cols] = [t + tuple([masks[y ^ v] for y, in t])
+                                  for v in range(1 << rows) for t in _f2_tables(rows, cols - 1, tables)]
+        else:
+            tables[rows, cols] = [((0,),)]  # the one map from F2^0, at the one mask 0
+    return tables[rows, cols]

@@ -9,6 +9,7 @@ directly comparable.  No division, no floats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 # A monomial: ((var_index, exponent), ...) sorted by var index, exponents >= 1.
@@ -187,7 +188,7 @@ class MultiPoly:
                 ):
                     raise ValueError
                 coeff = term["coeff"]
-                if type(coeff) is not int and not isinstance(coeff, str):
+                if type(coeff) is not int and not re.fullmatch("-?[0-9]+", coeff):  # as to_json writes it
                     raise ValueError
                 terms[mono] = int(coeff)
         except (TypeError, KeyError, ValueError):

@@ -61,8 +61,8 @@ class Quiver:
 
     def __init__(self, vertices, arrows=()):
         vertices, arrows = list(vertices), list(arrows)
-        try:  # below about 16 declarations, checking one by one is faster
-            checked = _checked_in_bulk(vertices, arrows) if len(vertices) + len(arrows) > 16 else None
+        try:
+            checked = _checked_in_bulk(vertices, arrows)
         except TypeError:  # an id or end that is not a str, an id that is not hashable
             checked = None
         vindex, aindex, tails, heads = checked or _checked_one_by_one(vertices, arrows)

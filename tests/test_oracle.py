@@ -1,3 +1,4 @@
+import itertools
 import json
 import operator
 import random
@@ -20,7 +21,7 @@ from pathrep.oracle import (
 from pathrep.cli import main
 from pathrep.polyring import MultiPoly, PolyMatrix, Variable, identity, mat_mul
 from pathrep.quiver import Quiver
-from pathrep.repbuild import build_path_rep, build_truncated_rep
+from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
 
 
 def test_verify_truncated_a2():
@@ -335,6 +336,12 @@ def _sparse(a_rows, keep_zeros=False):
     return [tuple((k, e) for k, e in enumerate(row) if e or keep_zeros) for row in a_rows]
 
 
+def _mat_mul_mod(a_rows, b_cols, modulus):
+    """The columns of a @ b mod ``modulus``, by ``polyring.mat_mul``: the
+    reference for the probe kernels, which keep a walk's images as columns."""
+    return tuple(zip(*[[x % modulus for x in row] for row in mat_mul(a_rows, tuple(zip(*b_cols)))]))
+
+
 def _pack(probes, width):
     """A block of probe columns as ``_mul_probes`` takes it: the columns
     themselves for one probe, else one integer per coordinate, with
@@ -363,9 +370,9 @@ def _unpack(n, coords, width):
        st.sampled_from([1, 2, 6, 63, 64, 130]) | st.integers(1, 130),
        st.sampled_from([1, 2, 3, 64, 200]) | st.integers(1, 200),
        st.booleans(), st.integers(0, 2**32))
-def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
+def test_mul_probes_is_mat_mul_mod_p_probe_by_probe(rows, cols, n, keep_zeros, seed):
     """A block of 1 to 200 probe columns, packed, stepped through sparse rows
-    of up to 130 pairs and unpacked, equals ``_mul_mod`` modulo 2^61 - 1 on
+    of up to 130 pairs and unpacked, equals ``mat_mul`` modulo 2^61 - 1 on
     the dense rows, probe by probe: zero rows, zero entries (dropped from
     the pairs, or kept as pairs) and entries 0, 1 and P - 1 included.
     Rows of 16 pairs or more widen the lanes past 128 bits.  A second step,
@@ -389,10 +396,10 @@ def test_mul_probes_is_mul_mod_probe_by_probe(rows, cols, n, keep_zeros, seed):
     assert width == (128 if max(longest, cols) < 16 else 192)
     low, high = oracle._lane_masks(width, n)
     once = oracle._mul_probes(a_sparse, n, _pack(probes, width), low, high)
-    images = [oracle._mul_mod(a_rows, (p,), P) for p in probes]
+    images = [_mat_mul_mod(a_rows, (p,), P) for p in probes]
     assert _unpack(n, once, width) == [image[0] for image in images]
     twice = oracle._mul_probes(b_sparse, n, once, low, high)
-    assert _unpack(n, twice, width) == [oracle._mul_mod(b_rows, image, P)[0] for image in images]
+    assert _unpack(n, twice, width) == [_mat_mul_mod(b_rows, image, P)[0] for image in images]
 
 
 @settings(max_examples=100, deadline=None)
@@ -441,11 +448,75 @@ def test_f2_search_formats_no_witness(monkeypatch):
 
 def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
     """The search abandons an assignment at its first fault: on A3 with
-    total dimension 3 it makes 7 products, fewer than the 9 of a walk that
-    steps each level to its end."""
-    products = _counting(monkeypatch, "_mul_mod")
+    total dimension 3 it takes 7 steps, fewer than the 9 of a walk that
+    steps each level to its end.  The steps are counted as the walk takes
+    them."""
+    steps = [0]
+    walk = oracle.walk
+
+    def counted_walk(q, max_len, start, step):
+        def counted(ai, m):
+            steps[0] += 1
+            return step(ai, m)
+        return walk(q, max_len, start, counted)
+
+    monkeypatch.setattr(oracle, "walk", counted_walk)
     assert exhaustive_lower_bound_f2(helpers.a_line(3), 2, 3) is False
-    assert products == [7]
+    assert steps == [7]
+
+
+@pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 5) for c in range(1, 5) if r * c <= 9])
+def test_f2_tables_are_every_linear_map(rows, cols):
+    """The tables of one shape are its 2^(rows * cols) linear maps, each
+    once: t[x ^ y] is t[x] ^ t[y], and t[x] is, mod 2, the ``mat_mul``
+    image of the vector with bit mask x under the dense 0/1 matrix whose
+    column j is bits j * rows to j * rows + rows - 1 of the table's index."""
+    tables = oracle._f2_tables(rows, cols, {})
+    assert len(tables) == len(set(tables)) == 2 ** (rows * cols)
+    vectors = range(2**cols)
+    bits = [tuple((x >> i) & 1 for i in range(max(rows, cols))) for x in range(2 ** max(rows, cols))]
+    for index, t in enumerate(tables):
+        assert len(t) == 2**cols and all(len(y) == 1 for y in t)
+        assert all(t[x ^ y] == (t[x][0] ^ t[y][0],) for x in vectors for y in vectors)
+        dense = [[(index >> (j * rows + i)) & 1 for j in range(cols)] for i in range(rows)]
+        for x in vectors:
+            image = mat_mul(dense, [[b] for b in bits[x][:cols]])
+            assert bits[t[x][0]][:rows] == tuple(row[0] % 2 for row in image)
+
+
+def _dense_f2_search(q, N, total_dim):
+    """The reference for ``exhaustive_lower_bound_f2``: every splitting and
+    every 0/1 assignment of dense matrices, each image a tuple of rows and
+    each step one ``mat_mul`` mod 2, through ``_check_truncated``."""
+    for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
+        dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
+        choices = [list(itertools.product(itertools.product((0, 1), repeat=dims[a.tail]), repeat=dims[a.head]))
+                   for a in q.arrows]
+        for mats in itertools.product(*choices):
+            status, _, _ = oracle._check_truncated(
+                q, N, lambda v: identity(dims[v]),
+                lambda ai, m: tuple(tuple(x % 2 for x in row) for row in mat_mul(mats[ai], m)))
+            if status == "effective":
+                return True
+    return False
+
+
+def test_f2_search_matches_the_dense_reference():
+    """On tiny quivers, at up to 4,096 assignments per splitting, the search
+    answers as every dense assignment multiplied out mod 2 does, and both
+    answers occur."""
+    quivers = [helpers.a2(), helpers.loop(), helpers.kronecker(), helpers.two_loops(),
+               helpers.a_line(3), *helpers.suite(30)]
+    answers = set()
+    for q in quivers:
+        for N in (1, 2, 3):
+            for total_dim in range(q.n, 5):
+                if len(q.arrows) * total_dim * total_dim > 12:
+                    continue
+                expected = _dense_f2_search(q, N, total_dim)
+                assert exhaustive_lower_bound_f2(q, N, total_dim) is expected
+                answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_verify_path_rep_exact_fallback(monkeypatch):
@@ -525,6 +596,35 @@ def test_verify_filtration_detects_grade_violation():
     result = verify_filtration(sabotaged, q)
     assert result.status == "relation_violation"
     assert result.witness == ("a",)
+
+
+@pytest.mark.parametrize("entry, status", [(0, "effective"), (2, "relation_violation")])
+def test_verify_filtration_grades_an_ungraded_vertex_on_a_cycle_inf(entry, status):
+    """An ungraded vertex on a cycle sits at grade INF, the longest path
+    into it: its loop's zero matrix passes, and a nonzero entry, which would
+    have to raise the grade, is a relation violation."""
+    q = helpers.loop()
+    data = build_truncated_rep(q, 2).to_json()
+    data.update(vertex_dims={"x": 1}, basis_labels={"x": None})
+    data["arrows"][0].update(shape=[1, 1], matrix=[[entry]])
+    result = verify_filtration(GradedRep.from_json(data), q)
+    assert (result.status, result.witness) == (status, None if entry == 0 else ("a",))
+
+
+@pytest.mark.parametrize("matrices, witness", [
+    ({"a": ((0,),), "b": ((0,),), "c": ((0,),)}, None),
+    ({"a": ((0,),), "b": ((3,),), "c": ((0,),)}, "b"),
+    ({"a": ((0,),), "b": ((0,),), "c": ((5,),)}, "c"),
+])
+def test_verify_filtration_keeps_entries_off_a_grade_inf_vertex(matrices, witness):
+    """Next to graded y, ungraded x on a loop takes grade INF: a nonzero
+    entry of b into y or of c out of y into x breaks the filtration."""
+    q = Quiver(["x", "y"], [("a", "x", "x"), ("b", "x", "y"), ("c", "y", "x")])
+    rep = build_truncated_rep(q, 2)
+    rep = replace(rep, dims={"x": 1, "y": 1}, grades={"x": None, "y": (0,)}, matrices=matrices)
+    result = verify_filtration(rep, q)
+    assert result.witness == (None if witness is None else (witness,))
+    assert result.status == ("effective" if witness is None else "relation_violation")
 
 
 def test_exhaustive_lower_bound_a2():
@@ -700,9 +800,9 @@ def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
     verdicts = set()
     for q, max_len, starts, fps in _probe_cases(point):
         paths = oracle._probe_blocks(q, max_len, starts, [_sparse(m) for m in fps])
-        status, checked, _ = oracle._check_truncated(  # images are one-column matrices
-            q, max_len + 1, lambda v: (starts[v],),
-            lambda ai, m: oracle._mul_mod(fps[ai], m, oracle._P), relation=False)
+        status, checked, _ = oracle._check_truncated(  # images are one-column matrices, as rows
+            q, max_len + 1, lambda v: tuple((x,) for x in starts[v]),
+            lambda ai, m: tuple((row[0] % oracle._P,) for row in mat_mul(fps[ai], m)), relation=False)
         assert (paths is not None) == (status == "effective")
         if paths is not None:
             assert 1 + paths == checked

@@ -246,9 +246,9 @@ _ENTRIES = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_constructor_matches_the_one_by_one_reference(pad, pad_arrows, vertices, arrows):
     """``Quiver`` gives the quiver the reference builds one declaration at a
-    time, or its error, message and ``decl`` alike.  A padding of valid
-    declarations in front takes the input past the size from which the
-    constructor checks whole lists."""
+    time, or its error, message and ``decl`` alike, with a padding of valid
+    declarations in front or without: the constructor checks whole lists
+    at every size, and one by one only when a list check fails."""
     pads = [f"p{i}" for i in range(pad)]
     vertices = pads + vertices
     arrows = [(f"q{i}", v, pads[i - 1]) for i, v in enumerate(pads) if pad_arrows] + arrows
@@ -264,8 +264,8 @@ def test_constructor_matches_the_one_by_one_reference(pad, pad_arrows, vertices,
 def test_constructor_rejects_entries_that_are_not_tuples_or_lists(vertices, entry):
     """An entry that unpacks to three items but is not a tuple or list is
     no ``(id, tail, head)`` triple: a 3-character string, a 3-key dict or an
-    iterator gives ``bad arrow declaration``, whether the declarations are
-    checked one by one or, past 16 of them, as whole lists."""
+    iterator gives ``bad arrow declaration``, among 3 declarations or 43,
+    whose list check fails and leaves the one-by-one pass to name it."""
     for pad in (0, 20):
         pads = [f"p{i}" for i in range(pad)]
         with pytest.raises(QuiverError) as exc:
