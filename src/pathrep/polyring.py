@@ -16,6 +16,7 @@ from dataclasses import dataclass
 Mono = tuple
 
 KINDS = ("tau", "eta", "zeta")
+_DECIMAL = re.compile("-?[0-9]+").fullmatch  # a coefficient string as to_json writes it
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ class MultiPoly:
                 ):
                     raise ValueError
                 coeff = term["coeff"]
-                if type(coeff) is not int and not re.fullmatch("-?[0-9]+", coeff):  # as to_json writes it
+                if type(coeff) is not int and not _DECIMAL(coeff):
                     raise ValueError
                 terms[mono] = int(coeff)
         except (TypeError, KeyError, ValueError):
