@@ -62,22 +62,22 @@ _KEY_BASE = 0x9E3779B97F4A7C15 % _P
 VERIFY_BUDGET = 2_000_000
 
 
-def _check_budget(q: Quiver, max_len: int, flag: str | None = None):
-    """Refuse, before walking, a check of more than ``VERIFY_BUDGET``
-    elements: the zero element and every path of length at most max_len.
-    The paths are counted by head vertex (``paths.head_counts``), not
-    built, up to the level that passes the budget.  When the counts equal
-    those saved at an earlier level, every later level repeats them with
-    that period, so whole periods are added at once and a huge bound costs
-    no more levels than the counts take to repeat.  Saving the counts at
-    power-of-two levels (Brent's cycle detection) finds a repeat soon after
-    it starts, and keeps one level.  ``flag`` names the length bound a
-    caller can lower."""
+def _check_budget(q: Quiver, max_len: int, flag: str | None = None) -> int:
+    """The number of elements a check covers, the zero element and every
+    path of length at most max_len; refuse, before walking, more than
+    ``VERIFY_BUDGET``.  The paths are counted by head vertex
+    (``paths.head_counts``), not built, up to the level that passes the
+    budget.  When the counts equal those saved at an earlier level, every
+    later level repeats them with that period, so whole periods are added
+    at once and a huge bound costs no more levels than the counts take to
+    repeat.  Saving the counts at power-of-two levels (Brent's cycle
+    detection) finds a repeat soon after it starts, and keeps one level.
+    ``flag`` names the length bound a caller can lower."""
     total, length = 1, 0  # the zero element counts too
     saved = (None, 0, 0)  # counts at the last power-of-two level, that level, the total before it
     for ending in head_counts(q):
         if length > max_len:
-            return
+            break
         if ending == saved[0]:
             period, gain = length - saved[1], total - saved[2]
             skip = min((VERIFY_BUDGET - total) // gain, (max_len - length) // period)
@@ -93,6 +93,7 @@ def _check_budget(q: Quiver, max_len: int, flag: str | None = None):
                 message += f"; the largest {flag} that fits is {length - 1}"
             raise ValueError(message)
         length += 1
+    return total
 
 
 def _check_match(rep, q: Quiver):
@@ -119,11 +120,10 @@ def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
     _check_match(rep, q)
-    _check_budget(q, N - 1)
+    checked = _check_budget(q, N - 1)
     starts, fps = _probe_inputs(rep, q, _point, _point(len(rep.labels)))
-    paths = _probe_blocks(q, N - 1, starts, fps)
-    if paths is not None and _supports_vanish(q, N, rep.dims.values(), fps):
-        return VerifyReport(EFFECTIVE, 1 + paths, N - 1)  # the zero element too
+    if _probe_blocks(q, N - 1, starts, fps) and _supports_vanish(q, N, rep.dims.values(), fps):
+        return VerifyReport(EFFECTIVE, checked, N - 1)
     return _check_exact(rep, q, N)
 
 
@@ -290,15 +290,15 @@ def _probe_keys(n: int, coords, weights, width: int, low: int, high: int) -> lis
     return words[(step - 1) * (sys.byteorder == "big")::step].tolist()
 
 
-def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
-    """``_check_truncated``'s verdict on probes, without its order: the
-    number of paths of length at most max_len when no probe is zero and no
-    two in one (source, target) block are equal, else ``None``.  A path
-    with image M carries the probe F(M) v: F a ring homomorphism onto the
-    integers mod ``_P`` (``arrow_fps`` gives F of each arrow as sparse
-    rows), and v its source's start column of powers of a value no
-    variable takes.  Equal images have equal probes and a zero image has a
-    zero probe, so a pass proves the images nonzero and distinct, exactly.
+def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> bool:
+    """``_check_truncated``'s verdict on probes, without its order: whether
+    no probe of a path of length at most max_len is zero and no two in one
+    (source, target) block are equal.  A path with image M carries the
+    probe F(M) v: F a ring homomorphism onto the integers mod ``_P``
+    (``arrow_fps`` gives F of each arrow as sparse rows), and v its
+    source's start column of powers of a value no variable takes.  Equal
+    images have equal probes and a zero image has a zero probe, so a pass
+    proves the images nonzero and distinct, exactly.
 
     A level maps each (source, head) block to its probe count n and
     coordinates (see ``_mul_probes``); no path is built.  Each block steps
@@ -317,7 +317,6 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
     moves = q.out_arrows
     level = {(v, v): (1, starts[v]) for v in range(q.n)}
     seen: dict = {}  # (source, target) -> the key of every probe in that block
-    paths = 0
     for length in range(max_len + 1):
         if length:
             stepped: dict = {}
@@ -344,9 +343,8 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> int | None:
                     low, high = _lane_masks(width, lanes)
                 images.update(_probe_keys(n, coords, weights, width, low, high))
             if len(images) != size + n or 0 in images or _P in images:
-                return None
-            paths += n
-    return paths
+                return False
+    return True
 
 
 def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> VerifyReport:
@@ -366,12 +364,11 @@ def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> 
         max_len = 2 * q.n + 2
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    _check_budget(q, max_len, "--max-len")
+    checked = _check_budget(q, max_len, "--max-len")
     point = functools.cache(_point)  # one value per variable index
     starts, fps = _probe_inputs(rep, q, point, point(len(rep.variables)))
-    paths = _probe_blocks(q, max_len, starts, fps)
-    if paths is not None:
-        return VerifyReport(EFFECTIVE, 1 + paths, max_len)  # the zero element too
+    if _probe_blocks(q, max_len, starts, fps):
+        return VerifyReport(EFFECTIVE, checked, max_len)
     return _check_exact(rep, q, max_len + 1, relation=False)
 
 

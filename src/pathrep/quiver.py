@@ -20,7 +20,6 @@ ExtLen = int | float
 
 _ID = "[A-Za-z0-9_]+"
 _ID_RE = re.compile(_ID + r"\Z")
-_IDS_RE = re.compile(rf"{_ID}(?:\n{_ID})*")
 # One declaration on the line after a "\n"; [^\S\n] is \s within a line.
 _VERTEX_RE = re.compile(rf"\nvertex[^\S\n]+({_ID})$", re.M)
 _ARROW_RE = re.compile(rf"\narrow[^\S\n]+({_ID})[^\S\n]*:[^\S\n]*({_ID})[^\S\n]*->[^\S\n]*({_ID})$", re.M)
@@ -60,12 +59,11 @@ class Quiver:
     """
 
     def __init__(self, vertices, arrows=()):
-        vertices, arrows = list(vertices), list(arrows)
-        try:
-            checked = _checked_in_bulk(vertices, arrows)
-        except TypeError:  # an id or end that is not a str, an id that is not hashable
-            checked = None
-        vindex, aindex, tails, heads = checked or _checked_one_by_one(vertices, arrows)
+        self._index(*_checked_one_by_one(list(vertices), list(arrows)))
+
+    def _index(self, vindex: dict[str, int], aindex: dict[str, int], tails, heads) -> None:
+        """Build the quiver from valid declarations: each vertex and arrow id
+        mapped to its index, and the arrows' tail and head indices."""
         if not vindex:  # after the arrows, so a stray arrow names its line
             raise QuiverError("no vertices declared")
         out_: list[list[tuple[int, int]]] = [[] for _ in vindex]
@@ -114,33 +112,11 @@ class Quiver:
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
 
 
-def _checked_in_bulk(vertices: list, arrows: list):
-    """``(vertex index, arrow index, tails, heads)`` when every declaration
-    is valid, else None.  Each check runs over a whole list; a TypeError
-    (an id that is not a str or not hashable) only means that
-    ``_checked_one_by_one`` must decide."""
-    n, m = len(vertices), len(arrows)
-    if set(map(type, arrows)) - {tuple, list} or set(map(len, arrows)) - {3}:
-        return None
-    names, tails, heads = zip(*arrows) if arrows else ((), (), ())
-    ends = tails + heads
-    "".join(ends)  # a TypeError unless every end is a str or a subclass
-    # Joined by "\n", the ids match one pattern and hold one "\n" fewer than
-    # ids, so an id holding a "\n" fails; ``join`` rejects every non-str.
-    ids = "\n".join([*vertices, *names])
-    if _IDS_RE.fullmatch(ids) is None or ids.count("\n") != n + m - 1:
-        return None
-    vindex, aindex = dict(zip(vertices, range(n))), dict(zip(names, range(m)))
-    if len(vindex) < n or len(aindex) < m:
-        return None
-    ends = list(map(vindex.get, ends))
-    return None if None in ends else (vindex, aindex, ends[:m], ends[m:])
-
-
 def _checked_one_by_one(vertices: list, arrows: list):
-    """``_checked_in_bulk``'s result, checking one declaration at a time in
-    order: vertices before arrows, an arrow's id before its tail before its
-    head.  Raises the QuiverError of the first bad declaration."""
+    """``(vertex index, arrow index, tails, heads)``, checking one declaration
+    at a time in order: vertices before arrows, an arrow's id before its
+    tail before its head.  Raises the QuiverError of the first bad
+    declaration."""
     is_id = _ID_RE.match
     vindex: dict[str, int] = {}
     for v in vertices:
@@ -185,12 +161,14 @@ def parse_quiver(text: str) -> Quiver:
 
     Lines are ``vertex <id>`` or ``arrow <id>: <tail> -> <head>``; ``#``
     starts a comment, blank lines are ignored, ids match ``[A-Za-z0-9_]+``.
-    Arrows may reference vertices declared later in the file.  The
-    structural checks are ``Quiver``'s; every error names the offending
-    line, except an empty vertex set.  The nonblank lines, each after a
-    newline, are read by one pass per declaration kind: the matches fall
-    short of the lines exactly when a line does not parse.  Line numbers
-    are counted only for an error.
+    Arrows may reference vertices declared later in the file.  Every error
+    names the offending line, except an empty vertex set.  The nonblank
+    lines, each after a newline, are read by one pass per declaration kind:
+    the matches fall short of the lines exactly when a line does not parse.
+    The patterns prove every id, so names are resolved over whole lists;
+    only a repeated id or an undeclared end leaves the quiver to ``Quiver``,
+    whose in-order check names the first bad declaration.  Line numbers are
+    counted only for an error.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -202,8 +180,15 @@ def parse_quiver(text: str) -> Quiver:
         for lineno, line in _numbered_lines(text):
             if not (_VERTEX_RE.match("\n" + line) or _ARROW_RE.match("\n" + line)):
                 raise QuiverError(f"line {lineno}: cannot parse {line!r}")
+    names, tails, heads = zip(*arrows) if arrows else ((), (), ())
+    vindex, aindex = dict(zip(vertices, range(len(vertices)))), dict(zip(names, range(len(names))))
+    tails, heads = list(map(vindex.get, tails)), list(map(vindex.get, heads))
     try:
-        return Quiver(vertices, arrows)
+        if len(vindex) < len(vertices) or len(aindex) < len(names) or None in tails or None in heads:
+            return Quiver(vertices, arrows)  # raises the first bad declaration's error
+        q = Quiver.__new__(Quiver)
+        q._index(vindex, aindex, tails, heads)
+        return q
     except QuiverError as exc:
         if exc.decl is None:
             raise

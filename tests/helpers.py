@@ -86,8 +86,8 @@ _REF_LINE = re.compile(
 
 def reference_quiver(vertices, arrows=()):
     """``Quiver(vertices, arrows)`` as its attributes, checked and built one
-    declaration at a time, as the constructor did before it checked whole
-    lists: raises the same ``QuiverError``, message and ``decl``.  An arrow
+    declaration at a time in a single loop: raises the same
+    ``QuiverError``, message and ``decl``.  An arrow
     entry must be a tuple or list of three items; a string or a dict that
     unpacks to three is no declaration."""
     vindex = {}

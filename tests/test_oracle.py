@@ -433,9 +433,9 @@ def test_a_zero_probe_folded_to_p_fails_the_probe_pass():
     q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "z")])
     a, b, c = [((0, 5),), ((0, P - 5),)], [((0, 7),), ((0, 7),)], [((0, 1), (1, 1))]
     starts = [(1,), (1, 2), (1,)]
-    assert oracle._probe_blocks(q, 1, starts, [a, b, c]) == 6
-    assert oracle._probe_blocks(q, 2, starts, [a, b, c]) is None
-    assert oracle._probe_blocks(q, 2, starts, [a, b, [((0, 1), (1, 2))]]) == 8
+    assert oracle._probe_blocks(q, 1, starts, [a, b, c]) is True
+    assert oracle._probe_blocks(q, 2, starts, [a, b, c]) is False
+    assert oracle._probe_blocks(q, 2, starts, [a, b, [((0, 1), (1, 2))]]) is True
 
 
 def test_f2_search_formats_no_witness(monkeypatch):
@@ -725,8 +725,9 @@ def test_verify_budget_skips_repeating_counts():
 def test_verify_budget_skipping_matches_a_level_by_level_count(monkeypatch):
     """Under a budget of 500, bounded counts pass the budget within a few
     hundred levels, so counting every level is a cheap reference for the
-    periods that ``_check_budget`` skips; the cycle with a tail has
-    per-vertex counts of period 2."""
+    periods that ``_check_budget`` skips, in its message and, within the
+    budget, in the count it returns; the cycle with a tail has per-vertex
+    counts of period 2."""
     monkeypatch.setattr(oracle, "VERIFY_BUDGET", 500)
     tail_cycle = Quiver(["x", "y", "z"], [("t", "x", "y"), ("b", "y", "z"), ("c", "z", "y")])
     quivers = helpers.suite() + [helpers.loop(), helpers.three_cycle(), tail_cycle]
@@ -739,7 +740,7 @@ def test_verify_budget_skipping_matches_a_level_by_level_count(monkeypatch):
                     passed = length
                     break
             if passed is None:
-                oracle._check_budget(q, max_len, "--max-len")
+                assert oracle._check_budget(q, max_len, "--max-len") == total
                 continue
             with pytest.raises(ValueError) as refused:
                 oracle._check_budget(q, max_len, "--max-len")
@@ -794,18 +795,18 @@ def _probe_cases(point):
 def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
     """On the probes of the suite's path reps and their 1,034 unfaithful
     variants, the block pass passes exactly when ``_check_truncated`` over
-    the same probes in walk order is effective, and then counts what it
-    checks; at one value for every variable, probes clash and both verdicts
-    occur."""
+    the same probes in walk order is effective, and then the budget counts
+    what that check counts; at one value for every variable, probes clash
+    and both verdicts occur."""
     verdicts = set()
     for q, max_len, starts, fps in _probe_cases(point):
-        paths = oracle._probe_blocks(q, max_len, starts, [_sparse(m) for m in fps])
+        passed = oracle._probe_blocks(q, max_len, starts, [_sparse(m) for m in fps])
         status, checked, _ = oracle._check_truncated(  # images are one-column matrices, as rows
             q, max_len + 1, lambda v: tuple((x,) for x in starts[v]),
             lambda ai, m: tuple((row[0] % oracle._P,) for row in mat_mul(fps[ai], m)), relation=False)
-        assert (paths is not None) == (status == "effective")
-        if paths is not None:
-            assert 1 + paths == checked
+        assert passed == (status == "effective")
+        if passed:
+            assert oracle._check_budget(q, max_len) == checked
         verdicts.add(status)
     assert {"effective", "zero_action", "collision"} == verdicts
 

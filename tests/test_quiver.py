@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -247,8 +248,8 @@ _ENTRIES = st.one_of(
 def test_constructor_matches_the_one_by_one_reference(pad, pad_arrows, vertices, arrows):
     """``Quiver`` gives the quiver the reference builds one declaration at a
     time, or its error, message and ``decl`` alike, with a padding of valid
-    declarations in front or without: the constructor checks whole lists
-    at every size, and one by one only when a list check fails."""
+    declarations in front or without, so that a bad declaration is met
+    first or after up to 20 good vertices and 20 good arrows."""
     pads = [f"p{i}" for i in range(pad)]
     vertices = pads + vertices
     arrows = [(f"q{i}", v, pads[i - 1]) for i, v in enumerate(pads) if pad_arrows] + arrows
@@ -265,7 +266,7 @@ def test_constructor_rejects_entries_that_are_not_tuples_or_lists(vertices, entr
     """An entry that unpacks to three items but is not a tuple or list is
     no ``(id, tail, head)`` triple: a 3-character string, a 3-key dict or an
     iterator gives ``bad arrow declaration``, among 3 declarations or 43,
-    whose list check fails and leaves the one-by-one pass to name it."""
+    named at its place in the in-order check."""
     for pad in (0, 20):
         pads = [f"p{i}" for i in range(pad)]
         with pytest.raises(QuiverError) as exc:
@@ -302,6 +303,77 @@ def test_parse_matches_the_line_by_line_reference(pad, lines, last_break):
     text = "".join(parts)
     if parts and not last_break:
         text = text.rstrip("".join(_BREAKS))
+    assert helpers.build_outcome(parse_quiver, text) == helpers.build_outcome(helpers.reference_parse, text)
+
+
+def _long_declarations(seed=23, n=2000):
+    """n vertices and 2n arrows as declaration lines, vertices and arrows
+    interleaved at random, so that many arrows name a vertex declared on a
+    later line."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in rng.sample(range(10 * n), n)]
+    decls = [("vertex", v) for v in vertices]
+    decls += [("arrow", f"a{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(2 * n)]
+    rng.shuffle(decls)
+    return decls
+
+
+def _text(decls):
+    return "".join(f"vertex {d[1]}\n" if d[0] == "vertex" else "arrow {}: {} -> {}\n".format(*d[1:])
+                   for d in decls)
+
+
+def _fields(q):
+    return (q.vertices, q.arrows, q.out_arrows, list(q.vertex_index.items()), list(q.arrow_index.items()))
+
+
+def test_parse_resolves_a_long_text_as_the_constructor_does():
+    """On 2,000 vertices and 4,000 arrows the parser resolves the names over
+    whole lists and gives the quiver the constructor builds from the same
+    lists, index maps in declaration order alike; an arrow on the first
+    line into the vertex on the last still parses."""
+    decls = _long_declarations()
+    first = next(d for d in decls if d[0] == "vertex")
+    decls.remove(first)
+    decls = [("arrow", "first", first[1], first[1]), *decls, first]
+    vertices = [d[1] for d in decls if d[0] == "vertex"]
+    arrows = [d[1:] for d in decls if d[0] == "arrow"]
+    q = parse_quiver(_text(decls))
+    assert (len(vertices), len(arrows)) == (2000, 4001)
+    assert _fields(q) == _fields(Quiver(vertices, arrows))
+    assert q.arrows[0] == ("first", 1999, 1999)
+
+
+@pytest.mark.parametrize("case", ["duplicate vertex", "duplicate arrow", "undeclared tail", "undeclared head",
+                                  "no vertex"])
+def test_parse_names_the_line_of_a_name_error_in_a_long_text(case):
+    """Each error that only names can cause, on 6,000 declarations: the
+    message and line of the line-by-line reference, which names the first
+    bad declaration in order."""
+    decls = _long_declarations()
+    vertex = [d for d in decls if d[0] == "vertex"][1500]
+    arrow = [d for d in decls if d[0] == "arrow"][1500]
+    late = max(decls.index(vertex), decls.index(arrow)) + 1  # after both first declarations
+    if case == "duplicate vertex":
+        decls.insert(late, vertex)
+        message = f"duplicate vertex id {vertex[1]!r}"
+    elif case == "duplicate arrow":
+        decls.insert(late, ("arrow", arrow[1], vertex[1], vertex[1]))
+        message = f"duplicate arrow id {arrow[1]!r}"
+    elif case == "undeclared tail":
+        decls.insert(late, ("arrow", "z", "w", vertex[1]))
+        message = "arrow 'z' uses undeclared vertex 'w'"
+    elif case == "undeclared head":
+        decls.insert(late, ("arrow", "z", vertex[1], "w"))
+        message = "arrow 'z' uses undeclared vertex 'w'"
+    else:
+        decls = [d for d in decls if d[0] == "arrow"]
+        late, arrow = 0, decls[0]
+        message = f"arrow {arrow[1]!r} uses undeclared vertex {arrow[2]!r}"
+    text = _text(decls)
+    with pytest.raises(QuiverError) as exc:
+        parse_quiver(text)
+    assert str(exc.value) == f"line {late + 1}: {message}" and exc.value.decl is None
     assert helpers.build_outcome(parse_quiver, text) == helpers.build_outcome(helpers.reference_parse, text)
 
 
