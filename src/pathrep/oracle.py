@@ -147,18 +147,15 @@ def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
     check of both kinds.
 
     Each image is carried as its columns, and a column as the sorted tuple
-    of the ``(row, value)`` pairs of its nonzero entries; each vertex
-    starts from its identity block.  A graded arrow has at most one
-    nonzero per column, so a step costs about one product per column
+    of the ``(row, value)`` pairs of its nonzero entries (``_columns``);
+    each vertex starts from its identity block.  A graded arrow has at most
+    one nonzero per column, so a step costs about one product per column
     instead of a dense matrix product.  The step sums exactly and drops
     zero sums, whatever the number of nonzero entries in a column, so the
     form is canonical: two images are equal, or zero, exactly when their
     dense matrices are, and the reports are those of the dense comparison.
     """
-    arrow_cols = [
-        tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
-        for m in rep.matrices.values()
-    ]
+    arrow_cols = [_columns(m) for m in rep.matrices.values()]
     return _report(q, N, *_check_truncated(
         q,
         N,
@@ -166,6 +163,11 @@ def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
         lambda ai, m: _map_columns(arrow_cols[ai], m),
         relation,
     ))
+
+
+def _columns(m) -> tuple:
+    """A matrix's columns from its rows, each the ``(row, value)`` pairs of its nonzero entries."""
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
 
 
 def _map_columns(a_cols, m_cols) -> tuple:
@@ -186,16 +188,19 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True):
     """Check the images that ``paths.walk(q, N, start, step)`` gives: paths
     shorter than N act nonzero and pairwise differently and, with
     ``relation``, every length-N composite acts as zero.  The path kind has
-    no relation level, so its walk stops at length N - 1.  Images with
-    different endpoints act on different blocks, so comparisons key on
-    (source, target, image); an image is a hashable tuple of rows or
-    columns, and is zero when none of them holds a truthy item.  The walk
-    takes no step past the first fault.  Returns ``(status, checked,
+    no relation level, so its walk stops at length N - 1.  An image is a
+    hashable tuple of rows or columns, zero when none of them holds a
+    truthy item.  Images with different endpoints act on different blocks,
+    so the store keys on (source, target, hash of the image) and keeps the
+    first path's arrows, not its image: a path that finds its key re-derives
+    that path's image from ``start`` by ``step`` and compares exactly, and
+    distinct images that share a hash are keyed on the image itself.  The
+    walk takes no step past the first fault.  Returns ``(status, checked,
     fault)``, ``fault`` the walk tuples of the offending path or colliding
     pair (empty when effective); only ``_report`` names them.
     """
     checked = 1  # the zero element
-    seen: dict = {}  # (source, target, image) -> the first path with it
+    seen: dict = {}  # (source, target, hash of an image) -> the arrows of the first path with it
     for length, level in walk(q, N if relation else N - 1, start, step):
         for path in level:
             tail, head, arrows, m = path
@@ -207,9 +212,11 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True):
             checked += 1
             if zero:
                 return ZERO_ACTION, checked, (path,)
-            other = seen.setdefault((tail, head, m), path)
-            if other is not path:
-                return COLLISION, checked, (other, path)
+            other = seen.setdefault((tail, head, hash(m)), arrows)
+            if other is not arrows and functools.reduce(lambda v, ai: step(ai, v), other, start(tail)) != m:
+                other = seen.setdefault((tail, head, m), arrows)
+            if other is not arrows:
+                return COLLISION, checked, ((tail, head, other), path)
     return EFFECTIVE, checked, ()
 
 
@@ -391,19 +398,11 @@ def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
         basis_grades[x] = g if g is not None else (prof[x][0],)
     checked = 0
     for a in q.arrows:
-        src = basis_grades[q.vertices[a.tail]]
         tgt = basis_grades[q.vertices[a.head]]
-        m = rep.matrices[a.name]
-        for col in range(len(src)):
+        for g_src, col in zip(basis_grades[q.vertices[a.tail]], _columns(rep.matrices[a.name])):
             checked += 1
-            nonzero_rows = [row for row in range(len(tgt)) if m[row][col]]
-            if len(nonzero_rows) > 1:
+            if len(col) > 1 or col and not g_src < tgt[col[0][0]] <= rep.N - 1:
                 return VerifyReport(RELATION_VIOLATION, checked, 0, (a.name,))
-            if nonzero_rows:
-                g_src = src[col]
-                g_tgt = tgt[nonzero_rows[0]]
-                if not (g_src < g_tgt <= rep.N - 1):
-                    return VerifyReport(RELATION_VIOLATION, checked, 0, (a.name,))
     return VerifyReport(EFFECTIVE, checked, 0)
 
 

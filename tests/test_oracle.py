@@ -167,10 +167,10 @@ def test_verify_truncated_decides_built_reps_without_the_exact_pass(monkeypatch)
 
 
 def test_verify_truncated_memory_stays_with_the_probes():
-    """The exact walk keeps every image of the loop at N = 400: products of
-    up to 400 primes in each column, a peak of about 27 MB under
-    ``tracemalloc``.  The probe pass keeps the hash of each path's probe
-    column and one level of probe columns: about 0.13 MB."""
+    """The loop at N = 400 passes on the probes: the probe pass keeps the
+    linear key of each path's probe and one level of probe columns, a peak
+    of about 0.13 MB under ``tracemalloc``.  Its exact images, products of
+    up to 400 primes in each column, are never built."""
     q = helpers.loop()
     rep = build_truncated_rep(q, 400)
     tracemalloc.start()
@@ -180,6 +180,52 @@ def test_verify_truncated_memory_stays_with_the_probes():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_verify_truncated_memory_stays_low_on_a_faulty_rep():
+    """Zeroing the first label of the loop at N = 400 makes a^399 zero, so
+    the exact walk runs to its last level.  Its store keeps each path's
+    arrows and the hash of its image, and the walk two levels of images: a
+    peak of about 1 MB under ``tracemalloc``.  Keeping every image would
+    take about 27 MB."""
+    q = helpers.loop()
+    rep = build_truncated_rep(q, 400)
+    m = [list(row) for row in rep.matrices["a"]]
+    i, j = next((i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e)
+    m[i][j] = 0
+    rep = replace(rep, matrices={"a": tuple(map(tuple, m))})
+    tracemalloc.start()
+    try:
+        report = verify_truncated(rep, q, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.checked, report.witness) == ("zero_action", 401, ("*".join("a" * 399),))
+    assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("values, status, witness", [
+    ((2, 2 + oracle._P), "effective", None),
+    ((2, 2), "collision", ("a", "b")),
+    ((2, 2 + oracle._P, 2 + oracle._P), "collision", ("b", "c")),
+], ids=["distinct", "equal", "equal_after_a_shared_hash"])
+def test_exact_checks_compare_images_whose_hashes_agree(monkeypatch, values, status, witness):
+    """Python hashes an integer mod 2^61 - 1, the probes' modulus, so
+    parallel arrows [[2]] and [[2 + (2^61 - 1)]] clash in the probe pass
+    and in the exact store's hashes: only the exact comparison tells them
+    apart, and a third arrow equal to the second is then found by its image."""
+    assert hash(values[0]) == hash(values[-1])
+    names = "abc"[:len(values)]
+    q = Quiver(["x", "y"], [(name, "x", "y") for name in names])
+    path = replace(build_path_rep(q), dims={"x": 1, "y": 1},
+                   matrices={name: PolyMatrix([[MultiPoly.const(v)]]) for name, v in zip(names, values)})
+    truncated = replace(build_truncated_rep(q, 2), dims={"x": 1, "y": 1},
+                        matrices={name: ((v,),) for name, v in zip(names, values)})
+    exact = _counting(monkeypatch, "_check_truncated")
+    checked = 3 + len(values)
+    assert verify_path_rep(path, q) == oracle.VerifyReport(status, checked, 6, witness)
+    assert verify_truncated(truncated, q, 2) == oracle.VerifyReport(status, checked, 1, witness)
+    assert exact == [2]
 
 
 def test_verify_truncated_images_do_not_depend_on_summing_order():
@@ -588,14 +634,17 @@ def test_verify_filtration_loop_n2():
     assert verify_filtration(build_truncated_rep(q, 2), q).ok
 
 
-def test_verify_filtration_detects_grade_violation():
-    q = helpers.loop()
-    rep = build_truncated_rep(q, 2)
-    # grades are (1, 0); this maps the grade-1 vector to grade 1 again
-    sabotaged = replace(rep, matrices={"a": ((2, 0), (0, 0))})
-    result = verify_filtration(sabotaged, q)
-    assert result.status == "relation_violation"
-    assert result.witness == ("a",)
+@pytest.mark.parametrize("q, N, matrices, checked, witness", [
+    # grades (1, 0): a maps the grade-1 vector to grade 1 again
+    (helpers.loop(), 2, {"a": ((2, 0), (0, 0))}, 1, "a"),
+    # grades (2, 1, 0): b's last column sends its vector up to two grades at once
+    (helpers.two_loops(), 3,
+     {"a": ((0, 3, 0), (0, 0, 2), (0, 0, 0)), "b": ((0, 11, 5), (0, 0, 7), (0, 0, 0))}, 6, "b"),
+], ids=["grade_violation", "two_nonzeros"])
+def test_verify_filtration_names_the_faulting_arrow(q, N, matrices, checked, witness):
+    """``checked`` counts the columns read, the faulting one included."""
+    rep = replace(build_truncated_rep(q, N), matrices=matrices)
+    assert verify_filtration(rep, q) == oracle.VerifyReport("relation_violation", checked, 0, (witness,))
 
 
 @pytest.mark.parametrize("entry, status", [(0, "effective"), (2, "relation_violation")])
