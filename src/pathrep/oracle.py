@@ -152,8 +152,9 @@ def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
     one nonzero per column, so a step costs about one product per column
     instead of a dense matrix product.  The step sums exactly and drops
     zero sums, whatever the number of nonzero entries in a column, so the
-    form is canonical: two images are equal, or zero, exactly when their
-    dense matrices are, and the reports are those of the dense comparison.
+    form is canonical: two images are equal exactly when their dense
+    matrices are, and a zero column is ``()``, so an image is zero exactly
+    when its matrix is; the reports are those of the dense comparison.
     """
     arrow_cols = [_columns(m) for m in rep.matrices.values()]
     return _report(q, N, *_check_truncated(
@@ -189,34 +190,32 @@ def _check_truncated(q: Quiver, N: int, start, step, relation: bool = True):
     shorter than N act nonzero and pairwise differently and, with
     ``relation``, every length-N composite acts as zero.  The path kind has
     no relation level, so its walk stops at length N - 1.  An image is a
-    hashable tuple of rows or columns, zero when none of them holds a
-    truthy item.  Images with different endpoints act on different blocks,
-    so the store keys on (source, target, hash of the image) and keeps the
-    first path's arrows, not its image: a path that finds its key re-derives
-    that path's image from ``start`` by ``step`` and compares exactly, and
-    distinct images that share a hash are keyed on the image itself.  The
-    walk takes no step past the first fault.  Returns ``(status, checked,
-    fault)``, ``fault`` the walk tuples of the offending path or colliding
-    pair (empty when effective); only ``_report`` names them.
+    hashable tuple, zero exactly when none of its items is truthy.  Images
+    with different endpoints act on different blocks, so the store keys on
+    (source, target, hash of the image) and keeps the first path's arrows,
+    not its image: a path that finds its key re-derives that path's image
+    from ``start`` by ``step`` and compares exactly, and distinct images
+    that share a hash are keyed on the image itself.  The walk takes no
+    step past the first fault.  Returns ``(status, checked, fault)``,
+    ``fault`` the walk tuples of the offending path or colliding pair
+    (empty when effective); only ``_report`` names them.
     """
     checked = 1  # the zero element
     seen: dict = {}  # (source, target, hash of an image) -> the arrows of the first path with it
-    for length, level in walk(q, N if relation else N - 1, start, step):
-        for path in level:
-            tail, head, arrows, m = path
-            zero = not any(map(any, m))
-            if length == N:
-                if not zero:
-                    return RELATION_VIOLATION, checked, (path,)
-                continue
-            checked += 1
-            if zero:
-                return ZERO_ACTION, checked, (path,)
-            other = seen.setdefault((tail, head, hash(m)), arrows)
-            if other is not arrows and functools.reduce(lambda v, ai: step(ai, v), other, start(tail)) != m:
-                other = seen.setdefault((tail, head, m), arrows)
-            if other is not arrows:
-                return COLLISION, checked, ((tail, head, other), path)
+    for path in walk(q, N if relation else N - 1, start, step):
+        tail, head, arrows, m = path
+        if len(arrows) == N:
+            if any(m):
+                return RELATION_VIOLATION, checked, (path,)
+            continue
+        checked += 1
+        if not any(m):
+            return ZERO_ACTION, checked, (path,)
+        other = seen.setdefault((tail, head, hash(m)), arrows)
+        if other is not arrows and functools.reduce(lambda v, ai: step(ai, v), other, start(tail)) != m:
+            other = seen.setdefault((tail, head, m), arrows)
+        if other is not arrows:
+            return COLLISION, checked, ((tail, head, other), path)
     return EFFECTIVE, checked, ()
 
 
@@ -413,10 +412,9 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
     Tries every splitting of total_dim over the vertices and every 0/1
     assignment of arrow matrices, checking the truncation relations and
     pairwise distinctness of all element images.  An image is carried as
-    its columns, a column as the 1-tuple of its bit mask (bit i is row i),
-    so a step looks each column up in the arrow's table (``_f2_tables``)
-    and multiplies no matrix.  Refuses instances beyond the tractability
-    guard.
+    the tuple of its columns' bit masks (bit i is row i), so a step looks
+    each column up in the arrow's table (``_f2_tables``) and multiplies no
+    matrix.  Refuses instances beyond the tractability guard.
     """
     if N < 1 or total_dim < 1:
         raise ValueError("N and total_dim must be >= 1")
@@ -430,24 +428,23 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
     # element; lexicographic cut points give lexicographic dims.
     for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
         dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
-        start = [tuple((1 << j,) for j in range(d)) for d in dims].__getitem__
+        start = [tuple(1 << j for j in range(d)) for d in dims].__getitem__
         choices = [_f2_tables(dims[a.head], dims[a.tail], tables) for a in q.arrows]
         for maps in itertools.product(*choices):
-            if _check_truncated(q, N, start, lambda ai, m: tuple([maps[ai][c] for c, in m]))[0] == EFFECTIVE:
+            if _check_truncated(q, N, start, lambda ai, m: tuple(map(maps[ai].__getitem__, m)))[0] == EFFECTIVE:
                 return True
     return False
 
 
 def _f2_tables(rows: int, cols: int, tables: dict) -> list:
-    """Every linear map F2^cols -> F2^rows as its table: entry x is the image
-    of the vector with mask x, as a 1-tuple.  Each map of (rows, cols - 1)
-    is extended by each last column v (entry x + 2^(cols - 1) is entry x
-    xor v), so bits j * rows up of a map's index hold its column j."""
+    """Every linear map F2^cols -> F2^rows as its table: entry x is the bit
+    mask of the image of the vector with mask x.  Each map of (rows,
+    cols - 1) is extended by each last column v (entry x + 2^(cols - 1) is
+    entry x xor v), so bits j * rows up of a map's index hold its column j."""
     if (rows, cols) not in tables:
         if cols:
-            masks = [(y,) for y in range(1 << rows)]
-            tables[rows, cols] = [t + tuple([masks[y ^ v] for y, in t])
+            tables[rows, cols] = [t + tuple([y ^ v for y in t])
                                   for v in range(1 << rows) for t in _f2_tables(rows, cols - 1, tables)]
         else:
-            tables[rows, cols] = [((0,),)]  # the one map from F2^0, at the one mask 0
+            tables[rows, cols] = [(0,)]  # the one map from F2^0, at the one mask 0
     return tables[rows, cols]

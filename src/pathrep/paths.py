@@ -1,5 +1,5 @@
 """Paths of a quiver as semigroup elements: composition with a zero,
-the level-by-level walk, bounded enumeration, first-return cycles, and free
+the walk in length order, bounded enumeration, first-return cycles, and free
 factorization."""
 
 from __future__ import annotations
@@ -86,32 +86,28 @@ def compose(p: Path, q: Path) -> Path:
 
 
 def walk(q: Quiver, max_len: int, start, step):
-    """Yield ``(length, level)`` for lengths 0..max_len; a level yields
-    ``(tail, head, arrows, value)`` tuples.
+    """Yield each path of length at most max_len as a ``(tail, head,
+    arrows, value)`` tuple, one at a time; its length is ``len(arrows)``.
 
-    Level 0 holds the trivial paths in vertex declaration order, valued
-    ``start(vertex_index)``.  Each later level extends every path of the one
-    before, in its order, by each ``(arrow index, head)`` pair out of its
-    head in ``q.out_arrows``, in declaration order, and values the extension
-    ``step(arrow_index, prefix_value)``; so every path costs one step,
-    taken as the level is read.  Read each level to its end before the
-    next, or stop.  The walk stops at the first empty level."""
+    First come the trivial paths in vertex declaration order, valued
+    ``start(vertex_index)``.  Then, length by length, every path of the
+    last length, in its order, is extended by each ``(arrow index, head)``
+    pair out of its head in ``q.out_arrows``, in declaration order, and the
+    extension valued ``step(arrow_index, prefix_value)``; so every path
+    costs one step, taken as it is yielded.  The walk stops after the
+    first length with no path."""
     moves = q.out_arrows
-
-    def extend(prev, append):
+    level = [(v, v, (), start(v)) for v in range(q.n)]
+    yield from level
+    for _ in range(max_len):
+        prev, level = level, []
         for tail, head, arrows, value in prev:
             for ai, h in moves[head]:
                 path = (tail, h, arrows + (ai,), step(ai, value))
-                append(path)
+                level.append(path)
                 yield path
-
-    level = [(v, v, (), start(v)) for v in range(q.n)]
-    yield 0, level
-    for length in range(1, max_len + 1):
-        if not any(moves[head] for _, head, _, _ in level):
+        if not level:
             return
-        prev, level = level, []
-        yield length, extend(prev, level.append)
 
 
 def head_counts(q: Quiver):
@@ -132,17 +128,14 @@ def head_counts(q: Quiver):
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All nonzero paths of length at most ``max_len``, each exactly once.
 
-    Output order is (length, lexicographic by arrow index); trivial paths
-    come first, in vertex declaration order.
+    Output order is (length, lexicographic by arrow index): one stable sort
+    of the walked paths, so the trivial paths come first, in vertex
+    declaration order.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    out = []
-    for _, level in walk(q, max_len, lambda v: None, lambda ai, value: None):
-        # extensions come out grouped by source vertex, which is not lex
-        # order at length one; a sort of the nearly-sorted level is cheap
-        out.extend(Path(t, h, arrows) for t, h, arrows, _ in sorted(level, key=lambda p: p[2]))
-    return out
+    walked = walk(q, max_len, lambda v: None, lambda ai, value: None)
+    return [Path(t, h, arrows) for t, h, arrows, _ in sorted(walked, key=lambda p: (len(p[2]), p[2]))]
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,13 @@ class GradedRep:
             raise ValueError(
                 f"representation field {table_key!r} needs [arrow, grade, label] rows"
             ) from None
+        if len(labels) != len(table):
+            raise ValueError(f"representation field {table_key!r} repeats an (arrow, grade) key")
         names = ()
         if "label_variables" in data:
             names = tuple(_field(data, "label_variables", list))
+            if not {str}.issuperset(map(type, names)):
+                raise ValueError("representation field 'label_variables' needs a list of names (strings)")
         return cls(N, dims, grades, matrices, labels, kind, names)
 
 

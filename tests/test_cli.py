@@ -155,6 +155,30 @@ def test_verify_rep_repeated_arrow_record(qfile, tmp_path, capsys, args):
         assert err.startswith("error:") and "arrows[2] repeats arrow id 'a'" in err
 
 
+@pytest.mark.parametrize("labels, table, edit, message", [
+    ("symbolic", "label_table", lambda d: d["label_table"].append(["a", 0, d["label_table"][1][2]]),
+     "representation field 'label_table' repeats an (arrow, grade) key"),
+    ("primes", "prime_table", lambda d: d["prime_table"].append(["a", 0, d["prime_table"][1][2]]),
+     "representation field 'prime_table' repeats an (arrow, grade) key"),
+    ("symbolic", "label_table", lambda d: d.update(label_variables=[1, 2]),
+     "representation field 'label_variables' needs a list of names (strings)"),
+], ids=["repeated-label-key", "repeated-prime-key", "label-variables-not-names"])
+def test_verify_rep_bad_label_table_names_the_file(qfile, tmp_path, capsys, labels, table, edit, message):
+    """The loop's rep at N = 3 exits 2, naming the field and the file, when
+    its label table repeats an (arrow, grade) key, which let the later row
+    win, or its label variables are not names."""
+    quiver_path = qfile(LOOP)
+    rep_path = tmp_path / "rep.json"
+    args = ["construct", quiver_path, "--truncate", "3", "--labels", labels, "--out", str(rep_path)]
+    assert main(args) == 0
+    data = json.loads(rep_path.read_text())
+    assert table in data
+    edit(data)
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert capsys.readouterr().err == f"error: {rep_path}: {message}\n"
+
+
 def test_verify_rep_file_roundtrip_ok(qfile, tmp_path, capsys):
     quiver_path = qfile(A3)
     rep_path = tmp_path / "rep.json"

@@ -79,13 +79,27 @@ def test_verify_truncated_rejects_mismatch():
         verify_truncated(rep, helpers.a2(), 3)
 
 
+def _flat(rows) -> tuple:
+    """A dense matrix as its entries row by row, an image in the form
+    ``_check_truncated`` reads: zero exactly when no entry is truthy."""
+    return tuple(itertools.chain.from_iterable(rows))
+
+
+def _rows(flat, n: int) -> list:
+    """The n rows of a matrix that ``_flat`` flattened."""
+    width = len(flat) // n
+    return [flat[i * width:(i + 1) * width] for i in range(n)]
+
+
 def _dense_verify_truncated(rep, q, N):
     """The dense reference for ``verify_truncated``: the same walk and
-    checks, but every image a whole matrix and every step one exact
-    ``mat_mul`` over tuples of rows."""
+    checks, but every image a whole matrix, flattened, and every step one
+    exact ``mat_mul`` over its rows."""
     mats = list(rep.matrices.values())
+    tails = [rep.dims[q.vertices[a.tail]] for a in q.arrows]
     return oracle._report(q, N, *oracle._check_truncated(
-        q, N, lambda v: identity(rep.dims[q.vertices[v]]), lambda ai, m: mat_mul(mats[ai], m),
+        q, N, lambda v: _flat(identity(rep.dims[q.vertices[v]])),
+        lambda ai, m: _flat(mat_mul(mats[ai], _rows(m, tails[ai]))),
     ))
 
 
@@ -514,34 +528,34 @@ def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
 @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 5) for c in range(1, 5) if r * c <= 9])
 def test_f2_tables_are_every_linear_map(rows, cols):
     """The tables of one shape are its 2^(rows * cols) linear maps, each
-    once: t[x ^ y] is t[x] ^ t[y], and t[x] is, mod 2, the ``mat_mul``
-    image of the vector with bit mask x under the dense 0/1 matrix whose
-    column j is bits j * rows to j * rows + rows - 1 of the table's index."""
+    once: t[x ^ y] is t[x] ^ t[y], and t[x] is the bit mask of the ``mat_mul``
+    image, mod 2, of the vector with bit mask x under the dense 0/1 matrix
+    whose column j is bits j * rows to j * rows + rows - 1 of the table's index."""
     tables = oracle._f2_tables(rows, cols, {})
     assert len(tables) == len(set(tables)) == 2 ** (rows * cols)
     vectors = range(2**cols)
     bits = [tuple((x >> i) & 1 for i in range(max(rows, cols))) for x in range(2 ** max(rows, cols))]
     for index, t in enumerate(tables):
-        assert len(t) == 2**cols and all(len(y) == 1 for y in t)
-        assert all(t[x ^ y] == (t[x][0] ^ t[y][0],) for x in vectors for y in vectors)
+        assert len(t) == 2**cols and all(type(y) is int and 0 <= y < 2**rows for y in t)
+        assert all(t[x ^ y] == t[x] ^ t[y] for x in vectors for y in vectors)
         dense = [[(index >> (j * rows + i)) & 1 for j in range(cols)] for i in range(rows)]
         for x in vectors:
             image = mat_mul(dense, [[b] for b in bits[x][:cols]])
-            assert bits[t[x][0]][:rows] == tuple(row[0] % 2 for row in image)
+            assert bits[t[x]][:rows] == tuple(row[0] % 2 for row in image)
 
 
 def _dense_f2_search(q, N, total_dim):
     """The reference for ``exhaustive_lower_bound_f2``: every splitting and
-    every 0/1 assignment of dense matrices, each image a tuple of rows and
-    each step one ``mat_mul`` mod 2, through ``_check_truncated``."""
+    every 0/1 assignment of dense matrices, each image flattened (``_flat``)
+    and each step one ``mat_mul`` mod 2, through ``_check_truncated``."""
     for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
         dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
         choices = [list(itertools.product(itertools.product((0, 1), repeat=dims[a.tail]), repeat=dims[a.head]))
                    for a in q.arrows]
         for mats in itertools.product(*choices):
             status, _, _ = oracle._check_truncated(
-                q, N, lambda v: identity(dims[v]),
-                lambda ai, m: tuple(tuple(x % 2 for x in row) for row in mat_mul(mats[ai], m)))
+                q, N, lambda v: _flat(identity(dims[v])),
+                lambda ai, m: tuple(x % 2 for x in _flat(mat_mul(mats[ai], _rows(m, dims[q.arrows[ai].tail])))))
             if status == "effective":
                 return True
     return False
@@ -676,18 +690,23 @@ def test_verify_filtration_keeps_entries_off_a_grade_inf_vertex(matrices, witnes
     assert result.status == ("effective" if witness is None else "relation_violation")
 
 
-def test_exhaustive_lower_bound_a2():
-    q = helpers.a2()
-    assert exhaustive_lower_bound_f2(q, 2, 1) is False
-    assert exhaustive_lower_bound_f2(q, 2, 2) is True
-
-
-def test_exhaustive_lower_bound_loop():
-    assert exhaustive_lower_bound_f2(helpers.loop(), 2, 1) is False
-
-
-def test_exhaustive_lower_bound_a3():
-    assert exhaustive_lower_bound_f2(helpers.a_line(3), 2, 3) is False
+@pytest.mark.parametrize("q, N, total_dim, formula, answer", [
+    (helpers.a2(), 2, 1, 2, False),
+    (helpers.a2(), 2, 2, 2, True),
+    (helpers.loop(), 2, 1, 2, False),
+    (helpers.a_line(3), 2, 3, 4, False),
+    (helpers.two_loops(), 2, 2, 2, False),
+    (helpers.two_loops(), 2, 3, 2, True),
+], ids=["a2-1", "a2-2", "loop-1", "a3-3", "two_loops-2", "two_loops-3"])
+def test_exhaustive_lower_bound(q, N, total_dim, formula, answer):
+    """The search's answers beside the formula's dimension
+    (``effdim_truncated``).  Two loops at N = 2 are F2's smallest departure
+    from it: the formula gives 2, but over F2 no dimension 2 is faithful.
+    There both loops act as nonzero square-zero maps whose products
+    vanish, so they share their image and kernel and each is a scalar
+    multiple of the other; F2 has one nonzero scalar, so they collide."""
+    assert effdim_truncated(q, N) == formula
+    assert exhaustive_lower_bound_f2(q, N, total_dim) is answer
 
 
 def test_exhaustive_lower_bound_guard():
@@ -850,9 +869,9 @@ def test_block_pass_agrees_with_the_ordered_check_on_the_same_probes(point):
     verdicts = set()
     for q, max_len, starts, fps in _probe_cases(point):
         passed = oracle._probe_blocks(q, max_len, starts, [_sparse(m) for m in fps])
-        status, checked, _ = oracle._check_truncated(  # images are one-column matrices, as rows
-            q, max_len + 1, lambda v: tuple((x,) for x in starts[v]),
-            lambda ai, m: tuple((row[0] % oracle._P,) for row in mat_mul(fps[ai], m)), relation=False)
+        status, checked, _ = oracle._check_truncated(  # images are probe columns, as coordinate tuples
+            q, max_len + 1, lambda v: starts[v],
+            lambda ai, m: tuple(row[0] % oracle._P for row in mat_mul(fps[ai], [(x,) for x in m])), relation=False)
         assert passed == (status == "effective")
         if passed:
             assert oracle._check_budget(q, max_len) == checked

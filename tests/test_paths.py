@@ -87,12 +87,16 @@ def test_enumerate_no_duplicates_and_ordered():
 
 
 def _walked(q, max_len, start=lambda v: None, step=lambda ai, value: None):
-    """The walk's levels as lists of ``(Path, value)`` pairs, each level read
-    to its end before the next is asked for."""
-    return [
-        (length, [(Path(t, h, arrows), value) for t, h, arrows, value in level])
-        for length, level in walk(q, max_len, start, step)
-    ]
+    """The walked paths as ``(length, level)`` pairs, a level the list of
+    ``(Path, value)`` pairs of one length in walk order; the walk must
+    yield the lengths in turn, each after the whole of the one before."""
+    levels = []
+    for t, h, arrows, value in walk(q, max_len, start, step):
+        if len(arrows) == len(levels):
+            levels.append((len(arrows), []))
+        assert len(arrows) == len(levels) - 1
+        levels[-1][1].append((Path(t, h, arrows), value))
+    return levels
 
 
 def test_walk_levels_match_enumeration_and_stop_when_empty():
@@ -103,6 +107,8 @@ def test_walk_levels_match_enumeration_and_stop_when_empty():
         assert sorted(walked, key=lambda p: (p.length, p.arrows)) == enumerate_paths(q, 4)
         out = helpers.out_arrow_ids(q)
         assert len(levels) == 5 or not any(out[p.head] for p, _ in levels[-1][1])
+    # a bound far beyond the longest path costs no pass per length
+    assert len(_walked(helpers.a_line(3), 10**18)) == 3
 
 
 def test_walk_order_extends_each_level_in_order():
@@ -127,23 +133,21 @@ def test_walk_order_extends_each_level_in_order():
 
 
 def test_walk_steps_only_what_is_read():
-    """A level is built as it is read: breaking off mid-level leaves the
+    """A path is stepped as it is yielded: breaking off mid-level leaves the
     rest of the level unstepped."""
     q = helpers.two_loops()
     steps = []
-    for length, level in walk(q, 3, lambda v: (), lambda ai, value: steps.append(ai) or value + (ai,)):
-        if length == 2:
-            assert next(iter(level))[2] == (0, 0)
+    for _, _, arrows, _ in walk(q, 3, lambda v: (), lambda ai, value: steps.append(ai) or value + (ai,)):
+        if len(arrows) == 2:
+            assert arrows == (0, 0)
             break
-        for _ in level:
-            pass
     assert steps == [0, 1, 0]
 
 
 def test_walk_steps_each_path_once_from_its_prefix():
-    """Every path of a level past the first costs one step, taken in level
-    order, on the arrow it ends with and the value of the path it extends;
-    the step's result is its value."""
+    """Every path past the trivial ones costs one step, taken just before
+    the walk yields it, on the arrow it ends with and the value of the path
+    it extends; the step's result is its value."""
     for q in helpers.suite(30) + [helpers.kronecker(), helpers.triangle_chord(), helpers.loop()]:
         calls = []
 
@@ -151,15 +155,12 @@ def test_walk_steps_each_path_once_from_its_prefix():
             calls.append((ai, value))
             return value + (ai,)
 
-        prev = []
-        for _, level in walk(q, 4, lambda v: (v,), step):
+        values = {}
+        for tail, _, arrows, value in walk(q, 4, lambda v: (v,), step):
+            assert value == (tail,) + arrows
+            assert calls == ([(arrows[-1], values[tail, arrows[:-1]])] if arrows else [])
             calls.clear()
-            level = list(level)
-            assert all(value == (tail,) + arrows for tail, _, arrows, value in level)
-            extended = {(tail, arrows): value for tail, _, arrows, value in prev}
-            assert calls == [(arrows[-1], extended[tail, arrows[:-1]])
-                             for tail, _, arrows, _ in level if prev]
-            prev = level
+            values[tail, arrows] = value
 
 
 def test_walk_of_a_copied_or_pickled_quiver_is_the_same():
