@@ -243,7 +243,7 @@ def _load_rep(path: str):
         if kind == "path":
             return SymbolicRep.from_json(data)
         if kind == "truncated":
-            return GradedRep.from_json(data)
+            return GradedRep.from_json(data).checked()
         raise ValueError(f"unrecognized representation kind {kind!r}")
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None

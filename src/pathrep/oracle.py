@@ -409,42 +409,42 @@ def exhaustive_lower_bound_f2(q: Quiver, N: int, total_dim: int) -> bool:
     """Whether some faithful representation of the level-N truncation exists
     with the given total dimension, over the two-element field.
 
-    Tries every splitting of total_dim over the vertices and every 0/1
-    assignment of arrow matrices, checking the truncation relations and
-    pairwise distinctness of all element images.  An image is carried as
-    the tuple of its columns' bit masks (bit i is row i), so a step looks
-    each column up in the arrow's table (``_f2_tables``) and multiplies no
-    matrix.  Refuses instances beyond the tractability guard.
+    Tries every splitting of total_dim into dims >= 1 (else a trivial path is
+    zero) and, arrow by arrow, every 0/1 matrix, checked at once on the quiver
+    of the arrows so far: its elements keep their images in the whole quiver,
+    so its fault fails every extension.  Refuses instances past the guard.
     """
     if N < 1 or total_dim < 1:
         raise ValueError("N and total_dim must be >= 1")
     if total_dim > 4 or len(q.arrows) * total_dim * total_dim > 20:
-        raise ValueError(
-            "exhaustive search bounds exceeded: "
-            "need total_dim <= 4 and |arrows| * total_dim^2 <= 20"
-        )
-    tables: dict = {}  # (rows, cols) -> _f2_tables, shared by every splitting
-    # Dims >= 1, as a trivial path acting as zero clashes with the zero
-    # element; lexicographic cut points give lexicographic dims.
+        raise ValueError("exhaustive search bounds exceeded: "
+                         "need total_dim <= 4 and |arrows| * total_dim^2 <= 20")
+    arrows = [(a.name, q.vertices[a.tail], q.vertices[a.head]) for a in q.arrows]
+    prefixes = [Quiver(q.vertices, arrows[:k]) for k in range(1, len(arrows) + 1)]  # indices as in q
+    maps = [None] * len(arrows)  # maps[i] is arrow i's table while it is assigned
+
+    def extends(k: int) -> bool:  # whether the first k arrows' maps extend to a faithful assignment
+        if k == len(arrows):
+            return True
+        for maps[k] in _f2_maps(dims[q.arrows[k].head], dims[q.arrows[k].tail]):
+            if (_check_truncated(prefixes[k], N, start, lambda i, m: tuple(map(maps[i].__getitem__, m)))[0]
+                    == EFFECTIVE and extends(k + 1)):
+                return True
+        return False
+
     for cuts in itertools.combinations(range(1, total_dim), q.n - 1):
         dims = [b - a for a, b in itertools.pairwise((0, *cuts, total_dim))]
         start = [tuple(1 << j for j in range(d)) for d in dims].__getitem__
-        choices = [_f2_tables(dims[a.head], dims[a.tail], tables) for a in q.arrows]
-        for maps in itertools.product(*choices):
-            if _check_truncated(q, N, start, lambda ai, m: tuple(map(maps[ai].__getitem__, m)))[0] == EFFECTIVE:
-                return True
+        if extends(0):
+            return True
     return False
 
 
-def _f2_tables(rows: int, cols: int, tables: dict) -> list:
-    """Every linear map F2^cols -> F2^rows as its table: entry x is the bit
-    mask of the image of the vector with mask x.  Each map of (rows,
-    cols - 1) is extended by each last column v (entry x + 2^(cols - 1) is
-    entry x xor v), so bits j * rows up of a map's index hold its column j."""
-    if (rows, cols) not in tables:
-        if cols:
-            tables[rows, cols] = [t + tuple([y ^ v for y in t])
-                                  for v in range(1 << rows) for t in _f2_tables(rows, cols - 1, tables)]
-        else:
-            tables[rows, cols] = [(0,)]  # the one map from F2^0, at the one mask 0
-    return tables[rows, cols]
+def _f2_maps(rows: int, cols: int):
+    """Every linear map F2^cols -> F2^rows as its table, entry x the bit mask of
+    the image of the vector with mask x, built as it is reached, in column-mask
+    tuple order: a table t of j columns extended by column v has t[x] ^ v at x + 2^j."""
+    tables = iter([(0,)])
+    for _ in range(cols):
+        tables = (t + tuple([y ^ v for y in t]) for t in tables for v in range(1 << rows))
+    return tables

@@ -14,7 +14,7 @@ by default, or a fresh formal variable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, log
 
 from .dimension import classify_path, k_profile
@@ -303,6 +303,18 @@ class GradedRep:
             if not {str}.issuperset(map(type, names)):
                 raise ValueError("representation field 'label_variables' needs a list of names (strings)")
         return cls(N, dims, grades, matrices, labels, kind, names)
+
+    def checked(self) -> "GradedRep":
+        """This rep, once its label table is seen to fit it: each row is one of its arrows at a
+        grade below N, and each nonzero entry a label (if symbolic, made of label monomials)."""
+        field, atoms = (("label_table", lambda es: {m for e in es for m in getattr(e, "terms", (e,))})
+                        if self.label_kind == "symbolic" else ("prime_table", lambda es: set(es) - {0}))
+        if not all(arrow in self.matrices and 0 <= k < self.N for arrow, k in self.labels):
+            raise ValueError(f"representation field {field!r} has a row for no arrow at a grade below N")
+        entries = chain.from_iterable(chain.from_iterable(self.matrices.values()))
+        if not atoms(entries) <= atoms(self.labels.values()):
+            raise ValueError(f"representation field {field!r} lacks a label that an arrow matrix holds")
+        return self
 
 
 def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:

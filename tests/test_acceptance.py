@@ -76,6 +76,17 @@ def test_criterion_5_f2_lower_bounds():
         assert exhaustive_lower_bound_f2(lp, 2, effdim_truncated(lp, 2) - 1) is False
         a3 = helpers.a_line(3)
         assert exhaustive_lower_bound_f2(a3, 2, effdim_truncated(a3, 2) - 1) is False
+        # Every in-guard search of the suite at the formula and one below it:
+        # none below is faithful, and over F2 only 195 of 215 at it are.
+        at, below = [], []
+        for q in helpers.suite(200):
+            for N in (1, 2, 3):
+                formula = effdim_truncated(q, N)
+                for d, found in ((formula, at), (formula - 1, below)):
+                    if q.n <= d <= 4 and len(q.arrows) * d * d <= 20:
+                        found.append(exhaustive_lower_bound_f2(q, N, d))
+        assert (len(below), below.count(True)) == (73, 0)
+        assert (len(at), at.count(True)) == (215, 195)
 
 
 def test_criterion_6_affine_stabilization():

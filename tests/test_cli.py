@@ -162,11 +162,24 @@ def test_verify_rep_repeated_arrow_record(qfile, tmp_path, capsys, args):
      "representation field 'prime_table' repeats an (arrow, grade) key"),
     ("symbolic", "label_table", lambda d: d.update(label_variables=[1, 2]),
      "representation field 'label_variables' needs a list of names (strings)"),
-], ids=["repeated-label-key", "repeated-prime-key", "label-variables-not-names"])
+    ("primes", "prime_table", lambda d: d["prime_table"][0].__setitem__(2, 999),
+     "representation field 'prime_table' lacks a label that an arrow matrix holds"),
+    ("symbolic", "label_table", lambda d: d["label_table"][0].__setitem__(2, [{"coeff": "1", "exps": [[9, 1]]}]),
+     "representation field 'label_table' lacks a label that an arrow matrix holds"),
+    ("primes", "prime_table", lambda d: d["prime_table"].append(["zz", 7, 11]),
+     "representation field 'prime_table' has a row for no arrow at a grade below N"),
+    ("primes", "prime_table", lambda d: d["prime_table"][2].__setitem__(1, 3),
+     "representation field 'prime_table' has a row for no arrow at a grade below N"),
+    ("symbolic", "label_table", lambda d: d["label_table"][2].__setitem__(1, -1),
+     "representation field 'label_table' has a row for no arrow at a grade below N"),
+], ids=["repeated-label-key", "repeated-prime-key", "label-variables-not-names", "changed-prime",
+        "changed-label", "row-of-no-arrow", "row-past-the-last-grade", "row-below-grade-0"])
 def test_verify_rep_bad_label_table_names_the_file(qfile, tmp_path, capsys, labels, table, edit, message):
     """The loop's rep at N = 3 exits 2, naming the field and the file, when
     its label table repeats an (arrow, grade) key, which let the later row
-    win, or its label variables are not names."""
+    win, or its label variables are not names; or when the table does not
+    fit the rep: a label its matrix holds is changed, or a row names an
+    arrow the quiver lacks or a grade outside 0..N - 1."""
     quiver_path = qfile(LOOP)
     rep_path = tmp_path / "rep.json"
     args = ["construct", quiver_path, "--truncate", "3", "--labels", labels, "--out", str(rep_path)]

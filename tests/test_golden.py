@@ -49,6 +49,16 @@ def test_golden_output(path, command, capsys):
     assert run(path, command, capsys).encode() == golden_file(path, command).read_bytes()
 
 
+@pytest.mark.parametrize("path", QUIVERS, ids=[p.stem for p in QUIVERS])
+@pytest.mark.parametrize("labels", [(), ("--labels", "symbolic")], ids=["primes", "symbolic"])
+def test_golden_truncated_rep_verifies_as_built(path, labels, capsys):
+    """Each golden truncated rep, read back by ``verify --rep``, passes the
+    label-table check and gives the report of the rep built in place."""
+    rep = golden_file(path, ("construct", "--truncate", "3", *labels))
+    report = run(path, ("verify", "--rep", str(rep), "--json"), capsys)
+    assert report.encode() == golden_file(path, ("verify", "--truncate", "3", "--json")).read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -506,11 +506,8 @@ def test_f2_search_formats_no_witness(monkeypatch):
     assert names == [0]
 
 
-def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
-    """The search abandons an assignment at its first fault: on A3 with
-    total dimension 3 it takes 7 steps, fewer than the 9 of a walk that
-    steps each level to its end.  The steps are counted as the walk takes
-    them."""
+def _count_walk_steps(monkeypatch) -> list:
+    """Count the steps every ``walk`` of the search takes, as it takes them."""
     steps = [0]
     walk = oracle.walk
 
@@ -521,24 +518,50 @@ def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
         return walk(q, max_len, start, counted)
 
     monkeypatch.setattr(oracle, "walk", counted_walk)
+    return steps
+
+
+def test_f2_search_steps_no_more_than_whole_levels(monkeypatch):
+    """The search abandons an assignment at its first fault: on A3 with
+    total dimension 3 it takes 7 steps, fewer than the 9 of a walk that
+    steps each level to its end.  The steps are counted as the walk takes
+    them."""
+    steps = _count_walk_steps(monkeypatch)
     assert exhaustive_lower_bound_f2(helpers.a_line(3), 2, 3) is False
     assert steps == [7]
+
+
+def _loops(k):
+    """One vertex with k loops."""
+    return Quiver(["x"], [(f"a{i}", "x", "x") for i in range(k)])
+
+
+def test_f2_search_prunes_arrow_by_arrow(monkeypatch):
+    """Five loops at N = 2 and total dimension 2 have 2^20 assignments, but
+    each loop's matrix is checked as it is chosen, on the loops chosen so
+    far, so the search is False after 210 steps; checking only whole
+    assignments took 3,955,340."""
+    steps = _count_walk_steps(monkeypatch)
+    assert exhaustive_lower_bound_f2(_loops(5), 2, 2) is False
+    assert steps == [210]
 
 
 @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 5) for c in range(1, 5) if r * c <= 9])
 def test_f2_tables_are_every_linear_map(rows, cols):
     """The tables of one shape are its 2^(rows * cols) linear maps, each
-    once: t[x ^ y] is t[x] ^ t[y], and t[x] is the bit mask of the ``mat_mul``
-    image, mod 2, of the vector with bit mask x under the dense 0/1 matrix
-    whose column j is bits j * rows to j * rows + rows - 1 of the table's index."""
-    tables = oracle._f2_tables(rows, cols, {})
+    once, in the order of their column-mask tuples: t[x ^ y] is t[x] ^ t[y],
+    and t[x] is the bit mask of the ``mat_mul`` image, mod 2, of the vector
+    with bit mask x under the dense 0/1 matrix whose column j has bit mask
+    columns[j].  Distinct tuples give distinct tables."""
+    candidates = list(itertools.product(range(2**rows), repeat=cols))
+    tables = list(oracle._f2_maps(rows, cols))
     assert len(tables) == len(set(tables)) == 2 ** (rows * cols)
     vectors = range(2**cols)
     bits = [tuple((x >> i) & 1 for i in range(max(rows, cols))) for x in range(2 ** max(rows, cols))]
-    for index, t in enumerate(tables):
+    for columns, t in zip(candidates, tables):
         assert len(t) == 2**cols and all(type(y) is int and 0 <= y < 2**rows for y in t)
         assert all(t[x ^ y] == t[x] ^ t[y] for x in vectors for y in vectors)
-        dense = [[(index >> (j * rows + i)) & 1 for j in range(cols)] for i in range(rows)]
+        dense = [[bits[columns[j]][i] for j in range(cols)] for i in range(rows)]
         for x in vectors:
             image = mat_mul(dense, [[b] for b in bits[x][:cols]])
             assert bits[t[x]][:rows] == tuple(row[0] % 2 for row in image)
@@ -697,14 +720,16 @@ def test_verify_filtration_keeps_entries_off_a_grade_inf_vertex(matrices, witnes
     (helpers.a_line(3), 2, 3, 4, False),
     (helpers.two_loops(), 2, 2, 2, False),
     (helpers.two_loops(), 2, 3, 2, True),
-], ids=["a2-1", "a2-2", "loop-1", "a3-3", "two_loops-2", "two_loops-3"])
+    (_loops(5), 2, 2, 2, False),
+], ids=["a2-1", "a2-2", "loop-1", "a3-3", "two_loops-2", "two_loops-3", "five_loops-2"])
 def test_exhaustive_lower_bound(q, N, total_dim, formula, answer):
     """The search's answers beside the formula's dimension
     (``effdim_truncated``).  Two loops at N = 2 are F2's smallest departure
     from it: the formula gives 2, but over F2 no dimension 2 is faithful.
     There both loops act as nonzero square-zero maps whose products
     vanish, so they share their image and kernel and each is a scalar
-    multiple of the other; F2 has one nonzero scalar, so they collide."""
+    multiple of the other; F2 has one nonzero scalar, so they collide, and
+    so do two of five loops."""
     assert effdim_truncated(q, N) == formula
     assert exhaustive_lower_bound_f2(q, N, total_dim) is answer
 

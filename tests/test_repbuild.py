@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,29 @@ def test_graded_rep_json_roundtrip_symbolic_labels():
     data = rep.to_json()
     assert "label_table" in data and "label_variables" in data
     assert GradedRep.from_json(data) == rep
+
+
+def test_built_label_tables_fit_their_reps():
+    """Every built truncated rep of the suite, read back from its JSON,
+    passes the label-table check, and so does each with an arrow zeroed or
+    given another arrow's matrix, a fault for ``verify`` to report; entries
+    of 1 are no label.  A row must name an arrow of the rep at a grade
+    below N."""
+    for q in helpers.suite(60):
+        for N in range(1, 5):
+            for labels in ("primes", "symbolic"):
+                rep = GradedRep.from_json(build_truncated_rep(q, N, labels=labels).to_json())
+                assert rep.checked() is rep
+                for name, variant in helpers.truncated_variants(rep):
+                    if name != "ones":
+                        assert variant.checked() is variant
+                    elif any(map(any, itertools.chain(*rep.matrices.values()))):
+                        with pytest.raises(ValueError, match="lacks a label that an arrow matrix holds"):
+                            variant.checked()
+    rep = build_truncated_rep(helpers.loop(), 3)
+    for key in (("a", 3), ("a", -1), ("b", 0)):
+        with pytest.raises(ValueError, match="'prime_table' has a row for no arrow at a grade below N"):
+            replace(rep, labels={**rep.labels, key: 7}).checked()
 
 
 def _without(data, field):
