@@ -111,20 +111,47 @@ def _check_match(rep, q: Quiver):
 def verify_truncated(rep: GradedRep, q: Quiver, N: int) -> VerifyReport:
     """Complete faithfulness check of a truncated representation: the
     nonzero paths of length < N, the trivial paths and the zero element act
-    nonzero and pairwise differently, and every length-N composite as zero.
-    The probe pass (``_probe_blocks``, on the arrows mod ``_P``) and a proof
-    by supports (``_supports_vanish``) are exact when they pass; otherwise
-    the ordered walk on the exact images (``_check_exact``) decides."""
+    nonzero and pairwise differently, and every length-N composite as zero
+    (``_verify``, with the relation level)."""
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_truncated needs a truncated representation")
     if rep.N != N:
         raise ValueError(f"representation was built for N={rep.N}, not N={N}")
+    return _verify(rep, q, N - 1, relation=True)
+
+
+def _verify(rep, q: Quiver, max_len: int, relation: bool) -> VerifyReport:
+    """The one check of both kinds: paths of length at most max_len and,
+    with ``relation``, the length max_len + 1 composites that must be zero.
+    Each arrow is scanned once into exact sparse rows (``_sparse``).  The
+    probe pass (``_probe_blocks``) on those rows through F (integers mod
+    ``_P``, polynomials evaluated there at ``_point``, once per variable)
+    and, with ``relation``, the support proof (``_supports_vanish``) are
+    exact when they pass; otherwise the exact walk (``_check_exact``)
+    decides.  Each start probe holds the powers of r, ``_point`` at the
+    first index above every variable used, so r is no variable's value."""
     _check_match(rep, q)
-    checked = _check_budget(q, N - 1)
-    starts, fps = _probe_inputs(rep, q, _point, _point(len(rep.labels)))
-    if _probe_blocks(q, N - 1, starts, fps) and _supports_vanish(q, N, rep.dims.values(), fps):
-        return VerifyReport(EFFECTIVE, checked, N - 1)
-    return _check_exact(rep, q, N)
+    checked = _check_budget(q, max_len, None if relation else "--max-len")
+    dims = list(rep.dims.values())
+    rows = [_sparse(m) for m in rep.matrices.values()]
+    points: dict = {}  # variable index -> its value
+
+    def point(index: int) -> int:
+        return points[index] if index in points else points.setdefault(index, _point(index))
+
+    fps = [[tuple([(k, e % _P if isinstance(e, int) else e.evaluate(point, _P)) for k, e in row])
+            for row in m] for m in rows]
+    r = _point(max(points, default=-1) + 1)
+    starts = [tuple(pow(r, k, _P) for k in range(1, d + 1)) for d in dims]
+    if _probe_blocks(q, max_len, starts, fps) and (
+            not relation or _supports_vanish(q, max_len + 1, dims, rows)):
+        return VerifyReport(EFFECTIVE, checked, max_len)
+    return _check_exact(q, max_len + 1, dims, rows, relation)
+
+
+def _sparse(m) -> tuple:
+    """A matrix's rows, each the ``(column, entry)`` pairs of its nonzero entries."""
+    return tuple(tuple([(k, e) for k, e in enumerate(row) if e]) for row in m)
 
 
 def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
@@ -142,46 +169,36 @@ def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
     return max(longest_walks(succ), default=0) < N
 
 
-def _check_exact(rep, q: Quiver, N: int, relation: bool = True) -> VerifyReport:
-    """``_check_truncated`` on the exact images of ``rep``, the one exact
-    check of both kinds.
+def _check_exact(q: Quiver, N: int, dims, rows, relation: bool) -> VerifyReport:
+    """``_check_truncated`` on the exact images of the arrows with sparse
+    ``rows`` (see ``_sparse``), the one exact check of both kinds.
 
-    Each image is carried as its columns, and a column as the sorted tuple
-    of the ``(row, value)`` pairs of its nonzero entries (``_columns``);
-    each vertex starts from its identity block.  A graded arrow has at most
-    one nonzero per column, so a step costs about one product per column
+    Each image is carried as its sparse rows, each vertex starting from its
+    identity block, and each step maps them through the arrow
+    (``_map_rows``).  A graded arrow has at most one nonzero per column, so
+    a step costs about one product per nonzero entry of the prefix's image
     instead of a dense matrix product.  The step sums exactly and drops
-    zero sums, whatever the number of nonzero entries in a column, so the
+    zero sums, whatever the number of nonzero entries in a row, so the
     form is canonical: two images are equal exactly when their dense
-    matrices are, and a zero column is ``()``, so an image is zero exactly
+    matrices are, and a zero row is ``()``, so an image is zero exactly
     when its matrix is; the reports are those of the dense comparison.
     """
-    arrow_cols = [_columns(m) for m in rep.matrices.values()]
-    return _report(q, N, *_check_truncated(
-        q,
-        N,
-        lambda v: tuple(((j, 1),) for j in range(rep.dims[q.vertices[v]])),
-        lambda ai, m: _map_columns(arrow_cols[ai], m),
-        relation,
-    ))
+    identities = [tuple(((j, 1),) for j in range(d)) for d in dims]
+    status = _check_truncated(q, N, identities.__getitem__, lambda ai, m: _map_rows(rows[ai], m), relation)
+    return _report(q, N, *status)
 
 
-def _columns(m) -> tuple:
-    """A matrix's columns from its rows, each the ``(row, value)`` pairs of its nonzero entries."""
-    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m))
-
-
-def _map_columns(a_cols, m_cols) -> tuple:
-    """The columns of a @ m, from the sparse columns of both: column j of
-    the product sums ``a * v`` into row i for every nonzero ``v`` at row k
-    of m's column j and every nonzero ``a`` at row i of a's column k."""
+def _map_rows(a_rows, m_rows) -> tuple:
+    """The sparse rows of a @ m, from the sparse rows of both: row i of the
+    product sums ``a * v`` into column j for every nonzero ``a`` at column k
+    of a's row i and every nonzero ``v`` at column j of m's row k."""
     out = []
-    for col in m_cols:
+    for row in a_rows:
         sums: dict = {}
-        for k, v in col:
-            for i, a in a_cols[k]:
-                sums[i] = sums.get(i, 0) + a * v
-        out.append(tuple(sorted([(i, s) for i, s in sums.items() if s])))
+        for k, a in row:
+            for j, v in m_rows[k]:
+                sums[j] = sums.get(j, 0) + a * v
+        out.append(tuple(sorted([(j, s) for j, s in sums.items() if s])))
     return tuple(out)
 
 
@@ -234,16 +251,6 @@ def _point(index: int) -> int:
     return (z ^ z >> 31) % (_P - 1) + 1
 
 
-def _probe_inputs(rep, q: Quiver, point, r: int) -> tuple:
-    """Each vertex's start probe, the powers r, r^2, ... mod ``_P``; and each
-    arrow matrix as sparse rows, a row the ``(column, F(entry))`` pairs of
-    its nonzero entries (so they also give the exact support), F reducing
-    integers mod ``_P`` and evaluating polynomials there at ``point``."""
-    return ([tuple(pow(r, k, _P) for k in range(1, rep.dims[x] + 1)) for x in q.vertices],
-            [[tuple([(k, e % _P if isinstance(e, int) else e.evaluate(point, _P))
-                     for k, e in enumerate(row) if e]) for row in m] for m in rep.matrices.values()])
-
-
 def _lane_width(arrow_fps, dims) -> int:
     """The bits W of one lane of a packed probe block: the least multiple of
     64 that is at least 124 + the bit length of the largest row pair count
@@ -265,7 +272,7 @@ def _lane_masks(width: int, n: int) -> tuple:
 
 def _mul_probes(a_rows, n: int, coords, low: int, high: int) -> list:
     """Coordinates of a @ probes mod ``_P`` for a block of n probes, from a's
-    sparse rows (see ``_probe_inputs``) and the block's coordinates.  One
+    sparse rows mod ``_P`` (see ``_verify``) and the block's coordinates.  One
     probe is a tuple of plain integers, reduced with one ``%`` per row.
     From two on, coordinate k is one integer whose lane j of W bits holds
     coordinate k of probe j, so each product and sum runs over the whole
@@ -354,28 +361,20 @@ def _probe_blocks(q: Quiver, max_len: int, starts, arrow_fps) -> bool:
 
 
 def verify_path_rep(rep: SymbolicRep, q: Quiver, max_len: int | None = None) -> VerifyReport:
-    """Bounded faithfulness check of a path-semigroup representation.
+    """Bounded faithfulness check of a path-semigroup representation
+    (``_verify``, without a relation level).
 
     All paths of length <= max_len (default 2n + 2, enough to exercise
     every first-return cycle and inter-component transition at this scale)
-    must act nonzero and pairwise differently.  The probe pass
-    (``_probe_blocks``, on the arrows evaluated at ``_point`` mod ``_P``) is
-    exact when it passes; otherwise the ordered walk on the exact images
-    (``_check_exact``) decides, and its report, with its witness, is returned.
+    must act nonzero and pairwise differently.
     """
     if not isinstance(rep, SymbolicRep):
         raise ValueError("verify_path_rep needs a path-semigroup representation")
-    _check_match(rep, q)
     if max_len is None:
         max_len = 2 * q.n + 2
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    checked = _check_budget(q, max_len, "--max-len")
-    point = functools.cache(_point)  # one value per variable index
-    starts, fps = _probe_inputs(rep, q, point, point(len(rep.variables)))
-    if _probe_blocks(q, max_len, starts, fps):
-        return VerifyReport(EFFECTIVE, checked, max_len)
-    return _check_exact(rep, q, max_len + 1, relation=False)
+    return _verify(rep, q, max_len, relation=False)
 
 
 def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
@@ -398,7 +397,7 @@ def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
     checked = 0
     for a in q.arrows:
         tgt = basis_grades[q.vertices[a.head]]
-        for g_src, col in zip(basis_grades[q.vertices[a.tail]], _columns(rep.matrices[a.name])):
+        for g_src, col in zip(basis_grades[q.vertices[a.tail]], _sparse(zip(*rep.matrices[a.name]))):
             checked += 1
             if len(col) > 1 or col and not g_src < tgt[col[0][0]] <= rep.N - 1:
                 return VerifyReport(RELATION_VIOLATION, checked, 0, (a.name,))

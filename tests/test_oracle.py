@@ -21,7 +21,7 @@ from pathrep.oracle import (
 from pathrep.cli import main
 from pathrep.polyring import MultiPoly, PolyMatrix, Variable, identity, mat_mul
 from pathrep.quiver import Quiver
-from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
+from pathrep.repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
 
 
 def test_verify_truncated_a2():
@@ -163,7 +163,7 @@ def test_verify_truncated_relation_level_cancelling_to_zero(one, monkeypatch):
     exact = _counting(monkeypatch, "_check_exact")
     assert verify_truncated(rep, q, 2) == expected
     assert exact == [1]
-    _, rows = oracle._probe_inputs(rep, q, oracle._point, 1)
+    rows = [oracle._sparse(m) for m in rep.matrices.values()]
     assert not oracle._supports_vanish(q, 2, rep.dims.values(), rows)
 
 
@@ -173,7 +173,7 @@ def test_verify_truncated_decides_built_reps_without_the_exact_pass(monkeypatch)
     def no_exact_product(*args):
         raise AssertionError("exact pass ran")
 
-    monkeypatch.setattr(oracle, "_map_columns", no_exact_product)
+    monkeypatch.setattr(oracle, "_map_rows", no_exact_product)
     for q in helpers.suite(60):
         for N in (1, 2, 3, 4):
             for labels in ("primes", "symbolic"):
@@ -288,7 +288,7 @@ def test_verify_truncated_widens_the_lanes_for_long_rows(monkeypatch):
     c = [rng.randint(1, 9) for _ in range(66)]
     rep = replace(build_truncated_rep(q, 3), dims={"x": 70, "y": 66, "z": 1},
                   matrices={"a": tuple(map(tuple, a)), "b": tuple(map(tuple, b)), "c": (tuple(c),)})
-    _, rows = oracle._probe_inputs(rep, q, oracle._point, 1)
+    rows = [oracle._sparse(m) for m in rep.matrices.values()]
     assert oracle._lane_width(rows, rep.dims.values()) == 192
     zeroed = replace(rep, matrices={**rep.matrices, "c": ((0, *c[1:]),)})
     for sample, status in [(rep, "effective"), (zeroed, "collision")]:
@@ -375,7 +375,7 @@ def test_a_fault_stops_the_walk(monkeypatch):
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y")])
     truncated = build_truncated_rep(q, 2)
     zero_a = replace(truncated, matrices={**truncated.matrices, "a": ((0,),)})
-    steps = _counting(monkeypatch, "_map_columns")
+    steps = _counting(monkeypatch, "_map_rows")
     assert verify_truncated(zero_a, q, 2) == oracle.VerifyReport("zero_action", 4, 1, ("a",))
     assert steps == [1]
     longer = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y"),
@@ -385,9 +385,30 @@ def test_a_fault_stops_the_walk(monkeypatch):
         path = build_path_rep(q)
         zero_a = replace(path, matrices={**path.matrices, "a": PolyMatrix([[0]])})
         probes = _counting(monkeypatch, "_mul_probes", lambda rows, n, *block: n)
-        exact = _counting(monkeypatch, "_map_columns")
+        exact = _counting(monkeypatch, "_map_rows")
         assert verify_path_rep(zero_a, q) == expected
         assert (probes, exact) == ([level_one], [1])
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["int", "poly"])
+def test_map_rows_is_the_sparse_product(seed, kind):
+    """One exact step, ``_map_rows`` on the sparse rows of a and m, is the
+    sparse form of ``mat_mul(a, m)``, tuple for tuple.  Row 0 of a holds
+    c and -c over two equal rows of m, so its product cancels to an empty
+    row; random small entries cancel elsewhere too."""
+    rng = random.Random(seed)
+    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+    values = [0, 0, 1, -1, 2] if kind == "int" else [0, 0, x, x * -1, y, x * y, MultiPoly.const(2)]
+    rows, mid, cols = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+    a = [[rng.choice(values) for _ in range(mid)] for _ in range(rows)]
+    m = [[rng.choice(values) for _ in range(cols)] for _ in range(mid)]
+    c = values[3]
+    a[0] = [c, c * -1] + [0] * (mid - 2)
+    m[1] = list(m[0])
+    product = mat_mul(a, m)
+    assert not any(product[0])
+    assert oracle._map_rows(oracle._sparse(a), oracle._sparse(m)) == oracle._sparse(product)
 
 
 def _sparse(a_rows, keep_zeros=False):
@@ -623,20 +644,61 @@ def test_verify_path_rep_exact_fallback(monkeypatch):
         assert verify_path_rep(rep, q) == expected
 
 
+def _point_calls(monkeypatch) -> list:
+    """The indices that ``oracle._point`` is called with from now on."""
+    calls = []
+    original = oracle._point
+    monkeypatch.setattr(oracle, "_point", lambda index: calls.append(index) or original(index))
+    return calls
+
+
 def test_verify_path_rep_takes_one_point_per_variable(monkeypatch):
     """One check calls ``_point`` once per distinct variable index of the
-    arrow matrices, plus once for r, however often a variable occurs."""
+    arrow matrices, however often a variable occurs, plus once for r, at
+    the index after the largest one used.  A2's rep lists tau, eta and zeta
+    but uses only tau, so r sits at index 1; a prime truncated rep uses no
+    variable, so r at index 0 is the only call."""
     q = helpers.two_loops()
     rep = build_path_rep(q)
     a, b = rep.matrices["a"], rep.matrices["b"]
     rep = replace(rep, matrices={"a": a @ b, "b": b @ a})  # every variable occurs twice
     indices = {v for m in rep.matrices.values() for row in m for e in row
                for mono in e.terms for v, _ in mono}
-    calls = []
-    original = oracle._point
-    monkeypatch.setattr(oracle, "_point", lambda index: calls.append(index) or original(index))
+    calls = _point_calls(monkeypatch)
     verify_path_rep(rep, q)
-    assert sorted(calls) == sorted(indices | {len(rep.variables)})
+    assert sorted(calls) == sorted(indices | {max(indices) + 1})
+    a2 = helpers.a2()
+    calls.clear()
+    assert verify_path_rep(build_path_rep(a2), a2).ok
+    assert calls == [0, 1]
+    calls.clear()
+    assert verify_truncated(build_truncated_rep(q, 3), q, 3).ok
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("variables", [0, 1, 5], ids=["empty", "one", "padded"])
+def test_probe_start_ignores_the_variables_table(variables, monkeypatch):
+    """The start value r comes from the matrices, not the file's variables
+    table: on x -> y with a = [[x0, 0]] and b = [[0, 1]], an r equal to
+    x0's value gives a and b one probe, r^2, and sends the check to the
+    exact pass, made to fail here.  However long the table, r sits at
+    index 1 and the probe pass decides."""
+    def no_exact_product(*args):
+        raise AssertionError("exact pass ran")
+
+    q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
+    x0 = [{"coeff": "1", "exps": [[0, 1]]}]
+    rep = SymbolicRep.from_json({
+        "kind": "path",
+        "vertex_dims": {"x": 2, "y": 1},
+        "variables": [{"arrow": "a", "kind": "tau", "index": i} for i in range(variables)],
+        "arrows": [{"id": "a", "shape": [1, 2], "matrix": [[x0, []]]},
+                   {"id": "b", "shape": [1, 2], "matrix": [[[], [{"coeff": "1", "exps": []}]]]}],
+    })
+    monkeypatch.setattr(oracle, "_map_rows", no_exact_product)
+    calls = _point_calls(monkeypatch)
+    assert verify_path_rep(rep, q) == oracle.VerifyReport("effective", 5, 6)
+    assert calls == [0, 1]
 
 
 def test_verify_path_rep_huge_variable_indices():
@@ -865,7 +927,7 @@ def test_verify_path_rep_fingerprint_pass_decides_effective_reps(monkeypatch):
     def no_exact_product(*args):
         raise AssertionError("exact pass ran")
 
-    monkeypatch.setattr(oracle, "_map_columns", no_exact_product)
+    monkeypatch.setattr(oracle, "_map_rows", no_exact_product)
     for q in helpers.suite(200):
         assert verify_path_rep(build_path_rep(q), q).status == "effective"
 
