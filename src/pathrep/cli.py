@@ -27,7 +27,10 @@ def _decimal(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = _decimal(text)
+    try:
+        value = _decimal(text)
+    except ValueError as exc:  # argparse would name this function instead
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

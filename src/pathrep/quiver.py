@@ -224,11 +224,26 @@ def sccs(q: Quiver) -> SccPartition:
     arrow count equals its vertex count.
     """
     if q._sccs is None:
-        q._sccs = _compute_sccs(q)
+        _analyse(q)
     return q._sccs
 
 
-def _compute_sccs(q: Quiver) -> SccPartition:
+def length_profile(q: Quiver) -> MappingProxyType:
+    """Per vertex, the supremum of lengths of paths ending / starting there.
+
+    The supremum is INF exactly when some cycle leads into (resp. can be
+    reached from) the vertex; otherwise it is the longest such path, which
+    is at most n - 1 because any longer path would contain a subcycle.  Both
+    are read off the components, whose members share them: INF on a cyclic
+    one.  The result is a read-only map from vertex id to (l-, l+).
+    """
+    if q._profile is None:
+        _analyse(q)
+    return q._profile
+
+
+def _analyse(q: Quiver) -> None:
+    """Fill both caches: Tarjan's components, and the profile from them."""
     out = q.out_arrows
     n = q.n
     index = [-1] * n  # visit order, n once the vertex's component is complete
@@ -264,49 +279,41 @@ def _compute_sccs(q: Quiver) -> SccPartition:
                     if lv < low[u]:
                         low[u] = lv
                 if lv == index[v]:
-                    comp = sorted(stack[at:])
+                    comp = sorted(stack[at:]) if len(stack) - at > 1 else stack[at:]
                     del stack[at:]
                     for w in comp:
                         comp_of[w] = len(comps)
                         index[w] = n
                     comps.append(comp)
-
-    # A component has a cycle exactly when it holds an arrow: a self-loop,
-    # or at least one arrow per vertex when it spans several.
-    internal = [0] * len(comps)
-    for v, steps in enumerate(out):
-        c = comp_of[v]
-        for _, w in steps:
-            if comp_of[w] == c:
-                internal[c] += 1
-    names = q.vertices.__getitem__
-    members = [tuple(map(names, comp)) for comp in comps]
+    # Successor components come first: one pass in that order counts internal
+    # arrows (a component has a cycle exactly when it holds one) and sets l+.
+    internal, lplus = [], []  # per component
+    for c, comp in enumerate(comps):
+        inside, deepest = 0, -1
+        for v in comp:
+            for _, w in out[v]:
+                d = comp_of[w]
+                if d == c:
+                    inside += 1
+                elif lplus[d] > deepest:
+                    deepest = lplus[d]
+        internal.append(inside)
+        lplus.append(INF if inside else deepest + 1)
+    # Predecessors complete later: in reverse order, push l- along leaving arrows.
+    lminus: list[ExtLen] = [INF if inside else 0 for inside in internal]
+    for c in reversed(range(len(comps))):
+        step = lminus[c] + 1
+        for v in comps[c]:
+            for _, w in out[v]:
+                d = comp_of[w]
+                if d != c and lminus[d] < step:
+                    lminus[d] = step
+    members = map(tuple, map(map, repeat(q.vertices.__getitem__), comps))
     components = zip(members, map(bool, internal), map(eq, internal, map(len, comps)))
-    return SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
-                        tuple(map(tuple.__new__, repeat(SccComponent), components)))
-
-
-def length_profile(q: Quiver) -> MappingProxyType:
-    """Per vertex, the supremum of lengths of paths ending / starting there.
-
-    The supremum is INF exactly when some cycle leads into (resp. can be
-    reached from) the vertex; otherwise it is the longest such path, which
-    is at most n - 1 because any longer path would contain a subcycle.  Both
-    sides are ``longest_walks``: on the arrows, and on the arrows reversed.
-    The result is a read-only map from vertex id to (l-, l+).
-    """
-    if q._profile is None:
-        q._profile = _compute_length_profile(q)
-    return q._profile
-
-
-def _compute_length_profile(q: Quiver) -> MappingProxyType:
-    succ: list[list[int]] = [[] for _ in q.vertices]
-    pred: list[list[int]] = [[] for _ in q.vertices]
-    for _, t, h in q.arrows:
-        succ[t].append(h)
-        pred[h].append(t)
-    return MappingProxyType(dict(zip(q.vertices, zip(longest_walks(succ), longest_walks(pred)))))
+    q._sccs = SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
+                           tuple(map(tuple.__new__, repeat(SccComponent), components)))
+    pairs = list(zip(lminus, lplus))  # (l-, l+) per component
+    q._profile = MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
 
 
 def longest_walks(succ) -> list[ExtLen]:

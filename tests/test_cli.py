@@ -451,27 +451,21 @@ def test_verify_rep_takes_decimal_coefficients_only(qfile, tmp_path, capsys, coe
 
 
 def _count_analyses(monkeypatch):
-    """Count the SCC and length-profile computations, as opposed to the
-    calls of ``sccs`` and ``length_profile``, which return the stored result
-    after the first."""
+    """Count the runs of the one routine that fills both the SCC and the
+    length-profile caches, as opposed to the calls of ``sccs`` and
+    ``length_profile``, which return the stored result after the first."""
     import pathrep.quiver
 
-    calls = {"sccs": 0, "length_profile": 0}
-    for name in calls:
-        original = getattr(pathrep.quiver, "_compute_" + name)
-
-        def counted(q, name=name, original=original):
-            calls[name] += 1
-            return original(q)
-
-        monkeypatch.setattr(pathrep.quiver, "_compute_" + name, counted)
+    calls = []
+    original = pathrep.quiver._analyse
+    monkeypatch.setattr(pathrep.quiver, "_analyse", lambda q: calls.append(q) or original(q))
     return calls
 
 
 def test_stabilize_computes_the_length_profile_once(qfile, monkeypatch, capsys):
     calls = _count_analyses(monkeypatch)
     assert main(["stabilize", qfile(A3)]) == 0
-    assert calls == {"sccs": 1, "length_profile": 1}
+    assert len(calls) == 1
 
 
 def test_analyze_computes_the_analysis_once(qfile, monkeypatch, capsys):
@@ -479,7 +473,7 @@ def test_analyze_computes_the_analysis_once(qfile, monkeypatch, capsys):
     text = TWO_LOOPS + "vertex y\nvertex z\narrow c: x -> y\narrow d: y -> z\n"
     assert main(["analyze", qfile(text), "--truncate", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["totals"]["effdim_truncated"] == 6
-    assert calls == {"sccs": 1, "length_profile": 1}
+    assert len(calls) == 1
 
 
 def test_construct_has_no_json_flag(qfile, capsys):
@@ -528,7 +522,32 @@ def test_truncate_takes_ascii_digits_only(qfile, text, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", qfile(A2), "--truncate", text])
     assert exc.value.code == 2
-    assert "invalid _positive_int value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --truncate: not a decimal number: {text!r}" in err and "_positive_int" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--truncate", "abc"], "argument --truncate: not a decimal number: 'abc'"),
+    (["verify", "--max-len", "+3"], "argument --max-len: not a decimal number: '+3'"),
+    (["formula", "3", "--truncate", "0"], "argument --truncate: must be >= 1"),
+])
+def test_bad_levels_name_the_option_not_a_function(qfile, argv, message, capsys):
+    if argv[0] != "formula":
+        argv.insert(1, qfile(A2))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "_positive_int" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit")
+def test_truncate_past_the_int_digit_limit_gets_its_message(qfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", qfile(A2), "--truncate", "9" * (sys.get_int_max_str_digits() + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --truncate: Exceeds the limit" in err and "_positive_int" not in err
 
 
 @pytest.mark.parametrize("text", NOT_DECIMAL)

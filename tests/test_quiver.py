@@ -532,21 +532,24 @@ def digraphs(draw):
     return succ
 
 
+def _level_sets(n, steps):
+    """The most edges of a walk ending at each node, found by stepping the
+    set of walk ends: INF where a walk of n edges ends (it repeats a node,
+    so it runs round a cycle), otherwise the largest k <= n with a walk of
+    k edges ending there."""
+    longest, ends = [0] * n, set(range(n))
+    for k in range(1, n + 1):
+        ends = {j for i, j in steps if i in ends}
+        for j in ends:
+            longest[j] = k
+    return [INF if k == n else k for k in longest]
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_longest_walks_matches_brute_force(succ):
-    """A node is INF exactly when a walk of n edges ends there (it repeats a
-    node, so it runs round a cycle); otherwise its value is the most edges
-    of a walk ending there, found by stepping the set of walk ends."""
-    n = len(succ)
-    longest = [0] * n
-    ends = set(range(n))  # the nodes where a walk of k edges ends
-    for k in range(1, n + 1):
-        ends = {j for i in ends for j in succ[i]}
-        for j in ends:
-            longest[j] = k
-    expected = [INF if v == n else v for v in longest]
-    assert longest_walks(succ) == expected
+    steps = [(i, j) for i, nexts in enumerate(succ) for j in nexts]
+    assert longest_walks(succ) == _level_sets(len(succ), steps)
 
 
 def test_longest_walks_by_hand():
@@ -556,3 +559,86 @@ def test_longest_walks_by_hand():
     assert longest_walks([[1, 1], [2], []]) == [0, 1, 2]  # parallel edges
     assert longest_walks([[1], [0], [3], [], [2]]) == [INF, INF, 1, 2, 0]
     assert longest_walks([[], [1, 2], []]) == [0, INF, INF]
+
+
+def _reach_closure(q):
+    """``reach[v]``: the vertices a path of length >= 0 from v ends at, by
+    Warshall's closure of the arrows."""
+    reach = [{v} for v in range(q.n)]
+    for _, t, h in q.arrows:
+        reach[t].add(h)
+    for k in range(q.n):
+        for r in reach:
+            if k in r:
+                r |= reach[k]
+    return reach
+
+
+def test_analysis_matches_independent_references():
+    """Components, cycle flags, component order and the l-/l+ profile of
+    500 seeded random quivers (up to 8 vertices and 14 arrows, self-loops
+    and parallel arrows included) against brute-force references, asking
+    for the components first on every other quiver and for the profile
+    first on the rest."""
+    rng = random.Random(20261020)
+    loops = parallels = 0
+    for i in range(500):
+        q = helpers.random_quiver(rng, max_vertices=8, max_arrows=14)
+        if i % 2:
+            length_profile(q)
+        part, prof = sccs(q), length_profile(q)
+        ends = [(t, h) for _, t, h in q.arrows]
+        loops += any(t == h for t, h in ends)
+        parallels += len(set(ends)) < len(ends)
+        reach = _reach_closure(q)
+        classes = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(q.n)}
+        assert sorted(tuple(sorted(c)) for c in classes) == sorted(
+            tuple(map(q.vertex_index.__getitem__, comp.vertices)) for comp in part.components)
+        for c, comp in enumerate(part.components):
+            assert all(part.component_of[v] == c for v in comp.vertices)
+            members = set(map(q.vertex_index.__getitem__, comp.vertices))
+            internal = sum(t in members and h in members for t, h in ends)
+            assert comp.has_cycle == (internal > 0)
+            assert comp.is_simple_cycle == (internal == len(members))
+        names = q.vertices
+        for t, h in ends:  # every successor component precedes its predecessors
+            assert part.component_of[names[h]] <= part.component_of[names[t]]
+            assert (part.component_of[names[h]] == part.component_of[names[t]]) == (t in reach[h])
+        lminus, lplus = _level_sets(q.n, ends), _level_sets(q.n, [(h, t) for t, h in ends])
+        assert dict(prof) == dict(zip(names, zip(lminus, lplus)))
+    assert loops > 100 and parallels > 100
+
+
+def _large_quiver(rng, n=2000):
+    """An acyclic part feeding a strongly connected core with chords that
+    feeds a second acyclic part, beside an acyclic part of its own, with
+    vertices declared in shuffled order."""
+    ids = [f"x{i}" for i in range(n)]
+    up, core, down, alone = ids[:n // 4], ids[n // 4:n // 2], ids[n // 2:3 * n // 4], ids[3 * n // 4:]
+    pairs = list(zip(core, core[1:] + core[:1]))
+    pairs += zip(rng.choices(core, k=len(core)), rng.choices(core, k=len(core)))
+    for part in (up, down, alone):
+        pairs += [(part[i], part[min(len(part) - 1, i + rng.randint(1, 8))])
+                  for i in range(len(part) - 1) for _ in range(2)]
+    pairs += zip(rng.choices(up, k=20), rng.choices(core, k=20))
+    pairs += zip(rng.choices(core, k=20), rng.choices(down, k=20))
+    rng.shuffle(ids)
+    rng.shuffle(pairs)
+    return Quiver(ids, [(f"e{j}", t, h) for j, (t, h) in enumerate(pairs)])
+
+
+def test_length_profile_is_longest_walks_both_ways_on_large_quivers():
+    """The profile read off the components equals ``longest_walks`` on the
+    arrows (l-) and on the reversed arrows (l+)."""
+    rng = random.Random(7)
+    for _ in range(3):
+        q = _large_quiver(rng)
+        succ, pred = [[] for _ in range(q.n)], [[] for _ in range(q.n)]
+        for _, t, h in q.arrows:
+            succ[t].append(h)
+            pred[h].append(t)
+        prof = length_profile(q)
+        assert prof == dict(zip(q.vertices, zip(longest_walks(succ), longest_walks(pred))))
+        assert {lm == INF for lm, _ in prof.values()} == {True, False}
+        assert {lp == INF for _, lp in prof.values()} == {True, False}
+        assert max(lm for lm, _ in prof.values() if lm != INF) > 50
