@@ -146,6 +146,20 @@ class SymbolicRep:
         matrices = _arrow_matrices(data, PolyMatrix.from_json)
         return cls(dims, matrices, tuple(variables))
 
+    def checked(self) -> "SymbolicRep":
+        """This rep, once its variables table is seen to fit it: each row names one of its arrows
+        and a kind, no index or (arrow, kind) pair repeats, and every variable an entry uses is listed."""
+        pairs, indices = {(v.arrow, v.kind) for v in self.variables}, {v.index for v in self.variables}
+        if not all(v.arrow in self.matrices and v.kind in KINDS for v in self.variables):
+            raise ValueError("representation field 'variables' has a row for no arrow, "
+                             f"or for a kind not in {KINDS}")
+        if not len(pairs) == len(indices) == len(self.variables):
+            raise ValueError("representation field 'variables' repeats an index or an (arrow, kind) pair")
+        entries = chain.from_iterable(chain.from_iterable(self.matrices.values()))
+        if not {v for e in entries for mono in e.terms for v, _ in mono} <= indices:
+            raise ValueError("representation field 'variables' lacks a variable that an arrow matrix uses")
+        return self
+
 
 def build_path_rep(q: Quiver) -> SymbolicRep:
     """One dimension per commutative-cycle vertex, two per noncommutative one.

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -190,6 +191,50 @@ def test_verify_rep_bad_label_table_names_the_file(qfile, tmp_path, capsys, labe
     rep_path.write_text(json.dumps(data))
     assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
     assert capsys.readouterr().err == f"error: {rep_path}: {message}\n"
+
+
+_NO_ROW = "representation field 'variables' has a row for no arrow, or for a kind not in ('tau', 'eta', 'zeta')"
+_REPEATS = "representation field 'variables' repeats an index or an (arrow, kind) pair"
+_LACKS = "representation field 'variables' lacks a variable that an arrow matrix uses"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(variables=[]), _LACKS),
+    (lambda d: d["variables"].pop(4), _LACKS),
+    (lambda d: d["variables"][0].update(arrow="zz"), _NO_ROW),
+    (lambda d: d["variables"][0].update(kind="omega"), _NO_ROW),
+    (lambda d: d["variables"][1].update(index=0), _REPEATS),
+    (lambda d: d["variables"].append({"arrow": "a", "kind": "tau", "index": 6}), _REPEATS),
+    (lambda d: d["variables"].append(dict(d["variables"][0])), _REPEATS),
+], ids=["emptied", "used-row-dropped", "row-of-no-arrow", "row-of-no-kind", "repeated-index",
+        "repeated-pair", "repeated-row"])
+def test_verify_rep_bad_variables_table_names_the_file(qfile, tmp_path, capsys, edit, message):
+    """The two-loop path rep, whose 2x2 matrices use all six variables,
+    exits 2 naming the field and the file when its variables table does
+    not fit it."""
+    quiver_path = qfile(TWO_LOOPS)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    edit(data)
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    assert capsys.readouterr().err == f"error: {rep_path}: {message}\n"
+
+
+@pytest.mark.parametrize("matrix, status", [(lambda a: [[[] for _ in row] for row in a], "zero_action"),
+                                            (lambda a: a, "collision")], ids=["zeroed", "copied"])
+def test_verify_sabotaged_path_rep_file_reaches_the_verifier(qfile, tmp_path, capsys, matrix, status):
+    """A path rep whose arrow b is zeroed, or carries a's matrix, keeps a
+    variables table that fits it, so the verifier reports the fault."""
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    data["arrows"][1]["matrix"] = matrix(data["arrows"][0]["matrix"])
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == status
 
 
 def test_verify_rep_file_roundtrip_ok(qfile, tmp_path, capsys):
@@ -572,6 +617,76 @@ def test_out_flag_writes_file(qfile, tmp_path, capsys):
     assert main(["analyze", qfile(LOOP), "--json", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["totals"]["effdim_path"] == 1
+
+
+OUT_COMMANDS = {
+    "analyze": ["analyze", KRONECKER, "--truncate", "3", "--json"],
+    "construct": ["construct", KRONECKER, "--truncate", "2"],
+    "verify": ["verify", KRONECKER, "--json"],
+    "stabilize": ["stabilize", KRONECKER],
+    "formula": ["formula", "3,2", "--truncate", "4"],
+}
+
+
+def _out_argv(qfile, command):
+    return [qfile(a) if a == KRONECKER else a for a in OUT_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_over_a_longer_or_shorter_file_holds_the_printed_bytes(qfile, tmp_path, capsys, command):
+    """``--out`` writes over an existing file in place; what is left is
+    exactly what the command prints, whether the old file was longer or
+    shorter."""
+    argv = _out_argv(qfile, command)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    target = tmp_path / "out.txt"
+    for old in (b"#" * (2 * len(printed) + 7), b"#" * (len(printed) // 2)):
+        target.write_bytes(old)
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed
+
+
+def test_out_file_mode_and_inode(qfile, tmp_path, capsys):
+    """A new file gets mode 0o666 less the umask; an existing file keeps
+    its inode, so a second hard link to it sees the new bytes."""
+    argv = _out_argv(qfile, "formula")
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    mask = os.umask(0o027)
+    try:
+        assert main([*argv, "--out", str(target)]) == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    target.write_text("an older and longer report\n" * 5)
+    os.link(target, link)
+    assert main([*argv, "--out", str(target)]) == 0
+    assert link.read_text() == target.read_text() == printed
+    assert link.stat().st_ino == target.stat().st_ino
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_dev_null(qfile, capsys):
+    assert main(["verify", qfile(A3), "--json", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_directory_is_an_input_error(qfile, tmp_path, capsys):
+    assert main(["analyze", qfile(A3), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_empty_name_is_an_input_error(qfile, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*_out_argv(qfile, command), "--out", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --out: needs a file name" in err
 
 
 def test_shipped_sample_quivers(capsys):
