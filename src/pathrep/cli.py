@@ -14,10 +14,11 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
 from .dimension import analysis, effdim_table, line_quiver_effdim, stabilization
 from .oracle import verify_path_rep, verify_truncated
-from .quiver import Quiver, QuiverError, ext_to_json, parse_quiver
+from .quiver import INF, Quiver, QuiverError, ext_to_json, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
 
 
@@ -144,25 +145,25 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows)
 
 
-# One vertex of ``analyze --json`` as ``_dumps`` writes it, without and with N.
-_VERTEX = '    %s: {\n      "l_minus": %s,\n      "l_plus": %s,\n      "scc": %d,\n      "commutative": %s'
+# A component's text in ``analyze --json``, after each member's id, without and with N.
+_VERTEX = ': {\n      "l_minus": %s,\n      "l_plus": %s,\n      "scc": %d,\n      "commutative": %s'
 _VERTEX_N = _VERTEX + ',\n      "K": %s,\n      "d": %d\n    }'
 _VERTEX += "\n    }"
 
 
-def _analysis_json(rows: list[tuple], totals: dict, truncated: bool) -> str:
-    """``_dumps(report(q, N))`` from ``analysis``'s rows, one template per vertex."""
-    _, lms, lps, *_ = zip(*rows)
-    ext = {v: _LEAVES[type(j)](j) for v in {*lms, *lps} for j in [ext_to_json(v)]}
-    boolean = _LEAVES[bool]
+def _analysis_json(q: Quiver, comp_of: list[int], rows: list[tuple], totals: dict, truncated: bool) -> str:
+    """``_dumps(report(q, N))`` from ``analysis``: one text per component,
+    and per vertex only its quoted id joined to its component's text."""
+    inf, boolean = {INF: _dumps(ext_to_json(INF))}, _LEAVES[bool]  # an int is written as it is
     if truncated:
-        body = [_VERTEX_N % (_quote(x), ext[lm], ext[lp], scc, boolean(comm),
-                             "null" if w is None else "[\n        %d,\n        %d\n      ]" % w, d)
-                for x, lm, lp, scc, comm, w, d in rows]
+        texts = [_VERTEX_N % (inf.get(lm, lm), inf.get(lp, lp), c, boolean(comm),
+                              "null" if w is None else "[\n        %d,\n        %d\n      ]" % w, d)
+                 for c, (lm, lp, comm, w, d) in enumerate(rows)]
     else:
-        body = [_VERTEX % (_quote(x), ext[lm], ext[lp], scc, boolean(comm))
-                for x, lm, lp, scc, comm, _, _ in rows]
-    return '{\n  "vertices": {\n' + ",\n".join(body) + '\n  },\n  "totals": ' + _dumps(totals, "\n  ") + "\n}"
+        texts = [_VERTEX % (inf.get(lm, lm), inf.get(lp, lp), c, boolean(comm))
+                 for c, (lm, lp, comm, _, _) in enumerate(rows)]
+    body = ",\n    ".join(map(add, map(_quote, q.vertices), map(texts.__getitem__, comp_of)))
+    return '{\n  "vertices": {\n    ' + body + '\n  },\n  "totals": ' + _dumps(totals, "\n  ") + "\n}"
 
 
 class _Raw(str):
@@ -219,17 +220,16 @@ def _graded_json(rep: GradedRep) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     q = _load_quiver(ns)
     truncated = ns.truncate is not None
-    rows, totals = analysis(q, ns.truncate)
+    comp_of, rows, totals = analysis(q, ns.truncate)
     if ns.json:
-        _emit(_analysis_json(rows, totals, truncated), ns)
+        _emit(_analysis_json(q, comp_of, rows, totals, truncated), ns)
         return 0
     lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows", ""]
+    cells = [[str(c), "yes" if comm else "no", str(lm), str(lp)]
+             + (["-" if w is None else f"[{w[0]},{w[1]}]", str(d)] if truncated else [])
+             for c, (lm, lp, comm, w, d) in enumerate(rows)]
     table = [["vertex", "scc", "commutative", "l-", "l+"] + (["K", "d"] if truncated else [])]
-    for x, lm, lp, scc, comm, w, d in rows:
-        row = [x, str(scc), "yes" if comm else "no", str(lm), str(lp)]
-        if truncated:
-            row += ["-" if w is None else f"[{w[0]},{w[1]}]", str(d)]
-        table.append(row)
+    table += [[x, *cells[c]] for x, c in zip(q.vertices, comp_of)]
     lines += [_table(table), "", f"eff.dim(P) = {totals['effdim_path']}"]
     if truncated:
         lines.append(f"eff.dim(P_{ns.truncate}) = {totals['effdim_truncated']}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import INF, ExtLen, Quiver, ext_to_json, length_profile, sccs
+from .quiver import INF, ExtLen, Quiver, component_arrays, ext_to_json
 
 
 @dataclass(frozen=True)
@@ -19,15 +19,16 @@ class PathClassification:
 
 def classify_path(q: Quiver) -> PathClassification:
     """Noncommutative vertices are those in a non-simple cyclic component."""
-    rows, _ = analysis(q)
-    return PathClassification(tuple(x for x, *_, comm, _, _ in rows if not comm),
-                              tuple(x for x, *_, comm, _, _ in rows if comm))
+    comp_of, rows, _ = analysis(q)
+    commutative = [rows[c][2] for c in comp_of]
+    return PathClassification(tuple(x for x, comm in zip(q.vertices, commutative) if not comm),
+                              tuple(x for x, comm in zip(q.vertices, commutative) if comm))
 
 
 def effdim_path(q: Quiver) -> int:
     """Minimal faithful matrix size for the full path semigroup:
     one dimension per vertex plus one extra per noncommutative vertex."""
-    return analysis(q)[1]["effdim_path"]
+    return analysis(q)[2]["effdim_path"]
 
 
 def d_value(l_minus: ExtLen, l_plus: ExtLen, N: int) -> int:
@@ -59,13 +60,14 @@ class KProfile:
 
 def k_profile(q: Quiver, N: int) -> KProfile:
     """Grade windows and block dimensions, from ``analysis``."""
-    rows, _ = analysis(q, N)
-    return KProfile(N, {x: window for x, *_, window, _ in rows}, {x: d for x, *_, d in rows})
+    comp_of, rows, _ = analysis(q, N)
+    return KProfile(N, {x: rows[c][3] for x, c in zip(q.vertices, comp_of)},
+                    {x: rows[c][4] for x, c in zip(q.vertices, comp_of)})
 
 
 def effdim_truncated(q: Quiver, N: int) -> int:
     """Minimal faithful matrix size for the level-N truncated path semigroup."""
-    return analysis(q, N)[1]["effdim_truncated"]
+    return analysis(q, N)[2]["effdim_truncated"]
 
 
 def effdim_table(q: Quiver, last: int) -> list[int]:
@@ -74,13 +76,14 @@ def effdim_table(q: Quiver, last: int) -> list[int]:
     At a vertex with a = min(l-, l+) and b = max(l-, l+), ``d_value`` is 1
     at N = 1, rises by 1 per step up to N = a + 1, stays flat up to b + 1,
     falls by 1 per step to 1 at N = l- + l+ + 1, and stays 1; one array
-    sums the slope changes of every vertex.
+    sums the slope changes of every component, times its size.
     """
     change = [0] * (last + 1)
-    for lm, lp in length_profile(q).values():
+    _, members, _, lminus, lplus = component_arrays(q)
+    for size, lm, lp in zip(map(len, members), lminus, lplus):
         for at, by in ((1, 1), (min(lm, lp) + 1, -1), (max(lm, lp) + 1, -1), (lm + lp + 1, 1)):
             if at < last:
-                change[int(at)] += by
+                change[int(at)] += by * size
     table, total, slope = [], q.n, 0
     for N in range(1, last + 1):
         table.append(total)
@@ -100,7 +103,7 @@ class Stabilization:
 
 def stabilization(q: Quiver) -> Stabilization:
     """Affine stabilization of the truncated dimension, from ``analysis``."""
-    totals = analysis(q)[1]
+    totals = analysis(q)[2]
     return Stabilization(totals["a"], totals["b"], totals["threshold"])
 
 
@@ -129,16 +132,15 @@ def line_quiver_effdim(segments, N: int) -> int:
     )
 
 
-def analysis(q: Quiver, N: int | None = None) -> tuple[list[tuple], dict]:
-    """The per-vertex analysis and its totals in one pass over the vertices.
-
-    Rows are ``(id, l-, l+, scc, commutative, window, d)`` in declaration
-    order; ``window`` and ``d`` are those of ``KProfile``, or None without
-    a truncation level.  A vertex is noncommutative when its component is
-    cyclic but not a simple cycle; the split is constant on components.
-    The window is [max(0, N-1-l+), min(N-1, l-)]: every prefix and suffix
-    of a path is a path, so every grade in between is realized.  Its size
-    is ``d_value``'s closed form.  Totals: ``effdim_path``,
+def analysis(q: Quiver, N: int | None = None) -> tuple[list[int], list[tuple], dict]:
+    """``(comp_of, rows, totals)`` in one pass over the components: vertex i
+    lies in component ``comp_of[i]``, whose members share its row ``(l-, l+,
+    commutative, window, d)``; ``window`` and ``d`` are those of
+    ``KProfile``, or None without a truncation level.  A component is
+    noncommutative when it is cyclic but not a simple cycle.  The window is
+    [max(0, N-1-l+), min(N-1, l-)]: every prefix and suffix of a path is a
+    path, so every grade in between is realized.  Its size is ``d_value``'s
+    closed form.  Totals, sums of rows weighted by size: ``effdim_path``,
     ``effdim_truncated`` (only with N) and ``stabilization``'s ``a``, ``b``
     and ``threshold``; a counts vertices with unbounded paths on both
     sides, b adds 1 per doubly-bounded vertex and min(l-, l+) + 1 per
@@ -148,28 +150,27 @@ def analysis(q: Quiver, N: int | None = None) -> tuple[list[tuple], dict]:
     """
     if N is not None and N < 1:
         raise ValueError("N must be >= 1")
-    prof = length_profile(q)
-    part = sccs(q)
-    noncomm = [c.has_cycle and not c.is_simple_cycle for c in part.components]
+    comp_of, members, internal, lminus, lplus = component_arrays(q)
     rows = []
     extra = truncated = a = b = 0
     window = d = None
-    for x, (lm, lp), scc in zip(q.vertices, prof.values(), part.component_of.values()):
-        extra += noncomm[scc]
+    for size, inside, lm, lp in zip(map(len, members), internal, lminus, lplus):
+        commutative = not inside or inside == size
+        extra += 0 if commutative else size
         if lm == lp == INF:
-            a += 1
+            a += size
         else:
-            b += 1 if lm + lp < INF else min(lm, lp) + 1
+            b += size if lm + lp < INF else (min(lm, lp) + 1) * size
         if N is not None:
             lo, hi = 0 if lp == INF else max(0, N - 1 - lp), min(N - 1, lm)
             window, d = ((lo, hi), hi - lo + 1) if lo <= hi else (None, 1)
-            truncated += d
-        rows.append((x, lm, lp, scc, not noncomm[scc], window, d))
+            truncated += d * size
+        rows.append((lm, lp, commutative, window, d))
     totals = {"effdim_path": q.n + extra}
     if N is not None:
         totals["effdim_truncated"] = truncated
     totals.update(a=a, b=b, threshold=q.n)
-    return rows, totals
+    return comp_of, rows, totals
 
 
 def report(q: Quiver, N: int | None = None) -> dict:
@@ -178,11 +179,12 @@ def report(q: Quiver, N: int | None = None) -> dict:
     Grade windows and block dimensions appear only when a truncation level
     is given; a window of null then means it is empty.
     """
-    rows, totals = analysis(q, N)
+    comp_of, rows, totals = analysis(q, N)
     vertices = {}
-    for x, lm, lp, scc, commutative, window, d in rows:
+    for x, c in zip(q.vertices, comp_of):
+        lm, lp, commutative, window, d = rows[c]
         entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp),
-                               "scc": scc, "commutative": commutative}
+                               "scc": c, "commutative": commutative}
         if N is not None:
             entry["K"] = None if window is None else list(window)
             entry["d"] = d

@@ -182,8 +182,8 @@ class MultiPoly:
         try:
             for term in data:
                 mono = tuple(sorted((v, e) for v, e in term["exps"]))
-                # _mono_mul would drop a repeated variable's other exponents
-                if len(dict(mono)) != len(mono) or not all(
+                # a repeated variable would lose exponents in _mono_mul, a repeated monomial a term
+                if mono in terms or len(dict(mono)) != len(mono) or not all(
                     type(v) is int and type(e) is int and v >= 0 and e >= 1
                     for v, e in mono
                 ):
@@ -196,7 +196,7 @@ class MultiPoly:
             raise ValueError(
                 "a polynomial is a list of terms {\"coeff\": integer or decimal string, "
                 "\"exps\": [[variable >= 0, exponent >= 1], ...]} with distinct integer "
-                "variables and exponents"
+                "variables and exponents, each monomial once"
             ) from None
         return cls(terms)
 

@@ -54,8 +54,8 @@ class Quiver:
     vertex set must be nonempty.  ``out_arrows[v]`` holds the ``(arrow
     index, head)`` pairs of the arrows out of vertex v, in declaration
     order: the steps a path ending at v can take.  Instances are immutable
-    after construction, so ``sccs`` and ``length_profile`` compute once per
-    instance and keep their read-only results on it.
+    after construction, so the analysis (``component_arrays``) and the
+    ``sccs`` and ``length_profile`` built from it are kept on the instance.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -73,6 +73,7 @@ class Quiver:
         self.arrows: tuple[Arrow, ...] = tuple(map(tuple.__new__, repeat(Arrow), zip(aindex, tails, heads)))
         self.arrow_index: dict[str, int] = aindex
         self.out_arrows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out_))
+        self._components: tuple | None = None
         self._sccs: SccPartition | None = None
         self._profile: MappingProxyType | None = None
 
@@ -106,7 +107,7 @@ class Quiver:
         return hash((self.vertices, self.arrows))
 
     def __getstate__(self):  # copies and pickles recompute the analysis
-        return {**self.__dict__, "_sccs": None, "_profile": None}
+        return {**self.__dict__, "_components": None, "_sccs": None, "_profile": None}
 
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
@@ -224,7 +225,11 @@ def sccs(q: Quiver) -> SccPartition:
     arrow count equals its vertex count.
     """
     if q._sccs is None:
-        _analyse(q)
+        comp_of, members, internal, _, _ = component_arrays(q)
+        names = map(tuple, map(map, repeat(q.vertices.__getitem__), members))
+        components = zip(names, map(bool, internal), map(eq, internal, map(len, members)))
+        q._sccs = SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
+                               tuple(map(tuple.__new__, repeat(SccComponent), components)))
     return q._sccs
 
 
@@ -238,12 +243,22 @@ def length_profile(q: Quiver) -> MappingProxyType:
     one.  The result is a read-only map from vertex id to (l-, l+).
     """
     if q._profile is None:
-        _analyse(q)
+        comp_of, _, _, lminus, lplus = component_arrays(q)
+        pairs = list(zip(lminus, lplus))
+        q._profile = MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
     return q._profile
 
 
-def _analyse(q: Quiver) -> None:
-    """Fill both caches: Tarjan's components, and the profile from them."""
+def component_arrays(q: Quiver) -> tuple[list[int], list[list[int]], list[int], list[ExtLen], list[ExtLen]]:
+    """``(comp_of, members, internal, l-, l+)``, computed once per quiver and
+    not to be changed: the component of each vertex index, and per component
+    (in Tarjan completion order) its sorted vertex indices, internal arrow
+    count and the (l-, l+) its members share."""
+    return q._components or _analyse(q)
+
+
+def _analyse(q: Quiver) -> tuple:
+    """Tarjan's components, and the profile read off them; stored on ``q``."""
     out = q.out_arrows
     n = q.n
     index = [-1] * n  # visit order, n once the vertex's component is complete
@@ -308,12 +323,10 @@ def _analyse(q: Quiver) -> None:
                 d = comp_of[w]
                 if d != c and lminus[d] < step:
                     lminus[d] = step
-    members = map(tuple, map(map, repeat(q.vertices.__getitem__), comps))
-    components = zip(members, map(bool, internal), map(eq, internal, map(len, comps)))
-    q._sccs = SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
-                           tuple(map(tuple.__new__, repeat(SccComponent), components)))
-    pairs = list(zip(lminus, lplus))  # (l-, l+) per component
-    q._profile = MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
+    q._components = comp_of, comps, internal, lminus, lplus
+    return q._components
+
+
 
 
 def longest_walks(succ) -> list[ExtLen]:

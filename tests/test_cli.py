@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import pickle
 import random
 import stat
 import subprocess
@@ -16,9 +17,9 @@ import helpers
 import pathrep
 from pathrep import cli, repbuild
 from pathrep.cli import _dumps, _graded_json, main
-from pathrep.dimension import d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
+from pathrep.dimension import classify_path, d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
 from pathrep.polyring import MultiPoly
-from pathrep.quiver import INF, Quiver, length_profile, parse_quiver
+from pathrep.quiver import INF, Quiver, ext_to_json, length_profile, parse_quiver, sccs
 from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
@@ -220,6 +221,23 @@ def test_verify_rep_bad_variables_table_names_the_file(qfile, tmp_path, capsys, 
     rep_path.write_text(json.dumps(data))
     assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
     assert capsys.readouterr().err == f"error: {rep_path}: {message}\n"
+
+
+def test_verify_rep_with_a_repeated_monomial_names_the_file(qfile, tmp_path, capsys):
+    """An entry of the Kronecker path rep written ``t - t``, its term and
+    the term negated, is refused: read as its last term it was ``-t``, a
+    matrix the file does not state."""
+    quiver_path = qfile(KRONECKER)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    entry = data["arrows"][0]["matrix"][0][0]
+    term = entry[0]
+    entry.append({"coeff": str(-int(term["coeff"])), "exps": term["exps"][::-1]})
+    rep_path.write_text(json.dumps(data))
+    assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rep_path}: ") and "each monomial once" in err
 
 
 @pytest.mark.parametrize("matrix, status", [(lambda a: [[[] for _ in row] for row in a], "zero_action"),
@@ -520,6 +538,39 @@ def test_analyze_computes_the_analysis_once(qfile, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["totals"]["effdim_truncated"] == 6
     assert len(calls) == 1
 
+
+
+@pytest.mark.parametrize("flags", [["--json"], [], ["--truncate", "3"]], ids=["json", "table", "table-truncated"])
+def test_analyze_computes_the_analysis_once_in_every_form(qfile, monkeypatch, capsys, flags):
+    calls = _count_analyses(monkeypatch)
+    text = TWO_LOOPS + "vertex y\nvertex z\narrow c: x -> y\narrow d: y -> z\n"
+    assert main(["analyze", qfile(text), *flags]) == 0
+    assert len(calls) == 1
+
+
+def test_library_views_share_one_analysis(monkeypatch):
+    """``classify_path``, ``k_profile`` at two levels, ``sccs`` and
+    ``length_profile`` on one quiver run the analysis once in all."""
+    calls = _count_analyses(monkeypatch)
+    q = _mixed_quiver()
+    classify_path(q)
+    k_profile(q, 3)
+    k_profile(q, 5)
+    sccs(q)
+    length_profile(q)
+    assert calls == [q]
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_of_an_analysed_quiver_carries_no_analysis(clone):
+    q = _mixed_quiver()
+    part, prof = sccs(q), length_profile(q)
+    twin = clone(q)
+    assert (twin._components, twin._sccs, twin._profile) == (None, None, None)
+    assert sccs(twin) == part and type(sccs(twin)) is type(part)
+    assert length_profile(twin) == prof and type(length_profile(twin)) is type(prof)
+    assert q._components is not None and sccs(q) is part  # the original keeps its own
 
 def test_construct_has_no_json_flag(qfile, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -851,6 +902,72 @@ def test_analyze_json_rows_match_the_report(qfile, capsys, q, N):
         for x, entry in data["vertices"].items():
             assert entry["d"] == d_value(*length_profile(q)[x], N)
             assert (entry["K"], entry["d"]) == (kp.window[x] and list(kp.window[x]), kp.d[x])
+
+
+
+def _reference_analysis(q, N):
+    """``analyze --json``'s data built vertex by vertex from the public
+    ``sccs``, ``length_profile`` and ``d_value`` alone, apart from the
+    per-component pass of ``dimension.analysis``.  The window is the grades
+    k with k <= l- and N - 1 - k <= l+; b is read off the sum of ``d_value``
+    at the threshold, where it equals a * n + b."""
+    part, prof = sccs(q), length_profile(q)
+    vertices = {}
+    for x in q.vertices:
+        (lm, lp), scc = prof[x], part.component_of[x]
+        comp = part.components[scc]
+        entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp), "scc": scc,
+                               "commutative": not comp.has_cycle or comp.is_simple_cycle}
+        if N is not None:
+            lo, hi = (0 if lp == INF else max(0, N - 1 - lp)), min(N - 1, lm)
+            entry["K"] = [lo, hi] if lo <= hi else None
+            entry["d"] = d_value(lm, lp, N)
+            assert entry["d"] == (hi - lo + 1 if lo <= hi else 1)
+    a = sum(lm == lp == INF for lm, lp in prof.values())
+    totals = {"effdim_path": q.n + sum(not e["commutative"] for e in vertices.values())}
+    if N is not None:
+        totals["effdim_truncated"] = sum(e["d"] for e in vertices.values())
+    totals.update(a=a, b=sum(d_value(lm, lp, q.n) for lm, lp in prof.values()) - a * q.n, threshold=q.n)
+    return {"vertices": vertices, "totals": totals}
+
+
+def _assert_analyze_matches_the_reference(path, q, N, capsys):
+    """``analyze --json`` is the stdlib's text of the reference, and each
+    row of the text table holds the reference's cells."""
+    flags = [] if N is None else ["--truncate", str(N)]
+    data = _reference_analysis(q, N)
+    assert main(["analyze", path, *flags, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+    assert main(["analyze", path, *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [[x, str(e["scc"]), "yes" if e["commutative"] else "no", str(e["l_minus"]),
+             str(e["l_plus"])] + ([] if N is None else ["-" if e["K"] is None else "[%d,%d]" % tuple(e["K"]),
+                                                         str(e["d"])])
+            for x, e in data["vertices"].items()]
+    assert [line.split() for line in lines[3:3 + q.n]] == rows
+
+
+def _mixed_quiver():
+    """A simple cycle (c1, c2), a non-simple component (x, w: a loop at x
+    and a return through w), a vertex with one loop, and singletons before,
+    between and after them, on a chain and alone, declared out of order."""
+    arrows = [("s", "c1", "c2"), ("t", "c2", "c1"), ("u", "c2", "x"), ("a", "x", "x"), ("b", "x", "w"),
+              ("c", "w", "x"), ("d", "w", "z"), ("e", "p", "c1"), ("f", "z", "o"), ("g", "o", "o"),
+              ("h", "p", "q"), ("i", "q", "m"), ("j", "m", "n"), ("k", "w", "y")]
+    return Quiver(["z", "x", "p", "c2", "o", "w", "q", "n", "c1", "r", "y", "m"], arrows)
+
+
+@pytest.mark.parametrize("N", [None, 1, 3, 7])
+def test_analyze_matches_a_per_vertex_reference(qfile, capsys, N):
+    for q in (_large_quiver(), _mixed_quiver()):
+        _assert_analyze_matches_the_reference(qfile(_quiver_text(q)), q, N, capsys)
+
+
+@given(small_quivers(), st.sampled_from([None, 1, 2, "n + 1", 10**20]))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_analyze_matches_a_per_vertex_reference_on_small_quivers(qfile, capsys, q, N):
+    N = q.n + 1 if N == "n + 1" else N
+    _assert_analyze_matches_the_reference(qfile(_quiver_text(q)), q, N, capsys)
 
 
 def test_analyze_takes_a_level_beyond_the_floats(qfile, capsys):

@@ -230,6 +230,10 @@ def test_matrix_evaluate_commutes_with_products():
     [{"coeff": "x", "exps": []}],
     [7],
     7,
+    # a monomial written twice, which read as its last term (2x + 3x as 3x)
+    [{"coeff": "2", "exps": [[0, 1]]}, {"coeff": "3", "exps": [[0, 1]]}],
+    [{"coeff": "1", "exps": [[0, 1], [1, 2]]}, {"coeff": "-1", "exps": [[1, 2], [0, 1]]}],
+    [{"coeff": "1", "exps": []}, {"coeff": 1, "exps": []}],
 ])
 def test_poly_from_json_rejects_malformed(data):
     with pytest.raises(ValueError, match="polynomial"):
