@@ -249,17 +249,24 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _json_object(pairs) -> dict:
+    """A rep file's JSON object, whose keys must differ: ``json`` would keep a repeated key's last value."""
+    if len(obj := dict(pairs)) < len(pairs):  # popped in order, the repeated key is the first found gone
+        raise ValueError(f"a JSON object repeats key {next(k for k, _ in pairs if obj.pop(k, obj) is obj)!r}")
+    return obj
+
+
 def _load_rep(path: str):
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
         if not isinstance(data, dict):
             raise ValueError("a representation file must hold a JSON object")
         kind = data.get("kind")
         if kind == "path":
-            return SymbolicRep.from_json(data).checked()
+            return SymbolicRep.from_json(data)
         if kind == "truncated":
-            return GradedRep.from_json(data).checked()
+            return GradedRep.from_json(data)
         raise ValueError(f"unrecognized representation kind {kind!r}")
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None

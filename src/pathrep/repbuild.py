@@ -78,7 +78,7 @@ def _int_row(row) -> tuple:
 
 
 def _arrow_matrices(data, parse) -> dict:
-    """Arrow id -> ``parse(matrix)`` over the ``arrows`` records, one per id."""
+    """Arrow id -> ``parse(matrix)`` over the ``arrows`` records, one per id, each fitting its ``shape``."""
     matrices = {}
     for i, a in enumerate(_field(data, "arrows", list)):
         where = f"representation arrows[{i}]"
@@ -87,9 +87,11 @@ def _arrow_matrices(data, parse) -> dict:
             raise ValueError(f"{where} repeats arrow id {name!r}")
         rows = _field(a, "matrix", list, where)
         try:
-            matrices[name] = parse(rows)
+            matrices[name] = m = parse(rows)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where} field 'matrix' is malformed: {exc}") from None
+        if "shape" in a and (a["shape"] != [len(m), len(m and m[0])] or {*map(type, a["shape"])} != {int}):
+            raise ValueError(f"{where} field 'shape' is not its matrix's [rows, columns]")
     return matrices
 
 
@@ -130,8 +132,9 @@ class SymbolicRep:
 
     @classmethod
     def from_json(cls, data) -> "SymbolicRep":
-        """Inverse of ``to_json``; raises ValueError naming a missing or
-        ill-typed field."""
+        """Inverse of ``to_json``, for a rep whose variables table fits it: each row names one of
+        its arrows and a kind, no index or (arrow, kind) pair repeats, and every variable an entry
+        uses is listed.  Raises ValueError naming a missing, ill-typed or unfitting field."""
         if not isinstance(data, dict) or data.get("kind") != "path":
             raise ValueError("not a path-semigroup representation")
         dims = _vertex_dims(data)
@@ -144,21 +147,16 @@ class SymbolicRep:
                 _field(v, "index", int, where),
             ))
         matrices = _arrow_matrices(data, PolyMatrix.from_json)
-        return cls(dims, matrices, tuple(variables))
-
-    def checked(self) -> "SymbolicRep":
-        """This rep, once its variables table is seen to fit it: each row names one of its arrows
-        and a kind, no index or (arrow, kind) pair repeats, and every variable an entry uses is listed."""
-        pairs, indices = {(v.arrow, v.kind) for v in self.variables}, {v.index for v in self.variables}
-        if not all(v.arrow in self.matrices and v.kind in KINDS for v in self.variables):
+        pairs, indices = {(v.arrow, v.kind) for v in variables}, {v.index for v in variables}
+        if not all(v.arrow in matrices and v.kind in KINDS for v in variables):
             raise ValueError("representation field 'variables' has a row for no arrow, "
                              f"or for a kind not in {KINDS}")
-        if not len(pairs) == len(indices) == len(self.variables):
+        if not len(pairs) == len(indices) == len(variables):
             raise ValueError("representation field 'variables' repeats an index or an (arrow, kind) pair")
-        entries = chain.from_iterable(chain.from_iterable(self.matrices.values()))
+        entries = chain.from_iterable(chain.from_iterable(matrices.values()))
         if not {v for e in entries for mono in e.terms for v, _ in mono} <= indices:
             raise ValueError("representation field 'variables' lacks a variable that an arrow matrix uses")
-        return self
+        return cls(dims, matrices, tuple(variables))
 
 
 def build_path_rep(q: Quiver) -> SymbolicRep:
@@ -270,8 +268,9 @@ class GradedRep:
 
     @classmethod
     def from_json(cls, data) -> "GradedRep":
-        """Inverse of ``to_json``; raises ValueError naming a missing or
-        ill-typed field."""
+        """Inverse of ``to_json``, for a rep whose label table fits it: each row is one of its
+        arrows at a grade below N, and each nonzero entry a label (if symbolic, made of label
+        monomials).  Raises ValueError naming a missing, ill-typed or unfitting field."""
         if not isinstance(data, dict) or data.get("kind") != "truncated":
             raise ValueError("not a truncated-semigroup representation")
         kind = _field(data, "labels", str)
@@ -316,19 +315,19 @@ class GradedRep:
             names = tuple(_field(data, "label_variables", list))
             if not {str}.issuperset(map(type, names)):
                 raise ValueError("representation field 'label_variables' needs a list of names (strings)")
+        if not all(arrow in matrices and 0 <= k < N for arrow, k in labels):
+            raise ValueError(f"representation field {table_key!r} has a row for no arrow at a grade below N")
+        atoms = (lambda es: {m for e in es for m in e.terms}) if symbolic else (lambda es: set(es) - {0})
+        entries = chain.from_iterable(chain.from_iterable(matrices.values()))
+        if not atoms(entries) <= (label_atoms := atoms(labels.values())):
+            raise ValueError(f"representation field {table_key!r} lacks a label that an arrow matrix holds")
+        if not all(g is None or all(map(int.__gt__, (N, *g), (*g, -1))) for g in grades.values()):
+            raise ValueError("representation field 'basis_labels' needs grades strictly descending in 0..N-1")
+        used = max((v for m in label_atoms for v, _ in m), default=-1) if symbolic else -1
+        if len({*names}) < len(names) or used >= len(names) or not symbolic and "label_variables" in data:
+            raise ValueError("representation field 'label_variables' must name each variable of "
+                             "symbolic labels once")
         return cls(N, dims, grades, matrices, labels, kind, names)
-
-    def checked(self) -> "GradedRep":
-        """This rep, once its label table is seen to fit it: each row is one of its arrows at a
-        grade below N, and each nonzero entry a label (if symbolic, made of label monomials)."""
-        field, atoms = (("label_table", lambda es: {m for e in es for m in getattr(e, "terms", (e,))})
-                        if self.label_kind == "symbolic" else ("prime_table", lambda es: set(es) - {0}))
-        if not all(arrow in self.matrices and 0 <= k < self.N for arrow, k in self.labels):
-            raise ValueError(f"representation field {field!r} has a row for no arrow at a grade below N")
-        entries = chain.from_iterable(chain.from_iterable(self.matrices.values()))
-        if not atoms(entries) <= atoms(self.labels.values()):
-            raise ValueError(f"representation field {field!r} lacks a label that an arrow matrix holds")
-        return self
 
 
 def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:

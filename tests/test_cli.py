@@ -255,6 +255,98 @@ def test_verify_sabotaged_path_rep_file_reaches_the_verifier(qfile, tmp_path, ca
     assert json.loads(capsys.readouterr().out)["status"] == status
 
 
+def _repeat_key(data, path, key, first):
+    """``data`` as JSON text, with the object at ``path`` writing ``key``
+    twice: first with the value ``first``, then with its own."""
+    holder, path = {"": copy.deepcopy(data)}, ("", *path)
+    parent = holder
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = {"\0": None, **parent[path[-1]]}
+    return json.dumps(holder[""]).replace('"\\u0000": null', f"{json.dumps(key)}: {json.dumps(first)}")
+
+
+def _rep_file_faults(data):
+    """``(name, field, edited)`` for each fault of a rep file that loads no
+    rep: ``edited`` is the changed data, or the file's text where a key is
+    written twice, and the error must name ``field``."""
+    def edited(change):
+        d = copy.deepcopy(data)
+        change(d)
+        return d
+
+    arrow = data["arrows"][0]
+    polynomial = data.get("labels") != "primes"
+    zero = [] if polynomial else 0
+    zeroed = [[zero for _ in row] for row in arrow["matrix"]]
+    x = next(iter(data["vertex_dims"]))
+    faults = [
+        ("repeated-top-level-key", "'arrows'",
+         _repeat_key(data, (), "arrows", [{**arrow, "matrix": zeroed}, *data["arrows"][1:]])),
+        ("repeated-vertex", repr(x), _repeat_key(data, ("vertex_dims",), x, 5)),
+        ("repeated-arrow-field", "'matrix'", _repeat_key(data, ("arrows", 0), "matrix", zeroed)),
+        ("shape-not-numbers", "'shape'", edited(lambda d: d["arrows"][0].update(shape=["x", None]))),
+        ("shape-too-big", "'shape'", edited(lambda d: d["arrows"][0].update(shape=[9, 9]))),
+        ("shape-of-floats", "'shape'", edited(lambda d: d["arrows"][0].update(shape=[*map(float, arrow["shape"])]))),
+    ]
+    if polynomial:
+        r, c = next((r, c) for r, row in enumerate(arrow["matrix"]) for c, e in enumerate(row) if e)
+        faults.append(("repeated-term-field", "'coeff'",
+                       _repeat_key(data, ("arrows", 0, "matrix", r, c, 0), "coeff", "0")))
+    if data["kind"] == "truncated":
+        top = data["truncation"] - 1
+        faults += [
+            ("grades-repeated", "'basis_labels'", edited(lambda d: d["basis_labels"].update({x: [7, 7, 7]}))),
+            ("grades-ascending", "'basis_labels'", edited(lambda d: d["basis_labels"].update({x: [0, 1, 2]}))),
+            ("grade-above-N", "'basis_labels'", edited(lambda d: d["basis_labels"].update({x: [top + 1, 1, 0]}))),
+            ("grade-below-0", "'basis_labels'", edited(lambda d: d["basis_labels"].update({x: [top, 0, -1]}))),
+        ]
+    if not polynomial:
+        faults.append(("label-variables-on-primes", "'label_variables'",
+                       edited(lambda d: d.update(label_variables=[]))))
+    elif data["kind"] == "truncated":
+        faults += [
+            ("label-variables-emptied", "'label_variables'", edited(lambda d: d.update(label_variables=[]))),
+            ("label-variables-short", "'label_variables'", edited(lambda d: d["label_variables"].pop())),
+            ("label-variables-repeated", "'label_variables'",
+             edited(lambda d: d["label_variables"].__setitem__(1, d["label_variables"][0]))),
+        ]
+    return faults
+
+
+@pytest.mark.parametrize("args", [[], ["--truncate", "3"], ["--truncate", "3", "--labels", "symbolic"]],
+                         ids=["path", "primes", "symbolic"])
+def test_rep_file_loads_only_what_fits(qfile, tmp_path, capsys, args):
+    """The loop's rep exits 2, naming the file and the field, when the file
+    writes a key twice (``json`` alone keeps the last value) or states a
+    shape, grades or label variables that do not fit; ``from_json`` refuses
+    the same data.  Every built rep of the suite, the truncated ones at
+    N = 1..4, still loads back equal to itself."""
+    quiver_path = qfile(LOOP)
+    rep_path = tmp_path / "rep.json"
+    assert main(["construct", quiver_path, *args, "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    if args:  # three grades, which the grade edits keep
+        assert data["basis_labels"] == {"x": [2, 1, 0]}
+    load = repbuild.GradedRep.from_json if args else repbuild.SymbolicRep.from_json
+    for name, field, edited in _rep_file_faults(data):
+        rep_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rep_path}: ") and field in err and "Traceback" not in err, name
+        if isinstance(edited, str):
+            load(json.loads(edited))  # the last value of each key fits
+        else:
+            with pytest.raises(ValueError, match=field):
+                load(edited)
+    labels = "symbolic" if "symbolic" in args else "primes"
+    for q in helpers.suite():
+        reps = [build_truncated_rep(q, N, labels) for N in range(1, 5)] if args else [build_path_rep(q)]
+        for rep in reps:
+            rep_path.write_text(_graded_json(rep) if args else _dumps(rep.to_json()))
+            assert cli._load_rep(str(rep_path)) == rep
+
+
 def test_verify_rep_file_roundtrip_ok(qfile, tmp_path, capsys):
     quiver_path = qfile(A3)
     rep_path = tmp_path / "rep.json"
@@ -383,7 +475,7 @@ def test_verify_rep_wrong_matrix_shape(qfile, tmp_path, capsys):
     assert main(["construct", quiver_path, "--out", str(rep_path)]) == 0
     data = json.loads(rep_path.read_text())
     assert data["vertex_dims"] == {"x": 1}
-    data["arrows"][0]["matrix"] = [[[], []], [[], []]]
+    data["arrows"][0].update(shape=[2, 2], matrix=[[[], []], [[], []]])
     rep_path.write_text(json.dumps(data))
     assert main(["verify", quiver_path, "--rep", str(rep_path)]) == 2
     assert "arrow 'a' needs a 1x1 matrix" in capsys.readouterr().err

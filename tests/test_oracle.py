@@ -678,23 +678,19 @@ def test_verify_path_rep_takes_one_point_per_variable(monkeypatch):
 
 @pytest.mark.parametrize("variables", [0, 1, 5], ids=["empty", "one", "padded"])
 def test_probe_start_ignores_the_variables_table(variables, monkeypatch):
-    """The start value r comes from the matrices, not the file's variables
+    """The start value r comes from the matrices, not the rep's variables
     table: on x -> y with a = [[x0, 0]] and b = [[0, 1]], an r equal to
     x0's value gives a and b one probe, r^2, and sends the check to the
     exact pass, made to fail here.  However long the table, r sits at
-    index 1 and the probe pass decides."""
+    index 1 and the probe pass decides.  The rep is built directly, since
+    ``from_json`` refuses a table that does not fit."""
     def no_exact_product(*args):
         raise AssertionError("exact pass ran")
 
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-    x0 = [{"coeff": "1", "exps": [[0, 1]]}]
-    rep = SymbolicRep.from_json({
-        "kind": "path",
-        "vertex_dims": {"x": 2, "y": 1},
-        "variables": [{"arrow": "a", "kind": "tau", "index": i} for i in range(variables)],
-        "arrows": [{"id": "a", "shape": [1, 2], "matrix": [[x0, []]]},
-                   {"id": "b", "shape": [1, 2], "matrix": [[[], [{"coeff": "1", "exps": []}]]]}],
-    })
+    rep = SymbolicRep({"x": 2, "y": 1},
+                      {"a": PolyMatrix([[MultiPoly.variable(0), 0]]), "b": PolyMatrix([[0, 1]])},
+                      tuple(Variable("a", "tau", i) for i in range(variables)))
     monkeypatch.setattr(oracle, "_map_rows", no_exact_product)
     calls = _point_calls(monkeypatch)
     assert verify_path_rep(rep, q) == oracle.VerifyReport("effective", 5, 6)
