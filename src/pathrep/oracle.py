@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
-from .quiver import Quiver, length_profile, longest_walks
+from .quiver import Quiver, analyse_graph, length_profile
 from .repbuild import GradedRep, SymbolicRep
 
 EFFECTIVE = "effective"
@@ -159,14 +159,14 @@ def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
     of a path's image sums over the walks from basis vector j to i along the
     path in the graph with an edge k -> i for each pair (k, _) in row i of
     an arrow's sparse ``rows``, so no walk of N edges proves it.  The
-    longest walk is ``quiver.longest_walks``'s, INF past a cycle."""
+    longest walk is the largest l- of ``quiver.analyse_graph``, INF past a cycle."""
     offset = list(itertools.accumulate(dims, initial=0))
-    succ: list = [[] for _ in range(offset[-1])]
-    for a, m in zip(q.arrows, rows):
+    out: list = [[] for _ in range(offset[-1])]  # (arrow index, head) pairs, as in Quiver.out_arrows
+    for ai, (a, m) in enumerate(zip(q.arrows, rows)):
         for i, row in enumerate(m):
             for k, _ in row:
-                succ[offset[a.tail] + k].append(offset[a.head] + i)
-    return max(longest_walks(succ), default=0) < N
+                out[offset[a.tail] + k].append((ai, offset[a.head] + i))
+    return max(analyse_graph(out)[3], default=0) < N
 
 
 def _check_exact(q: Quiver, N: int, dims, rows, relation: bool) -> VerifyReport:

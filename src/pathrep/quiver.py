@@ -258,9 +258,18 @@ def component_arrays(q: Quiver) -> tuple[list[int], list[list[int]], list[int], 
 
 
 def _analyse(q: Quiver) -> tuple:
-    """Tarjan's components, and the profile read off them; stored on ``q``."""
-    out = q.out_arrows
-    n = q.n
+    """``analyse_graph`` of the quiver's arrows, stored on ``q``."""
+    q._components = analyse_graph(q.out_arrows)
+    return q._components
+
+
+def analyse_graph(out) -> tuple:
+    """``(comp_of, members, internal, l-, l+)`` of the graph with an edge
+    v -> w for each pair ``(label, w)`` in ``out[v]``, as in
+    ``Quiver.out_arrows``: Tarjan's components, and the profile read off
+    them (``l-`` the most edges of a walk ending in a component, ``l+``
+    starting there, INF past a cycle)."""
+    n = len(out)
     index = [-1] * n  # visit order, n once the vertex's component is complete
     low = [0] * n
     stack: list[int] = []
@@ -323,32 +332,7 @@ def _analyse(q: Quiver) -> tuple:
                 d = comp_of[w]
                 if d != c and lminus[d] < step:
                     lminus[d] = step
-    q._components = comp_of, comps, internal, lminus, lplus
-    return q._components
-
-
-
-
-def longest_walks(succ) -> list[ExtLen]:
-    """For each node of the graph with an edge i -> j for every j in
-    ``succ[i]``, the most edges of a walk ending there, or INF when a cycle
-    leads to it (a cycle has walks of every length).  Kahn's order settles
-    the nodes level by level, so the last predecessor of a node to settle
-    is a deepest one; the nodes it leaves with in-degree are exactly those
-    a cycle leads to."""
-    indegree = [0] * len(succ)
-    for nexts in succ:
-        for j in nexts:
-            indegree[j] += 1
-    depth: list[ExtLen] = [0] * len(succ)
-    order = [i for i, d in enumerate(indegree) if not d]
-    for i in order:  # grows as it is read
-        for j in succ[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                depth[j] = depth[i] + 1
-                order.append(j)
-    return [INF if left else d for d, left in zip(depth, indegree)]
+    return comp_of, comps, internal, lminus, lplus
 
 
 def ext_to_json(value: ExtLen):

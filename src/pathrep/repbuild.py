@@ -70,11 +70,14 @@ def _json_int(value) -> int:
     return value
 
 
-def _int_row(row) -> tuple:
-    """A matrix row of JSON integers, as a tuple; one type pass per row."""
-    if not isinstance(row, list) or not {int}.issuperset(map(type, row)):
+def _int_matrix(rows) -> tuple:
+    """A matrix of JSON integers as a tuple of rows, one or more of one
+    nonzero length, as ``PolyMatrix`` takes; one type pass per row."""
+    if not all(isinstance(row, list) and {int}.issuperset(map(type, row)) for row in rows):
         raise ValueError("a row is a list of integers")
-    return tuple(row)
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("a matrix needs one or more rows of one nonzero length")
+    return tuple(map(tuple, rows))
 
 
 def _arrow_matrices(data, parse) -> dict:
@@ -146,6 +149,8 @@ class SymbolicRep:
                 _field(v, "kind", str, where),
                 _field(v, "index", int, where),
             ))
+            if variables[-1].index < 0:
+                raise ValueError(f"{where} field 'index' must be >= 0")
         matrices = _arrow_matrices(data, PolyMatrix.from_json)
         pairs, indices = {(v.arrow, v.kind) for v in variables}, {v.index for v in variables}
         if not all(v.arrow in matrices and v.kind in KINDS for v in variables):
@@ -297,9 +302,7 @@ class GradedRep:
                     f"integer per dimension ({dims[x]}), or null at dimension 1"
                 )
         grades = {x: None if g is None else tuple(g) for x, g in grades.items()}
-        matrices = _arrow_matrices(
-            data, PolyMatrix.from_json if symbolic else lambda rows: tuple(map(_int_row, rows))
-        )
+        matrices = _arrow_matrices(data, PolyMatrix.from_json if symbolic else _int_matrix)
         table_key = "label_table" if symbolic else "prime_table"
         table = _field(data, table_key, list)
         try:

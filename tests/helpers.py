@@ -13,7 +13,7 @@ from pathrep.dimension import classify_path, k_profile
 from pathrep.oracle import verify_filtration
 from pathrep.paths import Path, enumerate_paths, factorize_cycle, head_counts
 from pathrep.polyring import PolyMatrix
-from pathrep.quiver import Quiver, QuiverError, length_profile
+from pathrep.quiver import INF, Quiver, QuiverError, length_profile
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 SUITE_SEED = 20260810
@@ -254,6 +254,29 @@ def label_moved_down(rep):
 
 
 # ------------------------------------------------------- brute-force oracles
+
+def longest_walks(succ):
+    """For each node of the graph with an edge i -> j for every j in
+    ``succ[i]``, the most edges of a walk ending there, or INF when a cycle
+    leads to it (a cycle has walks of every length).  Kahn's order settles
+    the nodes level by level, so the last predecessor of a node to settle
+    is a deepest one; the nodes it leaves with in-degree are exactly those
+    a cycle leads to.  The reference for ``quiver.analyse_graph``'s l-,
+    found without its components."""
+    indegree = [0] * len(succ)
+    for nexts in succ:
+        for j in nexts:
+            indegree[j] += 1
+    depth = [0] * len(succ)
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:  # grows as it is read
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                depth[j] = depth[i] + 1
+                order.append(j)
+    return [INF if left else d for d, left in zip(depth, indegree)]
+
 
 def naive_paths(q, max_len):
     """All (tail, head, arrows) triples of length <= max_len, trivials included."""

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -288,7 +289,13 @@ def _rep_file_faults(data):
         ("shape-not-numbers", "'shape'", edited(lambda d: d["arrows"][0].update(shape=["x", None]))),
         ("shape-too-big", "'shape'", edited(lambda d: d["arrows"][0].update(shape=[9, 9]))),
         ("shape-of-floats", "'shape'", edited(lambda d: d["arrows"][0].update(shape=[*map(float, arrow["shape"])]))),
+        ("matrix-ragged", "arrows[0] field 'matrix'", edited(lambda d: d["arrows"][0]["matrix"][-1].pop())),
+        ("matrix-empty-row", "arrows[0] field 'matrix'",
+         edited(lambda d: d["arrows"][0].update(matrix=[[]], shape=[1, 0]))),
     ]
+    if data["kind"] == "path":
+        faults.append(("variable-index-negative", "variables[0] field 'index'",
+                       edited(lambda d: d["variables"][0].update(index=-7))))
     if polynomial:
         r, c = next((r, c) for r, row in enumerate(arrow["matrix"]) for c, e in enumerate(row) if e)
         faults.append(("repeated-term-field", "'coeff'",
@@ -318,8 +325,9 @@ def _rep_file_faults(data):
                          ids=["path", "primes", "symbolic"])
 def test_rep_file_loads_only_what_fits(qfile, tmp_path, capsys, args):
     """The loop's rep exits 2, naming the file and the field, when the file
-    writes a key twice (``json`` alone keeps the last value) or states a
-    shape, grades or label variables that do not fit; ``from_json`` refuses
+    writes a key twice (``json`` alone keeps the last value), states a
+    shape, grades or label variables that do not fit, holds a ragged or
+    empty matrix row, or numbers a variable below 0; ``from_json`` refuses
     the same data.  Every built rep of the suite, the truncated ones at
     N = 1..4, still loads back equal to itself."""
     quiver_path = qfile(LOOP)
@@ -337,7 +345,7 @@ def test_rep_file_loads_only_what_fits(qfile, tmp_path, capsys, args):
         if isinstance(edited, str):
             load(json.loads(edited))  # the last value of each key fits
         else:
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=re.escape(field)):
                 load(edited)
     labels = "symbolic" if "symbolic" in args else "primes"
     for q in helpers.suite():
@@ -1228,3 +1236,50 @@ def test_truncated_rep_writer_matches_the_stdlib_on_odd_reps(qfile, capsys):
                            for row in data["prime_table"]]
     escaped = _assert_rows_written_exactly(GradedRep.from_json(data))
     assert '"\\u00e9\\""' in escaped
+
+
+def _refusals():
+    """``pytest.param(call, message)`` for each refused argument that no
+    other test reaches: ``call`` is a library call that raises ValueError
+    with ``message``, or CLI arguments that exit 2 with it."""
+    q = helpers.loop()
+    path_rep, graded = build_path_rep(q), build_truncated_rep(q, 2)
+    bare_row = path_rep.to_json()
+    bare_row["arrows"][0]["matrix"] = [5]
+    cases = {
+        "formula-empty-segment": (["formula", "0", "--truncate", "3"], "a segment needs at least one vertex"),
+        "analysis-N-0": (lambda: pathrep.dimension.analysis(q, 0), "N must be >= 1"),
+        "allocate-primes-N-0": (lambda: pathrep.allocate_primes(q, 0), "N must be >= 1"),
+        "build-unknown-labels": (lambda: build_truncated_rep(q, 2, labels="x"),
+                                 "labels must be 'primes' or 'symbolic'"),
+        "trivial-unknown-vertex": (lambda: pathrep.trivial(q, "y"), "unknown vertex 'y'"),
+        "arrow-path-unknown-arrow": (lambda: pathrep.arrow_path(q, "b"), "unknown arrow 'b'"),
+        "make-path-no-arrow": (lambda: pathrep.make_path(q, []),
+                               "make_path needs at least one arrow; use trivial() otherwise"),
+        "enumerate-paths-below-0": (lambda: pathrep.enumerate_paths(q, -1), "max_len must be >= 0"),
+        "first-return-cycles-0": (lambda: pathrep.first_return_cycles(q, "x", 0), "max_len must be >= 1"),
+        "verify-path-rep-0": (lambda: pathrep.verify_path_rep(path_rep, q, 0), "max_len must be >= 1"),
+        "f2-search-N-0": (lambda: pathrep.exhaustive_lower_bound_f2(q, 0, 1), "N and total_dim must be >= 1"),
+        "verify-truncated-path-rep": (lambda: pathrep.verify_truncated(path_rep, q, 2),
+                                      "verify_truncated needs a truncated representation"),
+        "verify-filtration-path-rep": (lambda: pathrep.verify_filtration(path_rep, q),
+                                       "verify_filtration needs a truncated representation"),
+        "verify-path-rep-truncated": (lambda: pathrep.verify_path_rep(graded, q),
+                                      "verify_path_rep needs a path-semigroup representation"),
+        "rep-file-row-not-a-list": (lambda: repbuild.SymbolicRep.from_json(bare_row),
+                                    "representation arrows[0] field 'matrix' is malformed: a matrix is a list of rows"),
+        "rep-file-unknown-labels": (lambda: GradedRep.from_json({**graded.to_json(), "labels": "x"}),
+                                    "representation field 'labels' must be 'primes' or 'symbolic', not 'x'"),
+    }
+    return [pytest.param(call, message, id=name) for name, (call, message) in cases.items()]
+
+
+@pytest.mark.parametrize("call, message", _refusals())
+def test_refused_arguments_pin_their_message(call, message, capsys):
+    if isinstance(call, list):
+        assert main(call) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message

@@ -975,6 +975,50 @@ def test_supports_vanish_at_the_boundary():
     assert not oracle._supports_vanish(q, 10**400, [3], [cycle])
 
 
+def _support_cases():
+    """``(q, N, dims, sparse rows)`` of the suite's built truncated reps at
+    N = 1..4 with both label kinds, and of their variants: every arrow
+    given an entry at row 0, column 0, which closes a support cycle on
+    every cycle of the quiver, and each label moved one grade down
+    (``helpers.label_moved_down``), which lets a walk of N edges through."""
+    for q in helpers.suite():
+        for N in (1, 2, 3, 4):
+            for labels in ("primes", "symbolic"):
+                rep = build_truncated_rep(q, N, labels=labels)
+                dims = list(rep.dims.values())
+                rows = [oracle._sparse(m) for m in rep.matrices.values()]
+                yield q, N, dims, rows
+                yield q, N, dims, [_with_corner(m, dims[a.tail]) for a, m in zip(q.arrows, rows)]
+                for _, variant in helpers.label_moved_down(rep):
+                    yield q, N, dims, [oracle._sparse(m) for m in variant.matrices.values()]
+
+
+def _with_corner(m, tail_dim):
+    """Sparse rows ``m`` with a nonzero at row 0, column 0, where both exist."""
+    if not m or not tail_dim:
+        return m
+    return (((0, 1),) + tuple(p for p in m[0] if p[0]),) + m[1:]
+
+
+def test_supports_vanish_agrees_with_the_reference_longest_walk():
+    """On every support case, the proof passes exactly when the longest
+    walk of the support graph, by the Kahn reference ``helpers.longest_walks``
+    built here apart from the proof's own graph, has fewer than N edges;
+    both verdicts occur."""
+    verdicts = []
+    for q, N, dims, rows in _support_cases():
+        offset = list(itertools.accumulate(dims, initial=0))
+        succ = [[] for _ in range(offset[-1])]
+        for a, m in zip(q.arrows, rows):
+            for i, row in enumerate(m):
+                for k, _ in row:
+                    succ[offset[a.tail] + k].append(offset[a.head] + i)
+        expected = max(helpers.longest_walks(succ), default=0) < N
+        assert oracle._supports_vanish(q, N, dims, rows) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
 def test_supports_vanish_offsets_each_vertex_block():
     """Edges run from the tail's block to the head's: on x -> y with dims
     2 and 1, the one entry gives one edge, from x's second basis vector to

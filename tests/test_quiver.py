@@ -13,8 +13,8 @@ from pathrep.quiver import (
     Quiver,
     QuiverError,
     SccComponent,
+    analyse_graph,
     length_profile,
-    longest_walks,
     parse_quiver,
     sccs,
 )
@@ -545,20 +545,42 @@ def _level_sets(n, steps):
     return [INF if k == n else k for k in longest]
 
 
+def _profile_per_node(out):
+    """``analyse_graph``'s (l-, l+) of each node, read through ``comp_of``."""
+    comp_of, _, _, lminus, lplus = analyse_graph(out)
+    return [(lminus[c], lplus[c]) for c in comp_of]
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_longest_walks_matches_brute_force(succ):
+    """The reference in ``helpers`` against the stepped walk ends."""
     steps = [(i, j) for i, nexts in enumerate(succ) for j in nexts]
-    assert longest_walks(succ) == _level_sets(len(succ), steps)
+    assert helpers.longest_walks(succ) == _level_sets(len(succ), steps)
 
 
-def test_longest_walks_by_hand():
-    assert longest_walks([]) == []
-    assert longest_walks([[]]) == [0]
-    assert longest_walks([[0]]) == [INF]
-    assert longest_walks([[1, 1], [2], []]) == [0, 1, 2]  # parallel edges
-    assert longest_walks([[1], [0], [3], [], [2]]) == [INF, INF, 1, 2, 0]
-    assert longest_walks([[], [1, 2], []]) == [0, INF, INF]
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_analyse_graph_matches_brute_force(succ):
+    """On graphs that are not quivers (bare nodes, edges labelled by
+    position), each node's l- and l+ equal the stepped walk ends along
+    the edges and against them."""
+    steps = [(i, j) for i, nexts in enumerate(succ) for j in nexts]
+    out = [[(k, j) for k, j in enumerate(nexts)] for nexts in succ]
+    n = len(succ)
+    assert _profile_per_node(out) == list(zip(_level_sets(n, steps), _level_sets(n, [(j, i) for i, j in steps])))
+
+
+def test_analyse_graph_by_hand():
+    def lminus(succ):
+        return [lm for lm, _ in _profile_per_node([[(None, j) for j in nexts] for nexts in succ])]
+
+    assert lminus([]) == []
+    assert lminus([[]]) == [0]
+    assert lminus([[0]]) == [INF]
+    assert lminus([[1, 1], [2], []]) == [0, 1, 2]  # parallel edges
+    assert lminus([[1], [0], [3], [], [2]]) == [INF, INF, 1, 2, 0]
+    assert lminus([[], [1, 2], []]) == [0, INF, INF]
 
 
 def _reach_closure(q):
@@ -628,8 +650,8 @@ def _large_quiver(rng, n=2000):
 
 
 def test_length_profile_is_longest_walks_both_ways_on_large_quivers():
-    """The profile read off the components equals ``longest_walks`` on the
-    arrows (l-) and on the reversed arrows (l+)."""
+    """The profile read off the components equals ``helpers.longest_walks``
+    on the arrows (l-) and on the reversed arrows (l+)."""
     rng = random.Random(7)
     for _ in range(3):
         q = _large_quiver(rng)
@@ -638,7 +660,7 @@ def test_length_profile_is_longest_walks_both_ways_on_large_quivers():
             succ[t].append(h)
             pred[h].append(t)
         prof = length_profile(q)
-        assert prof == dict(zip(q.vertices, zip(longest_walks(succ), longest_walks(pred))))
+        assert prof == dict(zip(q.vertices, zip(helpers.longest_walks(succ), helpers.longest_walks(pred))))
         assert {lm == INF for lm, _ in prof.values()} == {True, False}
         assert {lp == INF for _, lp in prof.values()} == {True, False}
         assert max(lm for lm, _ in prof.values() if lm != INF) > 50
