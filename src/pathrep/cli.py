@@ -22,10 +22,17 @@ from .quiver import INF, Quiver, QuiverError, ext_to_json, parse_quiver
 from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
 
 
+# The most digits a number on the command line may have: a sum or product of
+# two such numbers still prints within the interpreter's 4,300-digit limit.
+MAX_DIGITS = 2000
+
+
 def _decimal(text: str) -> int:
     """ASCII digits only: ``int`` also reads signs, spaces, ``_`` and other scripts' digits."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal number: {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"a number has at most {MAX_DIGITS:,} digits")
     return int(text)
 
 
@@ -322,8 +329,8 @@ def cmd_stabilize(ns: argparse.Namespace) -> int:
 def cmd_formula(ns: argparse.Namespace) -> int:
     try:
         segments = [_decimal(s) for s in ns.segments.split(",")]
-    except ValueError:
-        raise QuiverError(f"cannot parse segment list {ns.segments!r}") from None
+    except ValueError as exc:
+        raise QuiverError(f"cannot parse segment list: {exc}") from None
     value = line_quiver_effdim(segments, ns.truncate)
     if ns.json:
         data = {"segments": segments, "N": ns.truncate, "effdim": value}

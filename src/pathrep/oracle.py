@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .paths import Path, head_counts, path_str, walk
-from .quiver import Quiver, analyse_graph, length_profile
+from .quiver import Quiver, analyse_graph, component_arrays
 from .repbuild import GradedRep, SymbolicRep
 
 EFFECTIVE = "effective"
@@ -385,19 +385,21 @@ def verify_filtration(rep: GradedRep, q: Quiver) -> VerifyReport:
     ever reaching grade N.  Vertices with an ungraded vector sit at an
     effective grade equal to the longest path into them: INF when a cycle
     leads into them, so that no nonzero entry may enter or leave them.
+    Grades that do not fit the dims, one per dimension, are refused.
     """
     if not isinstance(rep, GradedRep):
         raise ValueError("verify_filtration needs a truncated representation")
     _check_match(rep, q)
-    prof = length_profile(q)
-    basis_grades: dict[str, tuple] = {}
-    for x in q.vertices:
-        g = rep.grades[x]
-        basis_grades[x] = g if g is not None else (prof[x][0],)
+    for x, d in rep.dims.items():
+        g = rep.grades.get(x, ())
+        if not (g is None and d == 1 or isinstance(g, tuple) and len(g) == d):
+            raise ValueError(f"vertex {x!r} needs a tuple of one grade per dimension ({d}), or None at dimension 1")
+    comp_of, _, _, lminus, _ = component_arrays(q)
+    basis_grades = [rep.grades[x] or (lminus[comp_of[i]],) for i, x in enumerate(q.vertices)]
     checked = 0
     for a in q.arrows:
-        tgt = basis_grades[q.vertices[a.head]]
-        for g_src, col in zip(basis_grades[q.vertices[a.tail]], _sparse(zip(*rep.matrices[a.name]))):
+        tgt = basis_grades[a.head]
+        for g_src, col in zip(basis_grades[a.tail], _sparse(zip(*rep.matrices[a.name]))):
             checked += 1
             if len(col) > 1 or col and not g_src < tgt[col[0][0]] <= rep.N - 1:
                 return VerifyReport(RELATION_VIOLATION, checked, 0, (a.name,))

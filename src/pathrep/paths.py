@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import Quiver, sccs
+from .quiver import Quiver, component_arrays
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ def first_return_cycles(q: Quiver, vertex: str, max_len: int) -> CycleBasis:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     x = q.vertex_of(vertex)
-    part = sccs(q)
-    inside = {q.vertex_index[v] for v in part.components[part.component_of[vertex]].vertices}
+    comp_of, members, _, _, _ = component_arrays(q)
+    inside = set(members[comp_of[x]])
     found: list[Path] = []
     frontier: list[tuple[int, tuple[int, ...]]] = [(x, ())]
     for _ in range(max_len):

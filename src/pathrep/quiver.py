@@ -54,8 +54,8 @@ class Quiver:
     vertex set must be nonempty.  ``out_arrows[v]`` holds the ``(arrow
     index, head)`` pairs of the arrows out of vertex v, in declaration
     order: the steps a path ending at v can take.  Instances are immutable
-    after construction, so the analysis (``component_arrays``) and the
-    ``sccs`` and ``length_profile`` built from it are kept on the instance.
+    after construction, so the analysis (``component_arrays``) is kept on
+    the instance; ``sccs`` and ``length_profile`` are views built from it.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -74,8 +74,6 @@ class Quiver:
         self.arrow_index: dict[str, int] = aindex
         self.out_arrows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out_))
         self._components: tuple | None = None
-        self._sccs: SccPartition | None = None
-        self._profile: MappingProxyType | None = None
 
     @property
     def n(self) -> int:
@@ -107,7 +105,7 @@ class Quiver:
         return hash((self.vertices, self.arrows))
 
     def __getstate__(self):  # copies and pickles recompute the analysis
-        return {**self.__dict__, "_components": None, "_sccs": None, "_profile": None}
+        return {**self.__dict__, "_components": None}
 
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
@@ -224,13 +222,11 @@ def sccs(q: Quiver) -> SccPartition:
     contains a self-loop, and it is a simple cycle exactly when its internal
     arrow count equals its vertex count.
     """
-    if q._sccs is None:
-        comp_of, members, internal, _, _ = component_arrays(q)
-        names = map(tuple, map(map, repeat(q.vertices.__getitem__), members))
-        components = zip(names, map(bool, internal), map(eq, internal, map(len, members)))
-        q._sccs = SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
-                               tuple(map(tuple.__new__, repeat(SccComponent), components)))
-    return q._sccs
+    comp_of, members, internal, _, _ = component_arrays(q)
+    names = map(tuple, map(map, repeat(q.vertices.__getitem__), members))
+    components = zip(names, map(bool, internal), map(eq, internal, map(len, members)))
+    return SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
+                        tuple(map(tuple.__new__, repeat(SccComponent), components)))
 
 
 def length_profile(q: Quiver) -> MappingProxyType:
@@ -242,11 +238,9 @@ def length_profile(q: Quiver) -> MappingProxyType:
     are read off the components, whose members share them: INF on a cyclic
     one.  The result is a read-only map from vertex id to (l-, l+).
     """
-    if q._profile is None:
-        comp_of, _, _, lminus, lplus = component_arrays(q)
-        pairs = list(zip(lminus, lplus))
-        q._profile = MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
-    return q._profile
+    comp_of, _, _, lminus, lplus = component_arrays(q)
+    pairs = list(zip(lminus, lplus))
+    return MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
 
 
 def component_arrays(q: Quiver) -> tuple[list[int], list[list[int]], list[int], list[ExtLen], list[ExtLen]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt, log
 
-from .dimension import classify_path, k_profile
+from .dimension import analysis, classify_path
 from .paths import Path
 from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul, variable_table
 from .quiver import Quiver
@@ -336,25 +336,22 @@ class GradedRep:
 def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
     """Basis per admissible grade, arrows jump to the next admissible grade.
 
-    Rules, for an arrow x -> y and a source basis vector:
-      - grade N-1 at a graded source with graded target dies;
-      - grade k < N-1 between graded vertices goes to the least admissible
-        grade of y above k;
-      - a graded source feeding an ungraded target hits its single vector
-        (full-length grades cannot occur here);
-      - an ungraded source acts with the grade-0 label, landing on the
-        least admissible grade of a graded target or the single vector.
-    Grade g of a window (lo, hi) sits at basis index hi - g.  Paths of
-    length >= N then vanish automatically: they only ever traverse graded
-    vertices and each step strictly raises the grade.
+    One rule places every label of an arrow x -> y: an ungraded source acts
+    as one vector at grade -1 with the grade-0 label, and a source vector of
+    grade k lands in the single vector of an ungraded y, or else on the least
+    admissible grade of y above k; grade N-1 dies at a graded y.  Grade g of
+    a window (lo, hi) sits at basis index hi - g.  Paths of length >= N then
+    vanish automatically: they only ever traverse graded vertices and each
+    step strictly raises the grade.
     """
     if labels not in ("primes", "symbolic"):
         raise ValueError("labels must be 'primes' or 'symbolic'")
     if len(q.arrows) * N > LABEL_LIMIT:
         raise ValueError(f"the truncation at N={N} needs a label table of {len(q.arrows) * N:,} "
                          f"(arrow, grade) labels, above the limit of {LABEL_LIMIT:,}")
-    kp = k_profile(q, N)
-    entries = sum(kp.d[q.vertices[a.head]] * kp.d[q.vertices[a.tail]] for a in q.arrows)
+    comp_of, rows, _ = analysis(q, N)
+    window, dim = [rows[c][3] for c in comp_of], [rows[c][4] for c in comp_of]
+    entries = sum(dim[a.head] * dim[a.tail] for a in q.arrows)
     if entries > DENSE_LIMIT:
         raise ValueError(f"the truncation at N={N} needs {entries:,} dense matrix entries, "
                          f"above the limit of {DENSE_LIMIT:,}")
@@ -364,31 +361,26 @@ def build_truncated_rep(q: Quiver, N: int, labels: str = "primes") -> GradedRep:
         keys = _label_keys(q, N)
         label_map = {key: MultiPoly.variable(i) for i, key in enumerate(keys)}
         label_names, zero = tuple(f"p({a},{k})" for a, k in keys), MultiPoly.zero()
-    grades = {x: None if w is None else tuple(range(w[1], w[0] - 1, -1))
-              for x, w in kp.window.items()}
+    grades = {x: None if w is None else tuple(range(w[1], w[0] - 1, -1)) for x, w in zip(q.vertices, window)}
     matrices: dict[str, tuple] = {}
     for a in q.arrows:
-        x, y = q.vertices[a.tail], q.vertices[a.head]
-        m = [[zero] * kp.d[x] for _ in range(kp.d[y])]
-        wx, wy = kp.window[x], kp.window[y]
-        if wx is not None:
-            for k in range(wx[0], wx[1] + 1):
-                if wy is not None:
-                    if k == N - 1:
-                        continue
-                    j = max(wy[0], k + 1)
-                    assert j <= wy[1], "no admissible grade above the source grade"
-                    m[wy[1] - j][wx[1] - k] = label_map[(a.name, k)]
-                else:
-                    # a grade-(N-1) source would force the target to carry a
-                    # full-length path too, contradicting its empty window
-                    assert k < N - 1
-                    m[0][wx[1] - k] = label_map[(a.name, k)]
-        else:
-            row = wy[1] - wy[0] if wy is not None else 0
-            m[row][0] = label_map[(a.name, 0)]
+        m = [[zero] * dim[a.tail] for _ in range(dim[a.head])]
+        lo, hi = window[a.tail] or (-1, -1)
+        wy = window[a.head]
+        for k in range(lo, hi + 1):
+            if wy is None:
+                # a grade-(N-1) source would force the target to carry a
+                # full-length path too, contradicting its empty window
+                assert k < N - 1
+                row = 0
+            elif k == N - 1:
+                continue
+            else:
+                row = wy[1] - max(wy[0], k + 1)
+                assert row >= 0, "no admissible grade above the source grade"
+            m[row][hi - k] = label_map[(a.name, k if k > 0 else 0)]
         matrices[a.name] = tuple(tuple(r) for r in m)
-    return GradedRep(N, kp.d, grades, matrices, label_map, labels, label_names)
+    return GradedRep(N, dict(zip(q.vertices, dim)), grades, matrices, label_map, labels, label_names)
 
 
 def rep_of_path(rep, p: Path):

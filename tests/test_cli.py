@@ -614,9 +614,8 @@ def test_verify_rep_takes_decimal_coefficients_only(qfile, tmp_path, capsys, coe
 
 
 def _count_analyses(monkeypatch):
-    """Count the runs of the one routine that fills both the SCC and the
-    length-profile caches, as opposed to the calls of ``sccs`` and
-    ``length_profile``, which return the stored result after the first."""
+    """Count the runs of the one routine that fills the quiver's analysis
+    cache, as opposed to the calls of the views built from it."""
     import pathrep.quiver
 
     calls = []
@@ -667,10 +666,10 @@ def test_a_copy_of_an_analysed_quiver_carries_no_analysis(clone):
     q = _mixed_quiver()
     part, prof = sccs(q), length_profile(q)
     twin = clone(q)
-    assert (twin._components, twin._sccs, twin._profile) == (None, None, None)
+    assert twin._components is None
     assert sccs(twin) == part and type(sccs(twin)) is type(part)
     assert length_profile(twin) == prof and type(length_profile(twin)) is type(prof)
-    assert q._components is not None and sccs(q) is part  # the original keeps its own
+    assert q._components is not None and sccs(q) == part  # the original keeps its own
 
 def test_construct_has_no_json_flag(qfile, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -743,7 +742,24 @@ def test_truncate_past_the_int_digit_limit_gets_its_message(qfile, capsys):
         main(["analyze", qfile(A2), "--truncate", "9" * (sys.get_int_max_str_digits() + 1)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --truncate: Exceeds the limit" in err and "_positive_int" not in err
+    assert "argument --truncate: a number has at most 2,000 digits" in err and "_positive_int" not in err
+
+
+def test_a_number_past_max_digits_is_refused_and_one_at_it_prints(qfile, capsys):
+    """Every total, sum or product of two numbers of ``MAX_DIGITS`` digits
+    prints within the interpreter's int digit limit; one more is refused."""
+    at, past = "9" * cli.MAX_DIGITS, "9" * (cli.MAX_DIGITS + 1)
+    two_cycle = qfile("vertex x\nvertex y\narrow a: x -> y\narrow b: y -> x\n")
+    assert main(["analyze", two_cycle, "--truncate", at, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["totals"]["effdim_truncated"] == 2 * int(at)
+    assert main(["formula", f"{at},2", "--truncate", at]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", two_cycle, "--truncate", past])
+    assert exc.value.code == 2
+    assert "argument --truncate: a number has at most 2,000 digits" in capsys.readouterr().err
+    assert main(["formula", f"3,{past}", "--truncate", "2"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse segment list: a number has at most 2,000 digits\n"
 
 
 @pytest.mark.parametrize("text", NOT_DECIMAL)

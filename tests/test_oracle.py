@@ -771,6 +771,25 @@ def test_verify_filtration_keeps_entries_off_a_grade_inf_vertex(matrices, witnes
     assert result.status == ("effective" if witness is None else "relation_violation")
 
 
+@pytest.mark.parametrize("grades", [
+    {"x": (2,)},  # zip would stop at x's first column and miss column 2's entry
+    {"y": (2,)},  # column 2's entry would index past y's grades
+    {"x": None},
+    {"y": [2, 1, 0]},
+], ids=["short-source", "short-target", "none-at-dim-3", "list"])
+def test_verify_filtration_refuses_grades_that_do_not_fit_the_dims(grades):
+    """On the 2-cycle at N = 3, both vertices have dimension 3; a column 2
+    entry of ``a`` keeping grade 0 would be a relation violation, but the
+    grades must fit the dims before a column is read."""
+    q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "y", "x")])
+    rep = build_truncated_rep(q, 3)
+    a = ((0, 0, 0), (0, 0, 0), (0, 0, 5))
+    bad = replace(rep, grades={**rep.grades, **grades}, matrices={**rep.matrices, "a": a})
+    with pytest.raises(ValueError, match="needs a tuple of one grade per dimension \\(3\\), or None at dimension 1"):
+        verify_filtration(bad, q)
+    assert verify_filtration(replace(bad, grades=rep.grades), q).status == "relation_violation"
+
+
 @pytest.mark.parametrize("q, N, total_dim, formula, answer", [
     (helpers.a2(), 2, 1, 2, False),
     (helpers.a2(), 2, 2, 2, True),

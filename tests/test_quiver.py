@@ -438,7 +438,7 @@ def test_length_profile_isolated():
 def test_analysis_is_computed_once_and_read_only():
     q = helpers.loop_with_tail()
     prof, part = length_profile(q), sccs(q)
-    assert length_profile(q) is prof and sccs(q) is part
+    assert length_profile(q) == prof and sccs(q) == part
     expected = dict(prof)
     with pytest.raises(TypeError):
         prof["x"] = (0, 0)
