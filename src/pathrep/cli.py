@@ -19,7 +19,7 @@ from operator import add
 from .dimension import analysis, effdim_table, line_quiver_effdim, stabilization
 from .oracle import verify_path_rep, verify_truncated
 from .quiver import INF, Quiver, QuiverError, ext_to_json, parse_quiver
-from .repbuild import GradedRep, SymbolicRep, build_path_rep, build_truncated_rep
+from .repbuild import GradedRep, SymbolicRep, _entry_json, build_path_rep, build_truncated_rep
 
 
 # The most digits a number on the command line may have: a sum or product of
@@ -195,7 +195,7 @@ def _graded_json(rep: GradedRep) -> str:
     built rep holds its labels and one zero, and any other entry (every
     entry of a rep read from a file is a new object) gets its own text."""
     table = sorted(rep.labels.items())
-    label_texts = [_dumps(rep._entry_json(v), "\n      ") for _, v in table]
+    label_texts = [_dumps(_entry_json(v), "\n      ") for _, v in table]
     texts = {id(v): t.replace("\n", "\n    ") for (_, v), t in zip(table, label_texts)}
 
     def row(r):
@@ -204,24 +204,13 @@ def _graded_json(rep: GradedRep) -> str:
         try:
             return "[\n          " + _ENTRY.join(map(texts.__getitem__, map(id, r))) + "\n        ]"
         except KeyError:  # an entry met for the first time
-            texts.update((id(e), _dumps(rep._entry_json(e), "\n          ")) for e in r)
+            texts.update((id(e), _dumps(_entry_json(e), "\n          ")) for e in r)
             return row(r)
 
-    data = {
-        "kind": "truncated",
-        "truncation": rep.N,
-        "labels": rep.label_kind,
-        "vertex_dims": dict(rep.dims),
-        "basis_labels": {x: None if g is None else list(g) for x, g in rep.grades.items()},
-        "arrows": [_Raw(_ARROW % (_dumps(name), len(m), len(m[0]), _ROW.join(map(row, m))))
-                   for name, m in rep.matrices.items()],
-        "prime_table" if rep.label_kind == "primes" else "label_table":
-            [_Raw(_TABLE_ROW % (_dumps(arrow), _dumps(k), t))
-             for ((arrow, k), _), t in zip(table, label_texts)],
-    }
-    if rep.label_kind == "symbolic":
-        data["label_variables"] = list(rep.label_variable_names)
-    return _dumps(data)
+    arrows = [_Raw(_ARROW % (_dumps(name), len(m), len(m[0]), _ROW.join(map(row, m))))
+              for name, m in rep.matrices.items()]
+    return _dumps(rep._document(arrows, [_Raw(_TABLE_ROW % (_dumps(arrow), _dumps(k), t))
+                                         for ((arrow, k), _), t in zip(table, label_texts)]))
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:

@@ -37,9 +37,12 @@ class Variable:
 
 
 def variable_table(arrow_names) -> dict[tuple[str, str], Variable]:
-    """The tau/eta/zeta triple for each arrow, canonically indexed."""
+    """The tau/eta/zeta triple for each arrow, canonically indexed; a
+    repeated arrow name is refused, as its triple would not sit at its position."""
     table: dict[tuple[str, str], Variable] = {}
     for i, arrow in enumerate(arrow_names):
+        if (arrow, "tau") in table:
+            raise ValueError(f"duplicate arrow id {arrow!r}")
         for j, kind in enumerate(KINDS):
             table[(arrow, kind)] = Variable(arrow, kind, 3 * i + j)
     return table

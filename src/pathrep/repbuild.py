@@ -3,8 +3,8 @@ representation of the full path semigroup, and the prime-labelled graded
 representation of a truncation.
 
 The symbolic construction gives each commutative-cycle vertex one dimension
-and each noncommutative one two, and fills arrow matrices from a four-case
-template over the formal variables tau/eta/zeta.  The graded construction
+and each noncommutative one two, and gives each arrow one block, by one rule,
+over its formal variables tau/eta/zeta.  The graded construction
 gives each vertex one basis vector per admissible grade (or a single
 ungraded vector), and sends a grade-k vector along an arrow to the next
 admissible grade above k, scaled by an injectively allocated label (a prime
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt, log
 
-from .dimension import analysis, classify_path
+from .dimension import analysis
 from .paths import Path
 from .polyring import KINDS, MultiPoly, PolyMatrix, Variable, identity, mat_mul, variable_table
 from .quiver import Quiver
@@ -80,6 +80,22 @@ def _int_matrix(rows) -> tuple:
     return tuple(map(tuple, rows))
 
 
+def _entry_json(e):
+    return e.to_json() if isinstance(e, MultiPoly) else int(e)
+
+
+def _arrow_records(matrices) -> list:
+    """The ``arrows`` records that ``_arrow_matrices`` reads, one per arrow id in order."""
+    return [
+        {
+            "id": name,
+            "shape": [len(m), len(m[0])],
+            "matrix": [[_entry_json(e) for e in row] for row in m],
+        }
+        for name, m in matrices.items()
+    ]
+
+
 def _arrow_matrices(data, parse) -> dict:
     """Arrow id -> ``parse(matrix)`` over the ``arrows`` records, one per id, each fitting its ``shape``."""
     matrices = {}
@@ -123,14 +139,7 @@ class SymbolicRep:
                 {"arrow": v.arrow, "kind": v.kind, "index": v.index}
                 for v in self.variables
             ],
-            "arrows": [
-                {
-                    "id": name,
-                    "shape": [m.rows, m.cols],
-                    "matrix": m.to_json(),
-                }
-                for name, m in self.matrices.items()
-            ],
+            "arrows": _arrow_records(self.matrices),
         }
 
     @classmethod
@@ -164,36 +173,30 @@ class SymbolicRep:
         return cls(dims, matrices, tuple(variables))
 
 
-def build_path_rep(q: Quiver) -> SymbolicRep:
-    """One dimension per commutative-cycle vertex, two per noncommutative one.
+def _block(tau, eta, zeta, rows: int, cols: int) -> PolyMatrix:
+    """An arrow's rows x cols block over its tau/eta/zeta polynomials, each
+    side 1 or 2: tau at (0, 0), zeta at (rows - 1, cols - 1) unless the
+    block is 1x1, and eta at (0, 1) only in the 2x2 case.  So [[tau, eta],
+    [0, zeta]], the row (tau zeta), the column (tau; zeta) or the scalar
+    (tau)."""
+    m = [[tau] * cols for _ in range(rows)]  # every entry but (0, 0) is set below
+    if rows + cols > 2:
+        m[-1][-1] = zeta
+    if rows == cols == 2:
+        m[0][1], m[1][0] = eta, MultiPoly.zero()
+    return PolyMatrix(m)
 
-    Arrow matrices, shaped target-dim x source-dim:
-    2x2 [[tau, eta], [0, zeta]] between two-dimensional vertices, the row
-    (tau zeta) into a one-dimensional target, the column (tau; zeta) out of
-    a one-dimensional source, and the scalar (tau) between one-dimensional
-    vertices.  eta appears only in the 2x2 case.
-    """
-    doubled = set(classify_path(q).noncommutative)
-    table = variable_table(q.arrow_names())
-    dims = {x: 2 if x in doubled else 1 for x in q.vertices}
-    matrices: dict[str, PolyMatrix] = {}
-    for a in q.arrows:
-        tau = MultiPoly.variable(table[(a.name, "tau")].index)
-        eta = MultiPoly.variable(table[(a.name, "eta")].index)
-        zeta = MultiPoly.variable(table[(a.name, "zeta")].index)
-        source_doubled = q.vertices[a.tail] in doubled
-        target_doubled = q.vertices[a.head] in doubled
-        if source_doubled and target_doubled:
-            rows = [[tau, eta], [MultiPoly.zero(), zeta]]
-        elif source_doubled:
-            rows = [[tau, zeta]]
-        elif target_doubled:
-            rows = [[tau], [zeta]]
-        else:
-            rows = [[tau]]
-        matrices[a.name] = PolyMatrix(rows)
-    variables = tuple(sorted(table.values(), key=lambda v: v.index))
-    return SymbolicRep(dims, matrices, variables)
+
+def build_path_rep(q: Quiver) -> SymbolicRep:
+    """One dimension per commutative-cycle vertex, two per noncommutative
+    one, and per arrow x -> y its ``_block`` of shape dim(y) x dim(x)."""
+    comp_of, rows, _ = analysis(q)
+    dim = [1 if rows[c][2] else 2 for c in comp_of]
+    variables = tuple(variable_table(q.arrow_names()).values())
+    polys = iter([MultiPoly.variable(v.index) for v in variables])
+    matrices = {a.name: _block(tau, eta, zeta, dim[a.head], dim[a.tail])
+                for a, tau, eta, zeta in zip(q.arrows, polys, polys, polys)}
+    return SymbolicRep(dict(zip(q.vertices, dim)), matrices, variables)
 
 
 def _label_keys(q: Quiver, N: int) -> list[tuple[str, int]]:
@@ -241,10 +244,9 @@ class GradedRep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def _entry_json(self, e):
-        return e.to_json() if isinstance(e, MultiPoly) else int(e)
-
-    def to_json(self) -> dict:
+    def _document(self, arrows: list, table: list) -> dict:
+        """The rep file's top-level object around its ``arrows`` records and
+        its label ``table`` rows, in (arrow, grade) order."""
         data = {
             "kind": "truncated",
             "truncation": self.N,
@@ -253,23 +255,19 @@ class GradedRep:
             "basis_labels": {
                 x: None if g is None else list(g) for x, g in self.grades.items()
             },
-            "arrows": [
-                {
-                    "id": name,
-                    "shape": [len(m), len(m[0])],
-                    "matrix": [[self._entry_json(e) for e in row] for row in m],
-                }
-                for name, m in self.matrices.items()
-            ],
+            "arrows": arrows,
+            "prime_table" if self.label_kind == "primes" else "label_table": table,
         }
-        table_key = "prime_table" if self.label_kind == "primes" else "label_table"
-        data[table_key] = [
-            [arrow, k, self._entry_json(v)]
-            for (arrow, k), v in sorted(self.labels.items())
-        ]
         if self.label_kind == "symbolic":
             data["label_variables"] = list(self.label_variable_names)
         return data
+
+    def to_json(self) -> dict:
+        table = [
+            [arrow, k, _entry_json(v)]
+            for (arrow, k), v in sorted(self.labels.items())
+        ]
+        return self._document(_arrow_records(self.matrices), table)
 
     @classmethod
     def from_json(cls, data) -> "GradedRep":
@@ -404,14 +402,9 @@ def rep_of_path(rep, p: Path):
 def loop_matrices(letters) -> dict[str, PolyMatrix]:
     """Upper-triangular 2x2 matrices [[tau, eta], [0, zeta]], one per letter."""
     letters = list(letters)
-    table = variable_table(letters)
-    out = {}
-    for letter in letters:
-        tau, eta, zeta = (
-            MultiPoly.variable(table[(letter, kind)].index) for kind in KINDS
-        )
-        out[letter] = PolyMatrix([[tau, eta], [MultiPoly.zero(), zeta]])
-    return out
+    polys = iter([MultiPoly.variable(v.index) for v in variable_table(letters).values()])
+    return {letter: _block(tau, eta, zeta, 2, 2)
+            for letter, tau, eta, zeta in zip(letters, polys, polys, polys)}
 
 
 def corner_entry(word, letters=None) -> MultiPoly:

@@ -1286,6 +1286,10 @@ def _refusals():
                                     "representation arrows[0] field 'matrix' is malformed: a matrix is a list of rows"),
         "rep-file-unknown-labels": (lambda: GradedRep.from_json({**graded.to_json(), "labels": "x"}),
                                     "representation field 'labels' must be 'primes' or 'symbolic', not 'x'"),
+        # a repeated name would number its variables at its last position
+        "variable-table-repeated-name": (lambda: pathrep.variable_table(["a", "b", "a"]), "duplicate arrow id 'a'"),
+        "loop-matrices-repeated-letter": (lambda: pathrep.loop_matrices("aa"), "duplicate arrow id 'a'"),
+        "corner-entry-repeated-letter": (lambda: pathrep.corner_entry("a", "aa"), "duplicate arrow id 'a'"),
     }
     return [pytest.param(call, message, id=name) for name, (call, message) in cases.items()]
 
