@@ -199,8 +199,6 @@ def _graded_json(rep: GradedRep) -> str:
     texts = {id(v): t.replace("\n", "\n    ") for (_, v), t in zip(table, label_texts)}
 
     def row(r):
-        if not r:
-            return "[]"
         try:
             return "[\n          " + _ENTRY.join(map(texts.__getitem__, map(id, r))) + "\n        ]"
         except KeyError:  # an entry met for the first time

@@ -73,6 +73,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
+        if type(c) is not int:  # a float or bool would be written as a coefficient no reader takes
+            raise ValueError(f"a constant polynomial needs an int, not {c!r}")
         return cls({(): c})
 
     @classmethod
@@ -90,7 +92,7 @@ class MultiPoly:
     def _coerce(value):
         if isinstance(value, MultiPoly):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return MultiPoly.const(value)
         return NotImplemented
 
@@ -100,14 +102,8 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = terms
-        return out
+            terms[m] = terms.get(m, 0) + c
+        return MultiPoly(terms)
 
     __radd__ = __add__
 
@@ -119,14 +115,8 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                elif m in terms:
-                    del terms[m]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = terms
-        return out
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return MultiPoly(terms)
 
     __rmul__ = __mul__
 

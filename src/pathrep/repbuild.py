@@ -13,6 +13,7 @@ by default, or a fresh formal variable).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt, log
@@ -299,6 +300,8 @@ class GradedRep:
                     f"representation field 'basis_labels' needs for {x!r} a list of one "
                     f"integer per dimension ({dims[x]}), or null at dimension 1"
                 )
+            if g and not all(map(int.__gt__, (N, *g), (*g, -1))):
+                raise ValueError("representation field 'basis_labels' needs grades strictly descending in 0..N-1")
         grades = {x: None if g is None else tuple(g) for x, g in grades.items()}
         matrices = _arrow_matrices(data, PolyMatrix.from_json if symbolic else _int_matrix)
         table_key = "label_table" if symbolic else "prime_table"
@@ -311,20 +314,16 @@ class GradedRep:
             ) from None
         if len(labels) != len(table):
             raise ValueError(f"representation field {table_key!r} repeats an (arrow, grade) key")
-        names = ()
-        if "label_variables" in data:
-            names = tuple(_field(data, "label_variables", list))
-            if not {str}.issuperset(map(type, names)):
-                raise ValueError("representation field 'label_variables' needs a list of names (strings)")
         if not all(arrow in matrices and 0 <= k < N for arrow, k in labels):
             raise ValueError(f"representation field {table_key!r} has a row for no arrow at a grade below N")
         atoms = (lambda es: {m for e in es for m in e.terms}) if symbolic else (lambda es: set(es) - {0})
         entries = chain.from_iterable(chain.from_iterable(matrices.values()))
         if not atoms(entries) <= (label_atoms := atoms(labels.values())):
             raise ValueError(f"representation field {table_key!r} lacks a label that an arrow matrix holds")
-        if not all(g is None or all(map(int.__gt__, (N, *g), (*g, -1))) for g in grades.values()):
-            raise ValueError("representation field 'basis_labels' needs grades strictly descending in 0..N-1")
         used = max((v for m in label_atoms for v, _ in m), default=-1) if symbolic else -1
+        names = tuple(_field(data, "label_variables", list)) if "label_variables" in data else ()
+        if not {str}.issuperset(map(type, names)):
+            raise ValueError("representation field 'label_variables' needs a list of names (strings)")
         if len({*names}) < len(names) or used >= len(names) or not symbolic and "label_variables" in data:
             raise ValueError("representation field 'label_variables' must name each variable of "
                              "symbolic labels once")
@@ -421,13 +420,8 @@ def corner_entry(word, letters=None) -> MultiPoly:
     if letters is None:
         letters = sorted(set(word))
     table = variable_table(letters)
-    total = MultiPoly.zero()
-    for i in range(len(word)):
-        term = MultiPoly.const(1)
-        for j in range(i):
-            term = term * MultiPoly.variable(table[(word[j], "tau")].index)
-        term = term * MultiPoly.variable(table[(word[i], "eta")].index)
-        for j in range(i + 1, len(word)):
-            term = term * MultiPoly.variable(table[(word[j], "zeta")].index)
-        total = total + term
-    return total
+    terms = Counter()
+    for i, w in enumerate(word):
+        kinds = [(x, "tau") for x in word[:i]] + [(w, "eta")] + [(x, "zeta") for x in word[i + 1:]]
+        terms[tuple(sorted(Counter(table[k].index for k in kinds).items()))] += 1
+    return MultiPoly(terms)

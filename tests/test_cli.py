@@ -1290,6 +1290,10 @@ def _refusals():
         "variable-table-repeated-name": (lambda: pathrep.variable_table(["a", "b", "a"]), "duplicate arrow id 'a'"),
         "loop-matrices-repeated-letter": (lambda: pathrep.loop_matrices("aa"), "duplicate arrow id 'a'"),
         "corner-entry-repeated-letter": (lambda: pathrep.corner_entry("a", "aa"), "duplicate arrow id 'a'"),
+        # a float or bool coefficient would be written as a string that no reader takes
+        "poly-matrix-float": (lambda: pathrep.PolyMatrix([[1.5]]), "a constant polynomial needs an int, not 1.5"),
+        "poly-matrix-bool": (lambda: pathrep.PolyMatrix([[True]]), "a constant polynomial needs an int, not True"),
+        "const-float": (lambda: MultiPoly.const(2.5), "a constant polynomial needs an int, not 2.5"),
     }
     return [pytest.param(call, message, id=name) for name, (call, message) in cases.items()]
 

@@ -33,6 +33,7 @@ def test_compose_identity_law():
 def test_compose_noncomposable_is_zero():
     q = Quiver(["x", "y", "z", "w"], [("a", "x", "y"), ("b", "z", "w")])
     assert compose(arrow_path(q, "a"), arrow_path(q, "b")) == ZERO
+    assert path_str(q, ZERO) == "z"
 
 
 def test_compose_chain():

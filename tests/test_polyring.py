@@ -97,6 +97,30 @@ def test_poly_matrix_rejects_empty_and_ragged_rows(rows):
         PolyMatrix.from_json([[e.to_json() for e in row] for row in rows])
 
 
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: PolyMatrix([[0, 0], [0, 0]]).is_zero, True, id="matrix-is-zero"),
+    pytest.param(lambda: PolyMatrix.identity(2).is_zero, False, id="identity-is-not-zero"),
+    pytest.param(lambda: repr(MultiPoly.zero()), "MultiPoly(0)", id="repr-zero"),
+    pytest.param(lambda: repr(2 * TAU_A * TAU_A + ETA_A), "MultiPoly({((1, 1),): 1, ((0, 2),): 2})",
+                 id="repr-nonzero"),
+    pytest.param(lambda: repr(PolyMatrix.identity(2)), "PolyMatrix(2x2)", id="repr-matrix"),
+    pytest.param(lambda: MultiPoly.variable(0) == "x", False, id="eq-not-a-poly"),
+    pytest.param(lambda: MultiPoly.variable(0) + "x", TypeError, id="add-not-a-poly"),
+    pytest.param(lambda: MultiPoly.variable(0) * "x", TypeError, id="mul-not-a-poly"),
+    pytest.param(lambda: PolyMatrix.identity(2) @ ((1,),), TypeError, id="matmul-not-a-matrix"),
+    pytest.param(lambda: TAU_A + True, TypeError, id="add-bool"),
+    pytest.param(lambda: TAU_A * 1.5, TypeError, id="mul-float"),
+])
+def test_public_api_results_and_foreign_operands(call, expected):
+    """Each public name gives its documented result, and an operand that
+    is neither a polynomial nor an ``int`` raises TypeError."""
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            call()
+    else:
+        assert call() == expected
+
+
 def test_matmul_identity():
     m = PolyMatrix([[TAU_A, ETA_A], [MultiPoly.zero(), ZETA_A]])
     assert PolyMatrix.identity(2) @ m == m

@@ -183,6 +183,20 @@ def test_corner_entry_repeated_letter():
     assert corner_entry("aa") == expected
 
 
+def test_corner_entry_runs_no_polynomial_arithmetic(monkeypatch):
+    """Criterion 7 checks the closed form against ``@`` products, so the
+    closed form must share none of their ``MultiPoly`` sums and products."""
+    def refuse(*args):
+        raise AssertionError("corner_entry ran MultiPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    entry = corner_entry("abca", "abc")
+    monkeypatch.undo()
+    mats = loop_matrices("abc")
+    assert entry == (mats["a"] @ mats["b"] @ mats["c"] @ mats["a"]).entry(0, 1)
+
+
 def test_corner_entry_rejects_empty():
     with pytest.raises(ValueError):
         corner_entry("")
