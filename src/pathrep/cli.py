@@ -218,7 +218,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.json:
         _emit(_analysis_json(q, comp_of, rows, totals, truncated), ns)
         return 0
-    lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows", ""]
+    lines = [f"quiver: {q.n} vertices, {len(q.arrow_names())} arrows", ""]
     cells = [[str(c), "yes" if comm else "no", str(lm), str(lp)]
              + (["-" if w is None else f"[{w[0]},{w[1]}]", str(d)] if truncated else [])
              for c, (lm, lp, comm, w, d) in enumerate(rows)]

@@ -161,11 +161,11 @@ def _supports_vanish(q: Quiver, N: int, dims, rows) -> bool:
     an arrow's sparse ``rows``, so no walk of N edges proves it.  The
     longest walk is the largest l- of ``quiver.analyse_graph``, INF past a cycle."""
     offset = list(itertools.accumulate(dims, initial=0))
-    out: list = [[] for _ in range(offset[-1])]  # (arrow index, head) pairs, as in Quiver.out_arrows
-    for ai, (a, m) in enumerate(zip(q.arrows, rows)):
+    out: list = [[] for _ in range(offset[-1])]  # successor nodes, as in the quiver's own successor table
+    for a, m in zip(q.arrows, rows):
         for i, row in enumerate(m):
             for k, _ in row:
-                out[offset[a.tail] + k].append((ai, offset[a.head] + i))
+                out[offset[a.tail] + k].append(offset[a.head] + i)
     return max(analyse_graph(out)[3], default=0) < N
 
 

@@ -51,29 +51,55 @@ class Quiver:
     Declaration order of vertices and arrows is canonical: it fixes the
     index order used by enumeration, variable and prime allocation, and
     every JSON output.  Parallel arrows and self-loops are permitted, the
-    vertex set must be nonempty.  ``out_arrows[v]`` holds the ``(arrow
-    index, head)`` pairs of the arrows out of vertex v, in declaration
-    order: the steps a path ending at v can take.  Instances are immutable
-    after construction, so the analysis (``component_arrays``) is kept on
-    the instance; ``sccs`` and ``length_profile`` are views built from it.
+    vertex set must be nonempty.  A quiver keeps its declarations (the
+    vertex ids with their index map, and the arrows' names, tail indices
+    and head indices) and one successor table, the head of each arrow out
+    of each vertex, which the analysis reads.  The arrow views are built
+    the first time each is read and then kept: ``arrows`` (``Arrow``
+    tuples), ``arrow_index`` (arrow id -> index) and ``out_arrows``, where
+    ``out_arrows[v]`` holds the ``(arrow index, head)`` pairs of the arrows
+    out of vertex v, in declaration order: the steps a path ending at v
+    can take.  Instances are immutable after construction, so the analysis
+    (``component_arrays``) is kept on the instance; ``sccs`` and
+    ``length_profile`` are views built from it.
     """
 
     def __init__(self, vertices, arrows=()):
         self._index(*_checked_one_by_one(list(vertices), list(arrows)))
 
-    def _index(self, vindex: dict[str, int], aindex: dict[str, int], tails, heads) -> None:
-        """Build the quiver from valid declarations: each vertex and arrow id
-        mapped to its index, and the arrows' tail and head indices."""
+    def _index(self, vindex: dict[str, int], names: tuple[str, ...], tails, heads) -> None:
+        """Build the quiver from valid declarations: each vertex id mapped to
+        its index, and the tuples of the arrows' names, tail indices and
+        head indices."""
         if not vindex:  # after the arrows, so a stray arrow names its line
             raise QuiverError("no vertices declared")
-        out_: list[list[tuple[int, int]]] = [[] for _ in vindex]
-        deque(map(list.append, map(out_.__getitem__, tails), zip(range(len(aindex)), heads)), 0)
+        succ: list[list[int]] = [[] for _ in vindex]
+        deque(map(list.append, map(succ.__getitem__, tails), heads), 0)
         self.vertices: tuple[str, ...] = tuple(vindex)
         self.vertex_index: dict[str, int] = vindex
-        self.arrows: tuple[Arrow, ...] = tuple(map(tuple.__new__, repeat(Arrow), zip(aindex, tails, heads)))
-        self.arrow_index: dict[str, int] = aindex
-        self.out_arrows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out_))
+        self._names, self._tails, self._heads, self._succ = names, tails, heads, succ
+        self._arrows = self._arrow_index = self._out_arrows = None
         self._components: tuple | None = None
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        if self._arrows is None:
+            self._arrows = tuple(map(tuple.__new__, repeat(Arrow), zip(self._names, self._tails, self._heads)))
+        return self._arrows
+
+    @property
+    def arrow_index(self) -> dict[str, int]:
+        if self._arrow_index is None:
+            self._arrow_index = dict(zip(self._names, range(len(self._names))))
+        return self._arrow_index
+
+    @property
+    def out_arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self._out_arrows is None:
+            out_: list[list[tuple[int, int]]] = [[] for _ in self._succ]
+            deque(map(list.append, map(out_.__getitem__, self._tails), enumerate(self._heads)), 0)
+            self._out_arrows = tuple(map(tuple, out_))
+        return self._out_arrows
 
     @property
     def n(self) -> int:
@@ -92,27 +118,26 @@ class Quiver:
             raise QuiverError(f"unknown arrow {name!r}") from None
 
     def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
+        return self._names
+
+    def _declarations(self) -> tuple:
+        return self.vertices, self._names, self._tails, self._heads
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
+        return isinstance(other, Quiver) and self._declarations() == other._declarations()
 
     def __hash__(self):
-        return hash((self.vertices, self.arrows))
+        return hash(self._declarations())
 
     def __getstate__(self):  # copies and pickles recompute the analysis
         return {**self.__dict__, "_components": None}
 
     def __repr__(self):
-        return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
+        return f"Quiver({self.n} vertices, {len(self._names)} arrows)"
 
 
 def _checked_one_by_one(vertices: list, arrows: list):
-    """``(vertex index, arrow index, tails, heads)``, checking one declaration
+    """``(vertex index, arrow names, tails, heads)``, checking one declaration
     at a time in order: vertices before arrows, an arrow's id before its
     tail before its head.  Raises the QuiverError of the first bad
     declaration."""
@@ -143,7 +168,7 @@ def _checked_one_by_one(vertices: list, arrows: list):
         aindex[name] = i
         tails.append(t)
         heads.append(h)
-    return vindex, aindex, tails, heads
+    return vindex, tuple(aindex), tuple(tails), tuple(heads)
 
 
 def _numbered_lines(text: str):
@@ -167,26 +192,29 @@ def parse_quiver(text: str) -> Quiver:
     The patterns prove every id, so names are resolved over whole lists;
     only a repeated id or an undeclared end leaves the quiver to ``Quiver``,
     whose in-order check names the first bad declaration.  Line numbers are
-    counted only for an error.
+    counted only for an error.  The stripped lines are dropped once joined,
+    and the joined text once matched: an error reads ``text`` again.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
     lines = list(filter(None, map(str.strip, lines)))
-    body = "\n" + "\n".join(lines)
+    count, body = len(lines), "\n" + "\n".join(lines)
+    del lines
     vertices, arrows = _VERTEX_RE.findall(body), _ARROW_RE.findall(body)
-    if len(vertices) + len(arrows) < len(lines):
+    del body
+    if len(vertices) + len(arrows) < count:
         for lineno, line in _numbered_lines(text):
             if not (_VERTEX_RE.match("\n" + line) or _ARROW_RE.match("\n" + line)):
                 raise QuiverError(f"line {lineno}: cannot parse {line!r}")
     names, tails, heads = zip(*arrows) if arrows else ((), (), ())
-    vindex, aindex = dict(zip(vertices, range(len(vertices)))), dict(zip(names, range(len(names))))
-    tails, heads = list(map(vindex.get, tails)), list(map(vindex.get, heads))
+    vindex = dict(zip(vertices, range(len(vertices))))
+    tails, heads = tuple(map(vindex.get, tails)), tuple(map(vindex.get, heads))
     try:
-        if len(vindex) < len(vertices) or len(aindex) < len(names) or None in tails or None in heads:
+        if len(vindex) < len(vertices) or len(set(names)) < len(names) or None in tails or None in heads:
             return Quiver(vertices, arrows)  # raises the first bad declaration's error
         q = Quiver.__new__(Quiver)
-        q._index(vindex, aindex, tails, heads)
+        q._index(vindex, names, tails, heads)
         return q
     except QuiverError as exc:
         if exc.decl is None:
@@ -252,16 +280,16 @@ def component_arrays(q: Quiver) -> tuple[list[int], list[list[int]], list[int], 
 
 
 def _analyse(q: Quiver) -> tuple:
-    """``analyse_graph`` of the quiver's arrows, stored on ``q``."""
-    q._components = analyse_graph(q.out_arrows)
+    """``analyse_graph`` of the quiver's successor table, stored on ``q``."""
+    q._components = analyse_graph(q._succ)
     return q._components
 
 
 def analyse_graph(out) -> tuple:
     """``(comp_of, members, internal, l-, l+)`` of the graph with an edge
-    v -> w for each pair ``(label, w)`` in ``out[v]``, as in
-    ``Quiver.out_arrows``: Tarjan's components, and the profile read off
-    them (``l-`` the most edges of a walk ending in a component, ``l+``
+    v -> w for each node w in the successor list ``out[v]`` (a node listed
+    twice is two parallel edges): Tarjan's components, and the profile read
+    off them (``l-`` the most edges of a walk ending in a component, ``l+``
     starting there, INF past a cycle)."""
     n = len(out)
     index = [-1] * n  # visit order, n once the vertex's component is complete
@@ -279,7 +307,7 @@ def analyse_graph(out) -> tuple:
         call_stack = [(root, iter(out[root]), 0)]  # (vertex, its steps left, its place on stack)
         while call_stack:
             v, it, at = call_stack[-1]
-            for _, w in it:
+            for w in it:
                 iw = index[w]
                 if iw == -1:
                     index[w] = low[w] = counter
@@ -309,7 +337,7 @@ def analyse_graph(out) -> tuple:
     for c, comp in enumerate(comps):
         inside, deepest = 0, -1
         for v in comp:
-            for _, w in out[v]:
+            for w in out[v]:
                 d = comp_of[w]
                 if d == c:
                     inside += 1
@@ -322,7 +350,7 @@ def analyse_graph(out) -> tuple:
     for c in reversed(range(len(comps))):
         step = lminus[c] + 1
         for v in comps[c]:
-            for _, w in out[v]:
+            for w in out[v]:
                 d = comp_of[w]
                 if d != c and lminus[d] < step:
                     lminus[d] = step

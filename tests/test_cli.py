@@ -20,7 +20,7 @@ from pathrep import cli, repbuild
 from pathrep.cli import _dumps, _graded_json, main
 from pathrep.dimension import classify_path, d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
 from pathrep.polyring import MultiPoly
-from pathrep.quiver import INF, Quiver, ext_to_json, length_profile, parse_quiver, sccs
+from pathrep.quiver import INF, Quiver, component_arrays, ext_to_json, length_profile, parse_quiver, sccs
 from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
@@ -670,6 +670,56 @@ def test_a_copy_of_an_analysed_quiver_carries_no_analysis(clone):
     assert sccs(twin) == part and type(sccs(twin)) is type(part)
     assert length_profile(twin) == prof and type(length_profile(twin)) is type(prof)
     assert q._components is not None and sccs(q) == part  # the original keeps its own
+
+
+def _views(q):
+    return q.arrows, q.arrow_index, q.out_arrows
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_copy_has_the_arrow_views_of_its_original(clone, read_first):
+    """Before and after the arrow views are first read, a copy or a pickle
+    equals its original, hashes alike, has the same views and carries no
+    analysis."""
+    q, fresh = _mixed_quiver(), _mixed_quiver()
+    component_arrays(q)
+    if read_first:
+        _views(q)
+    twin = clone(q)
+    assert twin == q and hash(twin) == hash(q) == hash(fresh)
+    assert twin._components is None
+    assert _views(twin) == _views(q) == _views(fresh)
+    assert list(twin.arrow_index.items()) == list(fresh.arrow_index.items())  # in declaration order
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"], ["analyze", "--truncate", "3"],
+                                  ["analyze", "--json", "--truncate", "3"], ["stabilize"], ["stabilize", "--json"]],
+                         ids=["analyze", "analyze-json", "analyze-truncated", "analyze-json-truncated", "stabilize",
+                              "stabilize-json"])
+def test_analyze_and_stabilize_build_no_arrow_view(qfile, monkeypatch, capsys, argv):
+    """The analysis reads the quiver's successor table alone: the arrow
+    tuples, the arrow index and the ``(arrow, head)`` pair table are never
+    built, and the output is the one a quiver with every view built gives."""
+    parsed = []
+
+    def keep(text, read_views=False):
+        parsed.append(q := parse_quiver(text))
+        if read_views:
+            _views(q)
+        return q
+
+    monkeypatch.setattr(cli, "parse_quiver", keep)
+    path = qfile(_quiver_text(_mixed_quiver()))
+    assert main([argv[0], path, *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    [q] = parsed
+    assert (q._arrows, q._arrow_index, q._out_arrows) == (None, None, None)
+    monkeypatch.setattr(cli, "parse_quiver", lambda text: keep(text, read_views=True))
+    assert main([argv[0], path, *argv[1:]]) == 0
+    assert capsys.readouterr().out == out
+
 
 def test_construct_has_no_json_flag(qfile, capsys):
     with pytest.raises(SystemExit) as exc:

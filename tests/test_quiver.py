@@ -562,18 +562,17 @@ def test_longest_walks_matches_brute_force(succ):
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_analyse_graph_matches_brute_force(succ):
-    """On graphs that are not quivers (bare nodes, edges labelled by
-    position), each node's l- and l+ equal the stepped walk ends along
-    the edges and against them."""
+    """On graphs that are not quivers (bare nodes, successor lists), each
+    node's l- and l+ equal the stepped walk ends along the edges and
+    against them."""
     steps = [(i, j) for i, nexts in enumerate(succ) for j in nexts]
-    out = [[(k, j) for k, j in enumerate(nexts)] for nexts in succ]
     n = len(succ)
-    assert _profile_per_node(out) == list(zip(_level_sets(n, steps), _level_sets(n, [(j, i) for i, j in steps])))
+    assert _profile_per_node(succ) == list(zip(_level_sets(n, steps), _level_sets(n, [(j, i) for i, j in steps])))
 
 
 def test_analyse_graph_by_hand():
     def lminus(succ):
-        return [lm for lm, _ in _profile_per_node([[(None, j) for j in nexts] for nexts in succ])]
+        return [lm for lm, _ in _profile_per_node(succ)]
 
     assert lminus([]) == []
     assert lminus([[]]) == [0]
