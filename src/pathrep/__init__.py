@@ -4,16 +4,12 @@ semigroups and truncated path semigroups of finite quivers.
 The public surface is the names imported below."""
 
 from .dimension import (
-    KProfile,
-    PathClassification,
     Stabilization,
-    classify_path,
+    analysis,
     d_value,
     effdim_path,
     effdim_truncated,
-    k_profile,
     line_quiver_effdim,
-    report,
     stabilization,
 )
 from .oracle import (
@@ -43,10 +39,8 @@ from .quiver import (
     ExtLen,
     Quiver,
     QuiverError,
-    SccPartition,
-    length_profile,
+    component_arrays,
     parse_quiver,
-    sccs,
 )
 from .repbuild import (
     GradedRep,

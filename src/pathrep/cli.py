@@ -159,8 +159,10 @@ _VERTEX += "\n    }"
 
 
 def _analysis_json(q: Quiver, comp_of: list[int], rows: list[tuple], totals: dict, truncated: bool) -> str:
-    """``_dumps(report(q, N))`` from ``analysis``: one text per component,
-    and per vertex only its quoted id joined to its component's text."""
+    """``analyze --json``'s text, the bytes of ``_dumps`` on the object of
+    each vertex's row and the totals, from ``analysis``: one text per
+    component, and per vertex only its quoted id joined to its component's
+    text."""
     inf, boolean = {INF: _dumps(ext_to_json(INF))}, _LEAVES[bool]  # an int is written as it is
     if truncated:
         texts = [_VERTEX_N % (inf.get(lm, lm), inf.get(lp, lp), c, boolean(comm),

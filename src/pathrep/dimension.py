@@ -1,28 +1,12 @@
-"""Dimension bookkeeping: commutativity classification, per-vertex grade
-windows, minimal block dimensions, totals, affine stabilization, and the
-closed form for orientations of line quivers."""
+"""Dimension bookkeeping: the per-component analysis (commutativity, grade
+windows, minimal block dimensions) with its totals, affine stabilization,
+and the closed form for orientations of line quivers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import INF, ExtLen, Quiver, component_arrays, ext_to_json
-
-
-@dataclass(frozen=True)
-class PathClassification:
-    """Vertices split by whether their monoid of cycles commutes."""
-
-    noncommutative: tuple[str, ...]
-    commutative: tuple[str, ...]
-
-
-def classify_path(q: Quiver) -> PathClassification:
-    """Noncommutative vertices are those in a non-simple cyclic component."""
-    comp_of, rows, _ = analysis(q)
-    commutative = [rows[c][2] for c in comp_of]
-    return PathClassification(tuple(x for x, comm in zip(q.vertices, commutative) if not comm),
-                              tuple(x for x, comm in zip(q.vertices, commutative) if comm))
+from .quiver import INF, ExtLen, Quiver, component_arrays
 
 
 def effdim_path(q: Quiver) -> int:
@@ -41,28 +25,6 @@ def d_value(l_minus: ExtLen, l_plus: ExtLen, N: int) -> int:
         raise ValueError("N must be >= 1")
     both = l_minus + l_plus + 2  # INF - N would make N a float, which fails above 1.8e308
     return min(l_minus + 1, l_plus + 1, N, both if both == INF else max(both - N, 1))
-
-
-@dataclass(frozen=True)
-class KProfile:
-    """Per-vertex admissible grade windows for a truncation level N.
-
-    ``window[x]`` is the inclusive interval [lo, hi] of grades k such that
-    some path of length k ends at x and some path of length N - 1 - k
-    starts at x, or None when no such grade exists; ``d`` is the block
-    dimension (window size, or 1 when empty).
-    """
-
-    N: int
-    window: dict[str, tuple[int, int] | None]
-    d: dict[str, int]
-
-
-def k_profile(q: Quiver, N: int) -> KProfile:
-    """Grade windows and block dimensions, from ``analysis``."""
-    comp_of, rows, _ = analysis(q, N)
-    return KProfile(N, {x: rows[c][3] for x, c in zip(q.vertices, comp_of)},
-                    {x: rows[c][4] for x, c in zip(q.vertices, comp_of)})
 
 
 def effdim_truncated(q: Quiver, N: int) -> int:
@@ -135,17 +97,20 @@ def line_quiver_effdim(segments, N: int) -> int:
 def analysis(q: Quiver, N: int | None = None) -> tuple[list[int], list[tuple], dict]:
     """``(comp_of, rows, totals)`` in one pass over the components: vertex i
     lies in component ``comp_of[i]``, whose members share its row ``(l-, l+,
-    commutative, window, d)``; ``window`` and ``d`` are those of
-    ``KProfile``, or None without a truncation level.  A component is
-    noncommutative when it is cyclic but not a simple cycle.  The window is
-    [max(0, N-1-l+), min(N-1, l-)]: every prefix and suffix of a path is a
-    path, so every grade in between is realized.  Its size is ``d_value``'s
-    closed form.  Totals, sums of rows weighted by size: ``effdim_path``,
-    ``effdim_truncated`` (only with N) and ``stabilization``'s ``a``, ``b``
-    and ``threshold``; a counts vertices with unbounded paths on both
-    sides, b adds 1 per doubly-bounded vertex and min(l-, l+) + 1 per
-    singly-bounded one, and the threshold is the vertex count, past which
-    every finite l- + l+ is too small to matter.  No integer meets INF in
+    commutative, window, d)``.  A component is noncommutative when it is
+    cyclic but not a simple cycle.  At truncation level N, ``window`` is the
+    inclusive interval [lo, hi] of grades k such that some path of length k
+    ends at a member and some path of length N - 1 - k starts there, or None
+    when no grade qualifies; ``d``, the block dimension, is the window's
+    size, or 1 when it is empty.  Without a level both are None.  The
+    window is [max(0, N-1-l+), min(N-1, l-)]: every prefix and suffix of a
+    path is a path, so every grade in between is realized.  Its size is
+    ``d_value``'s closed form.  Totals, sums of rows weighted by size:
+    ``effdim_path``, ``effdim_truncated`` (only with N) and
+    ``stabilization``'s ``a``, ``b`` and ``threshold``; a counts vertices
+    with unbounded paths on both sides, b adds 1 per doubly-bounded vertex
+    and min(l-, l+) + 1 per singly-bounded one, and the threshold is the
+    vertex count, past which every finite l- + l+ is too small to matter.  No integer meets INF in
     arithmetic, so any N works, however large.
     """
     if N is not None and N < 1:
@@ -172,20 +137,3 @@ def analysis(q: Quiver, N: int | None = None) -> tuple[list[int], list[tuple], d
     totals.update(a=a, b=b, threshold=q.n)
     return comp_of, rows, totals
 
-
-def report(q: Quiver, N: int | None = None) -> dict:
-    """JSON-ready per-vertex and total dimension data, from ``analysis``.
-
-    Grade windows and block dimensions appear only when a truncation level
-    is given; a window of null then means it is empty.
-    """
-    comp_of, rows, totals = analysis(q, N)
-    vertices = {}
-    for x, c in zip(q.vertices, comp_of):
-        lm, lp, commutative, window, d = rows[c]
-        entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp),
-                               "scc": c, "commutative": commutative}
-        if N is not None:
-            entry["K"] = None if window is None else list(window)
-            entry["d"] = d
-    return {"vertices": vertices, "totals": totals}

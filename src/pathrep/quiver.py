@@ -6,10 +6,8 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
-from operator import eq, itemgetter
-from types import MappingProxyType
+from operator import itemgetter
 from typing import NamedTuple
 
 # Extended length value: a non-negative int, or INF.  math.inf already
@@ -60,8 +58,7 @@ class Quiver:
     ``out_arrows[v]`` holds the ``(arrow index, head)`` pairs of the arrows
     out of vertex v, in declaration order: the steps a path ending at v
     can take.  Instances are immutable after construction, so the analysis
-    (``component_arrays``) is kept on the instance; ``sccs`` and
-    ``length_profile`` are views built from it.
+    (``component_arrays``) is kept on the instance.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -224,58 +221,14 @@ def parse_quiver(text: str) -> Quiver:
         raise QuiverError(f"line {lineno}: {exc}") from None
 
 
-class SccComponent(NamedTuple):
-    vertices: tuple[str, ...]
-    has_cycle: bool
-    is_simple_cycle: bool
-
-
-@dataclass(frozen=True)
-class SccPartition:
-    """Mutual-reachability classes with their cycle flags.
-
-    Components are listed in the order Tarjan's algorithm completes them,
-    i.e. every successor component precedes its predecessors.
-    """
-
-    component_of: MappingProxyType  # vertex id -> component index
-    components: tuple[SccComponent, ...]
-
-
-def sccs(q: Quiver) -> SccPartition:
-    """Partition the vertices into strongly connected components.
-
-    Two vertices fall in one component when each is reachable from the
-    other; a component "has a cycle" when it spans more than one vertex or
-    contains a self-loop, and it is a simple cycle exactly when its internal
-    arrow count equals its vertex count.
-    """
-    comp_of, members, internal, _, _ = component_arrays(q)
-    names = map(tuple, map(map, repeat(q.vertices.__getitem__), members))
-    components = zip(names, map(bool, internal), map(eq, internal, map(len, members)))
-    return SccPartition(MappingProxyType(dict(zip(q.vertices, comp_of))),
-                        tuple(map(tuple.__new__, repeat(SccComponent), components)))
-
-
-def length_profile(q: Quiver) -> MappingProxyType:
-    """Per vertex, the supremum of lengths of paths ending / starting there.
-
-    The supremum is INF exactly when some cycle leads into (resp. can be
-    reached from) the vertex; otherwise it is the longest such path, which
-    is at most n - 1 because any longer path would contain a subcycle.  Both
-    are read off the components, whose members share them: INF on a cyclic
-    one.  The result is a read-only map from vertex id to (l-, l+).
-    """
-    comp_of, _, _, lminus, lplus = component_arrays(q)
-    pairs = list(zip(lminus, lplus))
-    return MappingProxyType(dict(zip(q.vertices, map(pairs.__getitem__, comp_of))))
-
-
 def component_arrays(q: Quiver) -> tuple[list[int], list[list[int]], list[int], list[ExtLen], list[ExtLen]]:
     """``(comp_of, members, internal, l-, l+)``, computed once per quiver and
     not to be changed: the component of each vertex index, and per component
-    (in Tarjan completion order) its sorted vertex indices, internal arrow
-    count and the (l-, l+) its members share."""
+    (in Tarjan completion order, so successors come first) its sorted vertex
+    indices, its internal arrow count (nonzero exactly when it has a cycle,
+    equal to its size exactly when it is a simple cycle) and the (l-, l+)
+    its members share: the supremum of the lengths of paths ending /
+    starting there, INF exactly when a cycle leads in (resp. out)."""
     return q._components or _analyse(q)
 
 

@@ -9,11 +9,11 @@ from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
-from pathrep.dimension import classify_path, k_profile
+from pathrep.dimension import analysis
 from pathrep.oracle import verify_filtration
 from pathrep.paths import Path, enumerate_paths, factorize_cycle, head_counts
 from pathrep.polyring import PolyMatrix
-from pathrep.quiver import INF, Quiver, QuiverError, length_profile
+from pathrep.quiver import INF, Quiver, QuiverError, component_arrays, ext_to_json
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 SUITE_SEED = 20260810
@@ -310,34 +310,103 @@ def path_counts(q, max_len):
     return (sum(ending) for _, ending in zip(range(max_len + 1), head_counts(q)))
 
 
-def naive_reaches(q, src):
-    """Vertices reachable from src, by plain breadth-first search."""
-    seen = {src}
-    frontier = [src]
+def arrow_steps(q):
+    """``(succ, pred)``: per vertex index, the heads of the arrows out of it
+    and the tails of the arrows into it, read off ``q.arrows``."""
+    succ, pred = [[] for _ in range(q.n)], [[] for _ in range(q.n)]
+    for a in q.arrows:
+        succ[a.tail].append(a.head)
+        pred[a.head].append(a.tail)
+    return succ, pred
+
+
+def _breadth_first(steps, start):
+    """The nodes a walk from ``start`` along ``steps`` (node -> next nodes)
+    ends at, ``start`` included."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for a in q.arrows:
-                if a.tail == v and a.head not in seen:
-                    seen.add(a.head)
-                    nxt.append(a.head)
+            for w in steps[v]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
         frontier = nxt
     return seen
+
+
+def naive_reaches(q, src):
+    """Vertices reachable from src, by plain breadth-first search."""
+    return _breadth_first(arrow_steps(q)[0], src)
 
 
 def naive_coreaches(q, dst):
     """Vertices that reach dst, by breadth-first search on reversed arrows."""
-    seen = {dst}
-    frontier = [dst]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in q.arrows:
-                if a.head == v and a.tail not in seen:
-                    seen.add(a.tail)
-                    nxt.append(a.tail)
-        frontier = nxt
-    return seen
+    return _breadth_first(arrow_steps(q)[1], dst)
+
+
+def reference_components(q):
+    """Per vertex index ``(c, size, internal, l-, l+)`` by brute force: the
+    vertex's class is what ``naive_reaches`` ∩ ``naive_coreaches`` finds
+    (their searches on one pair of step lists), ``size`` and
+    ``internal`` count its members and the arrows between them, and (l-, l+)
+    are ``longest_walks`` along the arrows and against them.  Only the class
+    number ``c`` is ``component_arrays``'s, as Tarjan's completion order is
+    the code's own choice; it is checked: the members of a class share one
+    number, each class has its own, and every arrow between classes runs
+    from a higher number to a lower one."""
+    comp_of = component_arrays(q)[0]
+    succ, pred = arrow_steps(q)
+    classes = [None] * q.n
+    for v in range(q.n):
+        if classes[v] is None:
+            members = frozenset(_breadth_first(succ, v) & _breadth_first(pred, v))
+            assert {comp_of[w] for w in members} == {comp_of[v]}
+            for w in members:
+                classes[w] = members
+    assert sorted(set(comp_of)) == list(range(len(set(classes))))
+    internal = dict.fromkeys(classes, 0)
+    for a in q.arrows:
+        if classes[a.tail] is classes[a.head]:
+            internal[classes[a.tail]] += 1
+        else:
+            assert comp_of[a.tail] > comp_of[a.head]
+    return [(c, len(members), internal[members], lm, lp)
+            for c, members, lm, lp in zip(comp_of, classes, longest_walks(succ), longest_walks(pred))]
+
+
+def reference_noncommutative(q):
+    """The ids of the vertices whose class is cyclic but not a simple cycle,
+    by ``reference_components``."""
+    return [x for x, (_, size, inside, _, _) in zip(q.vertices, reference_components(q))
+            if inside and inside != size]
+
+
+def commutative_split(q):
+    """``(noncommutative, commutative)``: the vertex ids that
+    ``dimension.analysis``'s rows put on each side, in declaration order."""
+    comp_of, rows, _ = analysis(q)
+    flags = [rows[c][2] for c in comp_of]
+    return (tuple(x for x, comm in zip(q.vertices, flags) if not comm),
+            tuple(x for x, comm in zip(q.vertices, flags) if comm))
+
+
+def reference_report(q, N=None):
+    """``analyze --json``'s data as the stdlib would write it, from
+    ``dimension.analysis``: the reference for the command's JSON writer.
+    Grade windows and block dimensions appear only with a truncation level;
+    a window of null then means it is empty."""
+    comp_of, rows, totals = analysis(q, N)
+    vertices = {}
+    for x, c in zip(q.vertices, comp_of):
+        lm, lp, commutative, window, d = rows[c]
+        entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp),
+                               "scc": c, "commutative": commutative}
+        if N is not None:
+            entry["K"] = None if window is None else list(window)
+            entry["d"] = d
+    return {"vertices": vertices, "totals": totals}
 
 
 def naive_first_return(q, x, max_len, limit=None):
@@ -435,23 +504,22 @@ def check_k_windows(q, max_N=6):
     """Grade windows agree with the direct path-existence definition."""
     ins, outs = in_out_length_sets(q, max(max_N - 1, 0))
     for N in range(1, max_N + 1):
-        kp = k_profile(q, N)
-        for x in q.vertices:
-            xi = q.vertex_index[x]
+        comp_of, rows, _ = analysis(q, N)
+        for xi, c in enumerate(comp_of):
             direct = {
                 k for k in range(N) if k in ins[xi] and (N - 1 - k) in outs[xi]
             }
-            w = kp.window[x]
+            _, _, _, w, d = rows[c]
             interval = set() if w is None else set(range(w[0], w[1] + 1))
             assert interval == direct
-            assert kp.d[x] == (len(interval) if interval else 1)
+            assert d == (len(interval) if interval else 1)
 
 
 def check_symbolic_homogeneity(q, bound=5):
     """Nonzero entries of path images are homogeneous of the path length, and
     diagonal/above-diagonal entries between doubled vertices never vanish."""
     rep = build_path_rep(q)
-    doubled = set(classify_path(q).noncommutative)
+    doubled = set(reference_noncommutative(q))
     for p in enumerate_paths(q, bound):
         m = rep_of_path(rep, p)
         for i in range(m.rows):
@@ -470,11 +538,11 @@ def check_symbolic_homogeneity(q, bound=5):
 def check_grade_structure(q, N):
     """Images of a grade-k basis vector land at grade >= k + path length."""
     rep = build_truncated_rep(q, N)
-    prof = length_profile(q)
+    lminus = longest_walks(arrow_steps(q)[0])
     grades = {}
-    for x in q.vertices:
+    for x, lm in zip(q.vertices, lminus):
         g = rep.grades[x]
-        grades[x] = g if g is not None else (int(prof[x][0]),)
+        grades[x] = g if g is not None else (int(lm),)
     for p in enumerate_paths(q, N):
         if p.is_trivial:
             continue

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 import helpers
 from pathrep.dimension import (
-    classify_path,
     effdim_path,
     effdim_truncated,
     line_quiver_effdim,
@@ -53,7 +52,7 @@ def test_criterion_3_path_rep_desk_scale():
     with criterion("3 path-semigroup construction effective on the 200-quiver suite"):
         for q in helpers.suite(200):
             rep = build_path_rep(q)
-            assert rep.total_dim == len(classify_path(q).noncommutative) + q.n
+            assert rep.total_dim == len(helpers.reference_noncommutative(q)) + q.n
             assert rep.total_dim == effdim_path(q)
             assert verify_path_rep(rep, q, max_len=2 * q.n + 2).ok
 

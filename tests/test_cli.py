@@ -18,9 +18,9 @@ import helpers
 import pathrep
 from pathrep import cli, repbuild
 from pathrep.cli import _dumps, _graded_json, main
-from pathrep.dimension import classify_path, d_value, effdim_path, effdim_truncated, k_profile, report, stabilization
+from pathrep.dimension import analysis, d_value, effdim_path, effdim_table, effdim_truncated, stabilization
 from pathrep.polyring import MultiPoly
-from pathrep.quiver import INF, Quiver, component_arrays, ext_to_json, length_profile, parse_quiver, sccs
+from pathrep.quiver import INF, Quiver, component_arrays, ext_to_json, parse_quiver
 from pathrep.repbuild import GradedRep, build_path_rep, build_truncated_rep
 
 LOOP = "vertex x\narrow a: x -> x\n"
@@ -648,15 +648,15 @@ def test_analyze_computes_the_analysis_once_in_every_form(qfile, monkeypatch, ca
 
 
 def test_library_views_share_one_analysis(monkeypatch):
-    """``classify_path``, ``k_profile`` at two levels, ``sccs`` and
-    ``length_profile`` on one quiver run the analysis once in all."""
+    """``effdim_path``, ``effdim_truncated`` at two levels, ``stabilization``
+    and ``effdim_table`` on one quiver run the analysis once in all."""
     calls = _count_analyses(monkeypatch)
     q = _mixed_quiver()
-    classify_path(q)
-    k_profile(q, 3)
-    k_profile(q, 5)
-    sccs(q)
-    length_profile(q)
+    effdim_path(q)
+    effdim_truncated(q, 3)
+    effdim_truncated(q, 5)
+    stabilization(q)
+    effdim_table(q, 4)
     assert calls == [q]
 
 
@@ -664,12 +664,12 @@ def test_library_views_share_one_analysis(monkeypatch):
                          ids=["copy", "deepcopy", "pickle"])
 def test_a_copy_of_an_analysed_quiver_carries_no_analysis(clone):
     q = _mixed_quiver()
-    part, prof = sccs(q), length_profile(q)
+    arrays = component_arrays(q)
     twin = clone(q)
     assert twin._components is None
-    assert sccs(twin) == part and type(sccs(twin)) is type(part)
-    assert length_profile(twin) == prof and type(length_profile(twin)) is type(prof)
-    assert q._components is not None and sccs(q) == part  # the original keeps its own
+    assert component_arrays(twin) == arrays and type(component_arrays(twin)) is type(arrays)
+    assert analysis(twin) == analysis(q) and type(analysis(twin)) is type(analysis(q))
+    assert q._components is not None and component_arrays(q) == arrays  # the original keeps its own
 
 
 def _views(q):
@@ -1044,16 +1044,17 @@ def small_quivers(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_analyze_json_rows_match_the_report(qfile, capsys, q, N):
     """``analyze --json`` writes its rows by template; the bytes are those
-    of the stdlib on ``report``.  Its totals and block dimensions, summed in
-    one pass, agree with the closed form ``d_value``, and the library
-    functions read the same pass."""
+    of the stdlib on ``helpers.reference_report``.  Its totals and block
+    dimensions, summed in one pass, agree with the closed form ``d_value``,
+    and the library functions read the same pass."""
     N = q.n + 1 if N == "n + 1" else N
     flags = [] if N is None else ["--truncate", str(N)]
     assert main(["analyze", qfile(_quiver_text(q)), *flags, "--json"]) == 0
-    data = report(q, N)
+    data = helpers.reference_report(q, N)
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
     totals = data["totals"]
-    prof = length_profile(q).values()
+    comp_of, _, _, lminus, lplus = component_arrays(q)
+    prof = [(lminus[c], lplus[c]) for c in comp_of]
     assert totals["a"] == sum(lm == lp == INF for lm, lp in prof) and totals["threshold"] == q.n
     for M in (q.n, q.n + 1):
         assert sum(d_value(lm, lp, M) for lm, lp in prof) == totals["a"] * M + totals["b"]
@@ -1064,36 +1065,36 @@ def test_analyze_json_rows_match_the_report(qfile, capsys, q, N):
     if N is not None:
         assert totals["effdim_truncated"] == sum(d_value(lm, lp, N) for lm, lp in prof)
         assert totals["effdim_truncated"] == effdim_truncated(q, N)
-        kp = k_profile(q, N)
-        for x, entry in data["vertices"].items():
-            assert entry["d"] == d_value(*length_profile(q)[x], N)
-            assert (entry["K"], entry["d"]) == (kp.window[x] and list(kp.window[x]), kp.d[x])
+        _, rows, _ = analysis(q, N)
+        for (lm, lp), c, entry in zip(prof, comp_of, data["vertices"].values()):
+            assert entry["d"] == d_value(lm, lp, N)
+            _, _, _, window, d = rows[c]
+            assert (entry["K"], entry["d"]) == (window and list(window), d)
 
 
 
 def _reference_analysis(q, N):
-    """``analyze --json``'s data built vertex by vertex from the public
-    ``sccs``, ``length_profile`` and ``d_value`` alone, apart from the
+    """``analyze --json``'s data built vertex by vertex from the brute-force
+    ``helpers.reference_components`` and ``d_value`` alone, apart from the
     per-component pass of ``dimension.analysis``.  The window is the grades
     k with k <= l- and N - 1 - k <= l+; b is read off the sum of ``d_value``
     at the threshold, where it equals a * n + b."""
-    part, prof = sccs(q), length_profile(q)
+    reference = helpers.reference_components(q)
+    prof = [(lm, lp) for _, _, _, lm, lp in reference]
     vertices = {}
-    for x in q.vertices:
-        (lm, lp), scc = prof[x], part.component_of[x]
-        comp = part.components[scc]
+    for x, (scc, size, internal, lm, lp) in zip(q.vertices, reference):
         entry = vertices[x] = {"l_minus": ext_to_json(lm), "l_plus": ext_to_json(lp), "scc": scc,
-                               "commutative": not comp.has_cycle or comp.is_simple_cycle}
+                               "commutative": not internal or internal == size}
         if N is not None:
             lo, hi = (0 if lp == INF else max(0, N - 1 - lp)), min(N - 1, lm)
             entry["K"] = [lo, hi] if lo <= hi else None
             entry["d"] = d_value(lm, lp, N)
             assert entry["d"] == (hi - lo + 1 if lo <= hi else 1)
-    a = sum(lm == lp == INF for lm, lp in prof.values())
+    a = sum(lm == lp == INF for lm, lp in prof)
     totals = {"effdim_path": q.n + sum(not e["commutative"] for e in vertices.values())}
     if N is not None:
         totals["effdim_truncated"] = sum(e["d"] for e in vertices.values())
-    totals.update(a=a, b=sum(d_value(lm, lp, q.n) for lm, lp in prof.values()) - a * q.n, threshold=q.n)
+    totals.update(a=a, b=sum(d_value(lm, lp, q.n) for lm, lp in prof) - a * q.n, threshold=q.n)
     return {"vertices": vertices, "totals": totals}
 
 
@@ -1148,7 +1149,7 @@ def test_analyze_takes_a_level_beyond_the_floats(qfile, capsys):
 
 def test_json_writer_matches_the_stdlib_on_command_outputs(qfile, capsys):
     q = _large_quiver()
-    data = report(q, 3)
+    data = helpers.reference_report(q, 3)
     assert len(data["vertices"]) == 2000
     assert _dumps(data) == json.dumps(data, indent=2)
     assert main(["analyze", qfile(_quiver_text(q)), "--truncate", "3", "--json"]) == 0
@@ -1199,8 +1200,9 @@ def test_truncated_dense_size_limit_is_inclusive_and_admits_the_largest_input(mo
         build_truncated_rep(helpers.loop(), 5)
     monkeypatch.undo()
     line = helpers.a_line(3000)
-    kp = k_profile(line, 50)
-    entries = sum(kp.d[line.vertices[a.head]] * kp.d[line.vertices[a.tail]] for a in line.arrows)
+    comp_of, rows, _ = analysis(line, 50)
+    d = [rows[c][4] for c in comp_of]
+    entries = sum(d[a.head] * d[a.tail] for a in line.arrows)
     assert entries == 7_335_800 <= repbuild.DENSE_LIMIT
 
 

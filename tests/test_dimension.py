@@ -1,38 +1,45 @@
 import itertools
+import json
 import random
 
 import pytest
 
 import helpers
+from pathrep.cli import _analysis_json
 from pathrep.dimension import (
-    classify_path,
+    analysis,
     d_value,
     effdim_path,
     effdim_table,
     effdim_truncated,
-    k_profile,
     line_quiver_effdim,
-    report,
     stabilization,
 )
-from pathrep.quiver import INF, Quiver, length_profile, sccs
+from pathrep.quiver import INF, Quiver, component_arrays
+
+
+def _windows(q, N):
+    """``({id: window}, {id: d})`` at level N, by ``analysis``'s rows."""
+    comp_of, rows, _ = analysis(q, N)
+    return ({x: rows[c][3] for x, c in zip(q.vertices, comp_of)},
+            {x: rows[c][4] for x, c in zip(q.vertices, comp_of)})
 
 
 def test_classify_two_loops():
-    cls = classify_path(helpers.two_loops())
-    assert cls.noncommutative == ("x",)
-    assert cls.commutative == ()
+    noncommutative, commutative = helpers.commutative_split(helpers.two_loops())
+    assert noncommutative == ("x",)
+    assert commutative == ()
 
 
 def test_classify_acyclic():
-    cls = classify_path(helpers.a_line(3))
-    assert cls.noncommutative == ()
-    assert cls.commutative == ("v1", "v2", "v3")
+    noncommutative, commutative = helpers.commutative_split(helpers.a_line(3))
+    assert noncommutative == ()
+    assert commutative == ("v1", "v2", "v3")
 
 
 def test_classify_triangle_chord():
-    cls = classify_path(helpers.triangle_chord())
-    assert cls.noncommutative == ("x", "y", "z")
+    noncommutative, _ = helpers.commutative_split(helpers.triangle_chord())
+    assert noncommutative == ("x", "y", "z")
 
 
 def test_effdim_path_examples():
@@ -42,21 +49,21 @@ def test_effdim_path_examples():
 
 
 def test_k_profile_a3():
-    kp = k_profile(helpers.a_line(3), 2)
-    assert kp.window == {"v1": (0, 0), "v2": (0, 1), "v3": (1, 1)}
-    assert kp.d == {"v1": 1, "v2": 2, "v3": 1}
+    window, d = _windows(helpers.a_line(3), 2)
+    assert window == {"v1": (0, 0), "v2": (0, 1), "v3": (1, 1)}
+    assert d == {"v1": 1, "v2": 2, "v3": 1}
 
 
 def test_k_profile_isolated():
-    kp = k_profile(helpers.isolated(), 3)
-    assert kp.window == {"x": None}
-    assert kp.d == {"x": 1}
+    window, d = _windows(helpers.isolated(), 3)
+    assert window == {"x": None}
+    assert d == {"x": 1}
 
 
 def test_k_profile_loop():
-    kp = k_profile(helpers.loop(), 4)
-    assert kp.window == {"x": (0, 3)}
-    assert kp.d == {"x": 4}
+    window, d = _windows(helpers.loop(), 4)
+    assert window == {"x": (0, 3)}
+    assert d == {"x": 4}
 
 
 def test_d_value_examples():
@@ -109,12 +116,12 @@ def test_k_windows_match_direct_definition():
 
 def test_d_value_matches_window_size():
     for q in helpers.suite(120):
-        prof = length_profile(q)
+        comp_of, _, _, lminus, lplus = component_arrays(q)
         for N in range(1, 7):
-            kp = k_profile(q, N)
-            for x in q.vertices:
-                lm, lp = prof[x]
-                w = kp.window[x]
+            windows, _ = _windows(q, N)
+            for x, c in zip(q.vertices, comp_of):
+                lm, lp = lminus[c], lplus[c]
+                w = windows[x]
                 size = 1 if w is None else w[1] - w[0] + 1
                 assert d_value(lm, lp, N) == size
 
@@ -137,7 +144,7 @@ def test_levels_beyond_the_floats():
     """INF - N would make N a float, which fails above 1.8e308."""
     N = 10**400
     q = helpers.loop_with_tail()
-    assert k_profile(q, N).window == {"x": (0, N - 1), "y": (N - 2, N - 1), "z": (N - 1, N - 1)}
+    assert _windows(q, N)[0] == {"x": (0, N - 1), "y": (N - 2, N - 1), "z": (N - 1, N - 1)}
     assert effdim_truncated(q, N) == N + 3
     assert [d_value(lm, lp, N) for lm, lp in ((INF, INF), (INF, 1), (0, INF), (2, 3))] == [N, 2, 1, 1]
 
@@ -177,15 +184,16 @@ def test_line_orientations_match_closed_form():
 
 def test_fully_cyclic_quivers_scale_linearly():
     for q in helpers.suite(150):
-        part = sccs(q)
-        if all(part.components[part.component_of[x]].has_cycle for x in q.vertices):
+        comp_of, _, internal, _, _ = component_arrays(q)
+        if all(internal[c] for c in comp_of):
             for N in range(1, 6):
                 assert effdim_truncated(q, N) == N * q.n
 
 
 def test_report_schema():
+    """The object ``analyze --json`` writes, through ``cli._analysis_json``."""
     q = helpers.loop_with_tail()
-    data = report(q, 3)
+    data = json.loads(_analysis_json(q, *analysis(q, 3), truncated=True))
     assert set(data) == {"vertices", "totals"}
     vx = data["vertices"]["x"]
     assert vx["l_minus"] == "inf" and vx["l_plus"] == "inf"
@@ -196,6 +204,6 @@ def test_report_schema():
     assert totals["effdim_path"] == effdim_path(q)
     assert totals["effdim_truncated"] == effdim_truncated(q, 3)
     assert (totals["a"], totals["b"], totals["threshold"]) == (1, 3, 3)
-    bare = report(q)
+    bare = json.loads(_analysis_json(q, *analysis(q), truncated=False))
     assert "effdim_truncated" not in bare["totals"]
     assert "K" not in bare["vertices"]["x"]

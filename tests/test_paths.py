@@ -4,7 +4,6 @@ import pickle
 import pytest
 
 import helpers
-from pathrep.dimension import classify_path
 from pathrep.paths import (
     ZERO,
     Path,
@@ -19,7 +18,7 @@ from pathrep.paths import (
     walk,
 )
 from pathrep.polyring import identity, mat_mul
-from pathrep.quiver import Quiver, sccs
+from pathrep.quiver import Quiver
 from pathrep.repbuild import build_path_rep, build_truncated_rep, rep_of_path
 
 
@@ -308,9 +307,9 @@ def test_factorize_rejects_noncycles():
 
 
 def test_is_commutative_examples():
-    assert "x" not in classify_path(helpers.two_loops()).commutative
-    assert "x" in classify_path(helpers.loop()).commutative
-    assert "x" in classify_path(helpers.a2()).commutative
+    assert "x" not in helpers.commutative_split(helpers.two_loops())[1]
+    assert "x" in helpers.commutative_split(helpers.loop())[1]
+    assert "x" in helpers.commutative_split(helpers.a2())[1]
 
 
 def test_freeness_factorization_unique():
@@ -320,20 +319,23 @@ def test_freeness_factorization_unique():
 
 def test_commutativity_decision_matches_enumeration():
     for q in helpers.suite(80):
-        cls = classify_path(q)
+        noncommutative, commutative = helpers.commutative_split(q)
         for x in q.vertices:
             xi = q.vertex_index[x]
-            assert (x in cls.noncommutative) != (x in cls.commutative)
-            if x in cls.commutative:
+            assert (x in noncommutative) != (x in commutative)
+            if x in commutative:
                 assert len(helpers.naive_first_return(q, xi, 2 * q.n)) <= 1
             else:
                 assert len(helpers.naive_first_return(q, xi, 2 * q.n, limit=2)) == 2
 
 
 def test_commutativity_constant_on_components():
+    """Constant on each mutual-reachability class, found by brute force."""
     for q in helpers.suite(80):
-        for comp in sccs(q).components:
-            flags = {v in classify_path(q).commutative for v in comp.vertices}
+        _, commutative = helpers.commutative_split(q)
+        for v in range(q.n):
+            members = helpers.naive_reaches(q, v) & helpers.naive_coreaches(q, v)
+            flags = {q.vertices[w] in commutative for w in members}
             assert len(flags) == 1
 
 

@@ -12,11 +12,9 @@ from pathrep.quiver import (
     Arrow,
     Quiver,
     QuiverError,
-    SccComponent,
     analyse_graph,
-    length_profile,
+    component_arrays,
     parse_quiver,
-    sccs,
 )
 
 
@@ -377,18 +375,6 @@ def test_parse_names_the_line_of_a_name_error_in_a_long_text(case):
     assert helpers.build_outcome(parse_quiver, text) == helpers.build_outcome(helpers.reference_parse, text)
 
 
-def test_scc_component_is_an_immutable_record():
-    c = SccComponent(("x", "y", "z"), True, True)
-    assert (c.vertices, c.has_cycle, c.is_simple_cycle) == (("x", "y", "z"), True, True)
-    assert SccComponent._fields == ("vertices", "has_cycle", "is_simple_cycle")
-    assert repr(c) == "SccComponent(vertices=('x', 'y', 'z'), has_cycle=True, is_simple_cycle=True)"
-    assert c == SccComponent(("x", "y", "z"), True, True) and c != SccComponent(("x", "y", "z"), True, False)
-    assert hash(c) == hash((("x", "y", "z"), True, True))  # as the frozen dataclass hashed
-    with pytest.raises(AttributeError):
-        c.has_cycle = False
-    assert sccs(helpers.three_cycle()).components == (c,)
-
-
 def test_constructor_rejects_bad_ids():
     with pytest.raises(QuiverError):
         Quiver(["x y"])
@@ -398,70 +384,74 @@ def test_constructor_rejects_bad_ids():
         Quiver([])
 
 
+def _profile(q):
+    """Vertex id -> (l-, l+), read off ``component_arrays``."""
+    comp_of, _, _, lminus, lplus = component_arrays(q)
+    return {x: (lminus[c], lplus[c]) for x, c in zip(q.vertices, comp_of)}
+
+
 def test_sccs_loop():
-    part = sccs(helpers.loop())
-    assert len(part.components) == 1
-    c = part.components[0]
-    assert c.has_cycle and c.is_simple_cycle
+    _, members, internal, _, _ = component_arrays(helpers.loop())
+    assert len(members) == 1
+    assert internal[0] and internal[0] == len(members[0])  # a cycle, and a simple one
 
 
 def test_sccs_triangle_with_chord():
-    part = sccs(helpers.triangle_chord())
-    assert len(part.components) == 1
-    c = part.components[0]
-    assert c.vertices == ("x", "y", "z")
-    assert c.has_cycle and not c.is_simple_cycle  # 4 internal arrows, 3 vertices
+    q = helpers.triangle_chord()
+    _, members, internal, _, _ = component_arrays(q)
+    assert len(members) == 1
+    assert tuple(q.vertices[v] for v in members[0]) == ("x", "y", "z")
+    assert internal[0] and internal[0] != len(members[0])  # 4 internal arrows, 3 vertices
 
 
 def test_sccs_a2():
     q = helpers.a2()
-    part = sccs(q)
-    assert len(part.components) == 2
-    assert all(not c.has_cycle for c in part.components)
-    assert part.component_of["y"] < part.component_of["x"]  # successors first
+    comp_of, members, internal, _, _ = component_arrays(q)
+    assert len(members) == 2
+    assert not any(internal)
+    assert comp_of[q.vertex_index["y"]] < comp_of[q.vertex_index["x"]]  # successors first
 
 
 def test_length_profile_a3():
     q = helpers.a_line(3)
-    prof = length_profile(q)
+    prof = _profile(q)
     assert prof == {"v1": (0, 2), "v2": (1, 1), "v3": (2, 0)}
 
 
 def test_length_profile_loop():
-    assert length_profile(helpers.loop()) == {"x": (INF, INF)}
+    assert _profile(helpers.loop()) == {"x": (INF, INF)}
 
 
 def test_length_profile_isolated():
-    assert length_profile(helpers.isolated()) == {"x": (0, 0)}
+    assert _profile(helpers.isolated()) == {"x": (0, 0)}
 
 
 def test_analysis_is_computed_once_and_read_only():
+    """One analysis per quiver, which a caller cannot swap for another."""
     q = helpers.loop_with_tail()
-    prof, part = length_profile(q), sccs(q)
-    assert length_profile(q) == prof and sccs(q) == part
-    expected = dict(prof)
+    arrays = component_arrays(q)
+    assert component_arrays(q) is arrays
+    expected = copy.deepcopy(arrays)
     with pytest.raises(TypeError):
-        prof["x"] = (0, 0)
-    with pytest.raises(TypeError):
-        part.component_of["x"] = 7
-    assert length_profile(q) == expected
-    assert sccs(q).component_of == sccs(helpers.loop_with_tail()).component_of
+        arrays[3] = [0, 0, 0]
+    assert component_arrays(q) == expected
+    assert component_arrays(q)[0] == component_arrays(helpers.loop_with_tail())[0]
 
 
 def test_analysis_cache_is_not_part_of_the_quiver():
     analysed, fresh = helpers.loop_with_tail(), helpers.loop_with_tail()
-    length_profile(analysed)
+    component_arrays(analysed)
     assert analysed == fresh and hash(analysed) == hash(fresh)
     assert repr(analysed) == repr(fresh)
     for twin in (copy.deepcopy(analysed), pickle.loads(pickle.dumps(analysed))):
         assert twin == analysed
-        assert length_profile(twin) == length_profile(analysed)
+        assert component_arrays(twin) == component_arrays(analysed)
 
 
 def _assert_profile_matches_enumeration(q):
     bound = 2 * q.n
     ins, outs = helpers.in_out_length_sets(q, bound)
-    for x, (lm, lp) in length_profile(q).items():
+    for x, (lm, lp) in _profile(q).items():
         xi = q.vertex_index[x]
         if lm == INF:
             assert set(range(bound + 1)) <= ins[xi]
@@ -487,7 +477,7 @@ def test_length_profile_carries_inf_along_acyclic_chains():
          ("e", "c2", "s1"), ("f", "s1", "s2"), ("g", "s2", "s3"), ("h", "r1", "r2"),
          ("i", "p1", "r2")],
     )
-    assert length_profile(q) == {
+    assert _profile(q) == {
         "s2": (INF, 1), "p1": (0, INF), "c1": (INF, INF), "s1": (INF, 2), "r1": (0, 1),
         "p2": (1, INF), "c2": (INF, INF), "r2": (1, 0), "s3": (INF, 0),
     }
@@ -499,24 +489,24 @@ def test_suffix_realizability():
     for q in helpers.suite(60, max_vertices=6, max_arrows=8):
         bound = 2 * q.n
         ins, _ = helpers.in_out_length_sets(q, bound)
-        for x, (lm, _) in length_profile(q).items():
+        for x, (lm, _) in _profile(q).items():
             top = int(min(lm, bound))
             assert set(range(top + 1)) <= ins[q.vertex_index[x]]
 
 
 def test_simple_cycle_flag_matches_enumeration():
     for q in helpers.suite(60):
-        part = sccs(q)
+        _, components, internal, _, _ = component_arrays(q)
         out = helpers.out_arrow_ids(q)
-        for comp in part.components:
-            members = {q.vertex_index[v] for v in comp.vertices}
+        for comp, inside in zip(components, internal):
+            members = set(comp)
             no_branch = all(
                 sum(1 for ai in out[v] if q.arrows[ai].head in members) < 2
                 for v in members
             )
-            for v in comp.vertices:
-                cycles = helpers.naive_first_return(q, q.vertex_index[v], q.n)
-                assert comp.is_simple_cycle == (len(cycles) == 1 and no_branch)
+            for v in comp:
+                cycles = helpers.naive_first_return(q, v, q.n)
+                assert (inside == len(comp)) == (len(cycles) == 1 and no_branch)
 
 
 @st.composite
@@ -598,35 +588,29 @@ def _reach_closure(q):
 def test_analysis_matches_independent_references():
     """Components, cycle flags, component order and the l-/l+ profile of
     500 seeded random quivers (up to 8 vertices and 14 arrows, self-loops
-    and parallel arrows included) against brute-force references, asking
-    for the components first on every other quiver and for the profile
-    first on the rest."""
+    and parallel arrows included) against brute-force references."""
     rng = random.Random(20261020)
     loops = parallels = 0
-    for i in range(500):
+    for _ in range(500):
         q = helpers.random_quiver(rng, max_vertices=8, max_arrows=14)
-        if i % 2:
-            length_profile(q)
-        part, prof = sccs(q), length_profile(q)
+        (comp_of, components, counts, _, _), prof = component_arrays(q), _profile(q)
         ends = [(t, h) for _, t, h in q.arrows]
         loops += any(t == h for t, h in ends)
         parallels += len(set(ends)) < len(ends)
         reach = _reach_closure(q)
         classes = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(q.n)}
-        assert sorted(tuple(sorted(c)) for c in classes) == sorted(
-            tuple(map(q.vertex_index.__getitem__, comp.vertices)) for comp in part.components)
-        for c, comp in enumerate(part.components):
-            assert all(part.component_of[v] == c for v in comp.vertices)
-            members = set(map(q.vertex_index.__getitem__, comp.vertices))
+        assert sorted(tuple(sorted(c)) for c in classes) == sorted(map(tuple, components))
+        for c, comp in enumerate(components):
+            assert all(comp_of[v] == c for v in comp)
+            members = set(comp)
             internal = sum(t in members and h in members for t, h in ends)
-            assert comp.has_cycle == (internal > 0)
-            assert comp.is_simple_cycle == (internal == len(members))
-        names = q.vertices
+            assert (counts[c] > 0) == (internal > 0)
+            assert (counts[c] == len(comp)) == (internal == len(members))
         for t, h in ends:  # every successor component precedes its predecessors
-            assert part.component_of[names[h]] <= part.component_of[names[t]]
-            assert (part.component_of[names[h]] == part.component_of[names[t]]) == (t in reach[h])
+            assert comp_of[h] <= comp_of[t]
+            assert (comp_of[h] == comp_of[t]) == (t in reach[h])
         lminus, lplus = _level_sets(q.n, ends), _level_sets(q.n, [(h, t) for t, h in ends])
-        assert dict(prof) == dict(zip(names, zip(lminus, lplus)))
+        assert prof == dict(zip(q.vertices, zip(lminus, lplus)))
     assert loops > 100 and parallels > 100
 
 
@@ -654,11 +638,8 @@ def test_length_profile_is_longest_walks_both_ways_on_large_quivers():
     rng = random.Random(7)
     for _ in range(3):
         q = _large_quiver(rng)
-        succ, pred = [[] for _ in range(q.n)], [[] for _ in range(q.n)]
-        for _, t, h in q.arrows:
-            succ[t].append(h)
-            pred[h].append(t)
-        prof = length_profile(q)
+        succ, pred = helpers.arrow_steps(q)
+        prof = _profile(q)
         assert prof == dict(zip(q.vertices, zip(helpers.longest_walks(succ), helpers.longest_walks(pred))))
         assert {lm == INF for lm, _ in prof.values()} == {True, False}
         assert {lp == INF for _, lp in prof.values()} == {True, False}
