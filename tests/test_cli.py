@@ -812,6 +812,86 @@ def test_a_number_past_max_digits_is_refused_and_one_at_it_prints(qfile, capsys)
     assert capsys.readouterr().err == "error: cannot parse segment list: a number has at most 2,000 digits\n"
 
 
+# Command lines of every command, valid and not: ``main`` hands a line that
+# names a command straight to that command's parser, and must leave each
+# exactly as the one top-level parse does.  No file is read: the commands are
+# replaced by a recorder.
+PARSE_FORMS = [
+    ["analyze", "q.quiver"],
+    ["analyze", "q.quiver", "--truncate", "3", "--json", "--out", "a.txt"],
+    ["analyze", "q.quiver", "--out=a.txt"],
+    ["analyze", "q.quiver", "--trunc", "3"],
+    ["analyze", "--json", "q.quiver"],
+    ["construct", "q.quiver"],
+    ["construct", "q.quiver", "--truncate", "2", "--labels", "symbolic", "--out", "r.json"],
+    ["construct", "--labels=primes", "--trunc=2", "q.quiver"],
+    ["verify", "q.quiver"],
+    ["verify", "q.quiver", "--truncate", "3", "--json"],
+    ["verify", "q.quiver", "--max-len", "4", "--rep", "r.json", "--out=v.txt"],
+    ["verify", "--rep=r.json", "--max", "4", "q.quiver"],
+    ["stabilize", "q.quiver"],
+    ["stabilize", "--out", "s.txt", "q.quiver", "--json"],
+    ["formula", "3,2", "--truncate", "4"],
+    ["formula", "--truncate", "4", "3,2", "--json", "--out=f.txt"],
+    [],
+    ["frobnicate"],
+    ["frobnicate", "q.quiver"],
+    ["-h"],
+    ["--help"],
+    ["verify", "-h"],
+    ["formula", "--help"],
+    ["analyze"],
+    ["verify", "--json"],
+    ["construct", "q.quiver", "--json"],
+    ["analyze", "q.quiver", "extra", "--seed", "1"],
+    ["analyze", "q.quiver", "--truncate", "abc"],
+    ["analyze", "q.quiver", "--truncate", "9" * 2001],
+    ["analyze", "q.quiver", "--truncate"],
+    ["formula", "3,2", "--truncate", "0"],
+    ["formula", "3,2"],
+    ["construct", "q.quiver", "--truncate", "2", "--labels", "floats"],
+    ["verify", "q.quiver", "--truncate", "3", "--max-len", "4"],
+    ["stabilize", "q.quiver", "--out", ""],
+]
+
+
+def _parse_outcome(parse, capsys):
+    """A parse's exit code (0 when it returns), its namespace, stdout and stderr."""
+    try:
+        outcome = 0, parse()
+    except SystemExit as exc:
+        outcome = exc.code, None
+    return (*outcome, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_FORMS, ids=lambda argv: " ".join(a[:12] for a in argv) or "none")
+def test_main_parses_each_line_as_the_top_level_parser(argv, monkeypatch, capsys):
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda ns: seen.append(ns) or 0)
+
+    def through_main():
+        assert main(list(argv)) == 0
+        return seen.pop()
+
+    expected = _parse_outcome(lambda: cli.build_parser().parse_args(list(argv)), capsys)
+    assert _parse_outcome(through_main, capsys) == expected
+    assert not seen
+
+
+def test_main_without_arguments_reads_the_command_line(monkeypatch, capsys):
+    """The console script calls ``main()``, which reads ``sys.argv[1:]``."""
+    monkeypatch.setattr(sys, "argv", ["pathrep", "formula", "3,2", "--truncate", "4"])
+    assert main() == 0
+    from_argv = capsys.readouterr()
+    assert main(["formula", "3,2", "--truncate", "4"]) == 0
+    assert from_argv == capsys.readouterr() and from_argv.out.startswith("eff.dim(P_4) = ")
+    monkeypatch.setattr(sys, "argv", ["pathrep", "verify", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: pathrep verify")
+
+
 @pytest.mark.parametrize("text", NOT_DECIMAL)
 def test_formula_segments_take_ascii_digits_only(text, capsys):
     assert main(["formula", f"3,{text}", "--truncate", "2"]) == 2
